@@ -114,7 +114,8 @@ def _strict_gap_target(n):
 
 def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
     """Check forward/backward inversion, injectivity, family membership and
-    count agreement for every n in [lo, hi]."""
+    count agreement for every n in [lo, hi].  A range in which no map was
+    checked does not pass."""
     failures = []
     checked = 0
     for n in range(lo, hi + 1):
@@ -167,4 +168,5 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
         if len(source) != len(target):
             failures.append((n, "count mismatch: %d sources vs %d targets"
                              % (len(source), len(target))))
-    return BijectionReport(kind, (lo, hi), checked, not failures, tuple(failures))
+    return BijectionReport(kind, (lo, hi), checked, checked > 0 and not failures,
+                           tuple(failures))

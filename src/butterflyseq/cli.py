@@ -3,7 +3,7 @@
 Verbs: seq, enum, bij, split, merge, caps, classify, parity, verify,
 checksum, solve, diagram.  Output is deterministic text, or JSON objects of
 the shape {"command": ..., "result": ...} with --json.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage errors.
+success, 1 on verification or domain failure, 2 on usage errors.
 """
 
 import argparse
@@ -56,14 +56,17 @@ def _emit(args, command, result, text):
         print(text)
 
 
-def _cmd_seq(args):
-    table = sequences.named_sequence(args.name, args.to)
+def _print_table(args, table):
     if args.json:
-        print(json.dumps({"command": "seq", "result": sequences.to_json(table)},
+        print(json.dumps({"command": args.verb, "result": sequences.to_json(table)},
                          sort_keys=True))
     else:
         sys.stdout.write(sequences.to_bfile(table))
     return 0
+
+
+def _cmd_seq(args):
+    return _print_table(args, sequences.named_sequence(args.name, args.to))
 
 
 def _cmd_enum(args):
@@ -151,20 +154,10 @@ def _cmd_parity(args):
 def _cmd_verify(args):
     names = series.VERIFIED_IDENTITIES if args.identity == "all" else (args.identity,)
     reports = [series.verify_identity(name, args.order) for name in names]
-    failed = [r for r in reports if not r.ok]
-    if args.json:
-        result = [{"name": r.name, "order": r.order, "ok": r.ok,
-                   "mismatches": [list(m) for m in r.mismatches]} for r in reports]
-        print(json.dumps({"command": "verify", "result": result}, sort_keys=True))
-    else:
-        for r in reports:
-            if r.ok:
-                print("%s: OK 0 mismatches" % r.name)
-            else:
-                print("%s: %d mismatches" % (r.name, len(r.mismatches)))
-                for n, lhs, rhs in r.mismatches:
-                    print("%d %d %d" % (n, lhs, rhs))
-    return 1 if failed else 0
+    result = [{"name": r.name, "order": r.order, "ok": r.ok,
+               "mismatches": [list(m) for m in r.mismatches]} for r in reports]
+    _emit(args, "verify", result, "\n".join(str(r) for r in reports))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_checksum(args):
@@ -179,13 +172,7 @@ def _cmd_checksum(args):
 
 
 def _cmd_solve(args):
-    table = recurrences.recursive_solve(args.name, args.to)
-    if args.json:
-        print(json.dumps({"command": "solve", "result": sequences.to_json(table)},
-                         sort_keys=True))
-    else:
-        sys.stdout.write(sequences.to_bfile(table))
-    return 0
+    return _print_table(args, recurrences.recursive_solve(args.name, args.to))
 
 
 def _cmd_diagram(args):
@@ -193,6 +180,13 @@ def _cmd_diagram(args):
     text = diagrams.render_young(p)
     _emit(args, "diagram", text, text)
     return 0
+
+
+def _bar_size(text):
+    h = int(text)
+    if h < 3:
+        raise argparse.ArgumentTypeError("bar size h must be >= 3, got %d" % h)
+    return h
 
 
 def build_parser():
@@ -209,33 +203,25 @@ def build_parser():
     p = sub.add_parser("enum", help="list the partitions of n in a family")
     p.add_argument("family")
     p.add_argument("n", type=int)
-    p.add_argument("--h", type=int, default=3, help="bar size for bar families")
+    p.add_argument("--h", type=_bar_size, default=3, help="bar size for bar families")
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("bij", help="verify a bijection over a range of n")
     p.add_argument("kind", choices=("raise", "butterfly", "bar"))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--h", type=int, default=3)
+    p.add_argument("--h", type=_bar_size, default=3)
     p.set_defaults(fn=_cmd_bij)
 
-    p = sub.add_parser("split", help="split a butterfly partition into odd parts")
-    p.add_argument("partition")
-    p.add_argument("--variant", choices=(splitmerge.STANDARD, splitmerge.SWITCHED),
-                   default=splitmerge.STANDARD)
-    p.set_defaults(fn=_cmd_split)
-
-    p = sub.add_parser("merge", help="merge an odd-part partition back")
-    p.add_argument("partition")
-    p.add_argument("--variant", choices=(splitmerge.STANDARD, splitmerge.SWITCHED),
-                   default=splitmerge.STANDARD)
-    p.set_defaults(fn=_cmd_merge)
-
-    p = sub.add_parser("caps", help="report the merging caps of an odd-part partition")
-    p.add_argument("partition")
-    p.add_argument("--variant", choices=(splitmerge.STANDARD, splitmerge.SWITCHED),
-                   default=splitmerge.STANDARD)
-    p.set_defaults(fn=_cmd_caps)
+    for verb, help_text, fn in (
+            ("split", "split a butterfly partition into odd parts", _cmd_split),
+            ("merge", "merge an odd-part partition back", _cmd_merge),
+            ("caps", "report the merging caps of an odd-part partition", _cmd_caps)):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("partition")
+        p.add_argument("--variant", choices=(splitmerge.STANDARD, splitmerge.SWITCHED),
+                       default=splitmerge.STANDARD)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("classify", help="pentagonal classification of a butterfly partition")
     p.add_argument("partition")
@@ -275,12 +261,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        # violated merging caps are a domain failure, not a usage error
+        return 1 if isinstance(exc, splitmerge.CapsError) else 2
 
 
 if __name__ == "__main__":

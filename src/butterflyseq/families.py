@@ -13,6 +13,9 @@ from .partitions import (
     DEFAULT_ENUM_LIMIT,
     Partition,
     check_limit,
+    initial_run,
+    is_butterfly_tuple,
+    is_strict_tuple,
     iter_butterfly_tuples,
     iter_strict_tuples,
 )
@@ -50,39 +53,23 @@ class Family:
         return self.kind if self.param is None else "%s(%d)" % (self.kind, self.param)
 
 
-def _is_strict(parts):
-    return all(a > b for a, b in zip(parts, parts[1:]))
-
-
-def _is_butterfly(parts):
-    return (len(parts) >= 3 and _is_strict(parts) and parts[-1] >= 2
-            and parts[0] == parts[1] + 1 == parts[2] + 2)
-
-
-def _run_length(parts):
-    run = 1
-    while run < len(parts) and parts[run] == parts[run - 1] - 1:
-        run += 1
-    return run
-
-
 def _in_bar_a(parts, h):
     # smallest part other than 2 equals h; h largest consecutive; at least
     # h parts greater than h
-    if h < 3 or not _is_butterfly(parts):
+    if h < 3 or not is_butterfly_tuple(parts):
         return False
     non2 = [x for x in parts if x != 2]
-    return (bool(non2) and non2[-1] == h and _run_length(parts) >= h
+    return (bool(non2) and non2[-1] == h and initial_run(parts) >= h
             and len(non2) >= h + 1)
 
 
 def _in_bar_b(parts, h):
     # exactly h consecutive largest parts, all greater than h + 1, and every
     # part other than 2 greater than h
-    if h < 3 or not _is_butterfly(parts):
+    if h < 3 or not is_butterfly_tuple(parts):
         return False
     non2 = [x for x in parts if x != 2]
-    return (_run_length(parts) == h and parts[0] > 2 * h
+    return (initial_run(parts) == h and parts[0] > 2 * h
             and bool(non2) and non2[-1] > h)
 
 
@@ -94,7 +81,7 @@ def _in_equal_triple(parts):
     if parts[0] < 3 or parts[-1] < 2:
         return False
     rest = parts[2:]
-    if not _is_strict(rest):
+    if not is_strict_tuple(rest):
         return False
     return len(parts) == 3 or parts[3] <= parts[2] - 2
 
@@ -119,7 +106,7 @@ def _in_butterfly_plus_ones(parts):
     ones = sum(1 for x in parts if x == 1)
     if ones > 2:
         return False
-    return _is_butterfly(parts[:len(parts) - ones])
+    return is_butterfly_tuple(parts[:len(parts) - ones])
 
 
 _POW2 = frozenset(1 << k for k in range(40))
@@ -130,9 +117,9 @@ def in_family(p: Partition, f: Family) -> bool:
     parts = p.parts
     kind = f.kind
     if kind == STRICT:
-        return _is_strict(parts)
+        return is_strict_tuple(parts)
     if kind == CONSEC:
-        return len(parts) >= 2 and _is_strict(parts) and parts[0] == parts[1] + 1
+        return len(parts) >= 2 and is_strict_tuple(parts) and parts[0] == parts[1] + 1
     if kind == CONSEC_NO_ONE:
         return in_family(p, Family(CONSEC)) and parts[-1] >= 2
     if kind == CONSEC_WITH_ONE:
@@ -141,11 +128,11 @@ def in_family(p: Partition, f: Family) -> bool:
         return (in_family(p, Family(CONSEC_NO_ONE))
                 and (len(parts) < 3 or parts[1] >= parts[2] + 2))
     if kind == BUTTERFLY:
-        return _is_butterfly(parts)
+        return is_butterfly_tuple(parts)
     if kind == BUTTERFLY_EVEN:
-        return _is_butterfly(parts) and parts[1] % 2 == 0
+        return is_butterfly_tuple(parts) and parts[1] % 2 == 0
     if kind == BUTTERFLY_ODD:
-        return _is_butterfly(parts) and parts[1] % 2 == 1
+        return is_butterfly_tuple(parts) and parts[1] % 2 == 1
     if kind == EQUAL_TRIPLE:
         return _in_equal_triple(parts)
     if kind == STAIRCASE_321:
@@ -171,7 +158,7 @@ def in_family(p: Partition, f: Family) -> bool:
     if kind == BUTTERFLY_PLUS_ONES:
         return _in_butterfly_plus_ones(parts)
     if kind == DISTINCT_NOT_POW2:
-        return _is_strict(parts) and not any(x in _POW2 for x in parts)
+        return is_strict_tuple(parts) and not any(x in _POW2 for x in parts)
     raise ValueError("unknown family %r" % (f,))
 
 
@@ -189,42 +176,20 @@ def _iter_consec(n, tail_min):
             yield (a + 1, a) + tail
 
 
-def _iter_staircase_33(n):
-    # top value v >= 3, every value in [3, v] present (steps <= 1), the top
-    # value at least twice, the value 3 at least twice (three parts for v = 3)
+def _iter_staircase(n, threes, tail):
+    # above the fixed smallest parts ``tail``, a staircase with steps <= 1
+    # from a top value v >= 3 (at least twice) down to 3, with every value in
+    # [3, v] present and the value 3 at least ``threes`` times (once more for
+    # v = 3, whose 3s include the top pair)
     out = []
+    core = n - sum(tail)
 
     def rec(j, remaining, acc, v):
         if j == 3:
-            need = 3 if v == 3 else 2
-            if remaining % 3 == 0 and remaining // 3 >= need:
-                out.append(tuple(acc + [3] * (remaining // 3)))
+            if remaining % 3 == 0 and remaining // 3 >= threes + (v == 3):
+                out.append(tuple(acc + [3] * (remaining // 3)) + tail)
             return
-        min_below = sum(range(4, j)) + 6  # one of each value below, two 3s
-        lo = 2 if j == v else 1
-        for m in range(lo, (remaining - min_below) // j + 1):
-            rec(j - 1, remaining - m * j, acc + [j] * m, v)
-
-    for v in range(3, n + 1):
-        rec(v, n, [], v)
-    return out
-
-
-def _iter_staircase_321(n):
-    # fixed smallest parts 3 > 2 > 1; above them a staircase with steps <= 1
-    # from some top value v (at least twice) down to 3 (at least once)
-    out = []
-    core = n - 3
-    if core < 3:
-        return out
-
-    def rec(j, remaining, acc, v):
-        if j == 3:
-            need = 2 if v == 3 else 1
-            if remaining % 3 == 0 and remaining // 3 >= need:
-                out.append(tuple(acc + [3] * (remaining // 3) + [2, 1]))
-            return
-        min_below = sum(range(4, j)) + 3
+        min_below = sum(range(4, j)) + 3 * threes  # one of each value below
         lo = 2 if j == v else 1
         for m in range(lo, (remaining - min_below) // j + 1):
             rec(j - 1, remaining - m * j, acc + [j] * m, v)
@@ -267,9 +232,9 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     elif kind == EQUAL_TRIPLE:
         tuples = _iter_equal_triple(n)
     elif kind == STAIRCASE_321:
-        tuples = _iter_staircase_321(n)
+        tuples = _iter_staircase(n, 1, (2, 1))
     elif kind == STAIRCASE_33:
-        tuples = _iter_staircase_33(n)
+        tuples = _iter_staircase(n, 2, ())
     elif kind == ODD_GE:
         tuples = _iter_odd_parts(n, f.param)
     elif kind in (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED):
@@ -328,10 +293,12 @@ def _iter_distinct_from(n, allowed, idx=None):
 
 
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
-    """len(enumerate_family(n, f)), via exact counting where available."""
+    """len(enumerate_family(n, f)), via exact counting where available.
+
+    The limit guards listing only, so it applies to families counted by
+    enumeration."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_limit(n, limit)
     kind = f.kind
     if kind == STRICT:
         return pt.count_strict_table(n)[n]

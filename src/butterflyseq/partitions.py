@@ -79,7 +79,7 @@ class Partition:
 
     def is_strict(self):
         """True when all parts are distinct."""
-        return all(a > b for a, b in zip(self.parts, self.parts[1:]))
+        return is_strict_tuple(self.parts)
 
     def min_part(self):
         return self.parts[-1] if self.parts else 0
@@ -89,12 +89,32 @@ class Partition:
 
     def consecutive_run(self):
         """Length of the maximal initial run of consecutive decreasing parts."""
-        if not self.parts:
-            return 0
-        run = 1
-        while run < len(self.parts) and self.parts[run] == self.parts[run - 1] - 1:
-            run += 1
-        return run
+        return initial_run(self.parts)
+
+
+# ---------------------------------------------------------------------------
+# Shape predicates on non-increasing part tuples
+# ---------------------------------------------------------------------------
+
+def is_strict_tuple(parts):
+    """True when all parts are distinct."""
+    return all(a > b for a, b in zip(parts, parts[1:]))
+
+
+def initial_run(parts):
+    """Length of the maximal initial run of consecutive decreasing parts."""
+    if not parts:
+        return 0
+    run = 1
+    while run < len(parts) and parts[run] == parts[run - 1] - 1:
+        run += 1
+    return run
+
+
+def is_butterfly_tuple(parts):
+    """Strict, at least three parts, the three largest consecutive, smallest >= 2."""
+    return (len(parts) >= 3 and is_strict_tuple(parts) and parts[-1] >= 2
+            and parts[0] == parts[1] + 1 == parts[2] + 2)
 
 
 def check_limit(n, limit=DEFAULT_ENUM_LIMIT):
@@ -147,20 +167,20 @@ def iter_butterfly_tuples(n, second_parity=None):
     ``second_parity`` of 0 (even) or 1 (odd) filters on the parity of the
     second-largest part.
     """
-    # head (a+2, a+1, a), tail strict within [2, a-1]
-    a_max = (n - 3) // 3
-    for a in range(a_max, 1, -1):
-        rest = n - 3 * a - 3
-        if rest < 0:
-            continue
+    for a, rest in _butterfly_heads(n, second_parity):
+        for tail in iter_strict_tuples(rest, a - 1, 2):
+            yield (a + 2, a + 1, a) + tail
+
+
+def _butterfly_heads(n, second_parity):
+    """(a, rest) for each head (a+2, a+1, a) of a butterfly partition of n,
+    largest first: the tail is strict within [2, a-1] and sums to rest."""
+    for a in range((n - 3) // 3, 1, -1):
         if second_parity is not None and (a + 1) % 2 != second_parity:
             continue
-        reachable = (a + 1) * (a - 2) // 2  # sum of 2..a-1
-        if rest > max(reachable, 0):
-            continue
-        head = (a + 2, a + 1, a)
-        for tail in iter_strict_tuples(rest, a - 1, 2):
-            yield head + tail
+        rest = n - 3 * a - 3
+        if rest <= (a + 1) * (a - 2) // 2:  # sum of 2..a-1
+            yield a, rest
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +277,5 @@ def _strict_bounded_count(m, top, low):
 def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
     of the second-largest part), without listing them."""
-    total = 0
-    for a in range(2, (n - 3) // 3 + 1):
-        if second_parity is not None and (a + 1) % 2 != second_parity:
-            continue
-        rest = n - 3 * a - 3
-        if rest < 0:
-            continue
-        total += _strict_bounded_count(rest, a - 1, 2)
-    return total
+    return sum(_strict_bounded_count(rest, a - 1, 2)
+               for a, rest in _butterfly_heads(n, second_parity))

@@ -33,6 +33,7 @@ from .sequences import (
     EVEN_MINUS_ONE_FORMS,
     EVEN_PLUS_ONE_FORMS,
     exception_form_of,
+    parity_split_counts,
 )
 
 PENTAGONAL = "pentagonal"
@@ -176,15 +177,9 @@ def parity_refined_counts(n) -> ParityRefinedCounts:
         raise ValueError("defined for n >= 6")
     s_e = count_family(n, Family(BUTTERFLY_EVEN))
     s_o = count_family(n, Family(BUTTERFLY_ODD))
-    triple = enumerate_family(n, Family(EQUAL_TRIPLE))
-    e = sum(1 for p in triple if p[0] % 2 == 0)
-    o = len(triple) - e
-    st321 = enumerate_family(n, Family(STAIRCASE_321))
-    e_p = sum(1 for p in st321 if len(p) % 2 == 0)
-    o_p = len(st321) - e_p
-    st33 = enumerate_family(n, Family(STAIRCASE_33))
-    e_pp = sum(1 for p in st33 if len(p) % 2 == 0)
-    o_pp = len(st33) - e_pp
+    e, o = parity_split_counts(n, EQUAL_TRIPLE)
+    e_p, o_p = parity_split_counts(n, STAIRCASE_321)
+    e_pp, o_pp = parity_split_counts(n, STAIRCASE_33)
 
     w = parity_relation(n)
     s = s_e + s_o

@@ -12,7 +12,9 @@ and equals a constant supported on triangular numbers and small shifts of
 them; solving that relation for name(m) rebuilds the whole table.
 """
 
-from .sequences import SequenceTable, RECURRENCE, named_sequence
+from math import isqrt
+
+from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, named_sequence
 
 PENT_BASES = {"q": "p", "r": "dp", "s": "d2p"}
 
@@ -26,6 +28,44 @@ def _pentagonal_pairs(m):
         k += 1
 
 
+def _pentagonal_sum(at, m):
+    """at(m) + sum_{k>=1} (-1)^k [at(m - 3k^2 + k) + at(m - 3k^2 - k)]."""
+    total = at(m)
+    for sign, (o1, o2) in _pentagonal_pairs(m):
+        total += sign * (at(m - o1) + at(m - o2))
+    return total
+
+
+def _basis_reader(name, m, basis, tables, step):
+    """Coefficient reader of a recurrence route for name at m.
+
+    The basis table sits on the lattice step * Z (basis(h) at degree
+    step * h) and is spread by the difference polynomial of name for basis
+    "p-with-poly".  Tables are kept in ``tables`` and rebuilt only when
+    shorter than m, so callers evaluating many m can share them.
+    """
+    if name not in PENT_BASES:
+        raise ValueError("no recurrence route for %r" % name)
+    if basis == "p-with-poly":
+        key, weights = "p", DIFF_WEIGHTS[name]
+    elif basis in ("p", "dp", "d2p"):
+        if basis != PENT_BASES[name]:
+            raise ValueError("basis %r does not produce %r" % (basis, name))
+        key, weights = basis, (1,)
+    else:
+        raise ValueError("unknown basis %r" % basis)
+    if tables is None:
+        tables = {}
+    if key not in tables or tables[key].last_n < m:
+        tables[key] = named_sequence(key, max(m, 0))
+    table = tables[key]
+
+    def at(j):
+        return sum(w * table[(j - d) // step] for d, w in enumerate(weights)
+                   if j >= d and (j - d) % step == 0)
+    return at
+
+
 def recur_value(name, m, basis=None, tables=None):
     """Pentagonal-offset evaluation of q, r or s at m.
 
@@ -37,36 +77,7 @@ def recur_value(name, m, basis=None, tables=None):
     """
     if basis is None:
         basis = PENT_BASES.get(name)
-    tables = tables or {}
-
-    def table(key):
-        if key not in tables:
-            tables[key] = named_sequence(key, max(m, 0))
-        return tables[key]
-
-    def at(key, j):
-        return table(key)[j] if 0 <= j <= m else 0
-
-    if basis in ("p", "dp", "d2p"):
-        if basis != PENT_BASES[name]:
-            raise ValueError("basis %r does not produce %r" % (basis, name))
-        total = at(basis, m)
-        for sign, (o1, o2) in _pentagonal_pairs(m):
-            total += sign * (at(basis, m - o1) + at(basis, m - o2))
-        return total
-
-    if basis == "p-with-poly":
-        weights = {"q": (1,), "r": (1, -1), "s": (1, -2, 1)}[name]
-
-        def poly_at(j):
-            return sum(w * at("p", j - d) for d, w in enumerate(weights))
-
-        total = poly_at(m)
-        for sign, (o1, o2) in _pentagonal_pairs(m):
-            total += sign * (poly_at(m - o1) + poly_at(m - o2))
-        return total
-
-    raise ValueError("unknown basis %r" % basis)
+    return _pentagonal_sum(_basis_reader(name, m, basis, tables, 1), m)
 
 
 def triangular_value(name, m, basis=None, tables=None):
@@ -81,39 +92,12 @@ def triangular_value(name, m, basis=None, tables=None):
     and s (the spread terms are missing) and exist for validate_route.
     """
     if basis is None:
-        basis = {"q": "p", "r": "p-with-poly", "s": "p-with-poly"}[name]
-    tables = tables or {}
-
-    def table(key):
-        if key not in tables:
-            tables[key] = named_sequence(key, max(m, 0))
-        return tables[key]
-
-    def at_half(key, j):
-        # basis value at degree j of the doubled lattice
-        if j < 0 or j % 2:
-            return 0
-        return table(key)[j // 2]
-
+        basis = "p" if name == "q" else "p-with-poly"
+    at = _basis_reader(name, m, basis, tables, 2)
     total = 0
     k = 0
     while k * (k + 1) // 2 <= m:
-        j = m - k * (k + 1) // 2
-        if basis == "p":
-            if name != "q":
-                raise ValueError("basis 'p' produces q only")
-            total += at_half("p", j)
-        elif basis in ("dp", "d2p"):
-            expected = PENT_BASES[name]
-            if basis != expected:
-                raise ValueError("basis %r does not produce %r" % (basis, name))
-            total += at_half(basis, j)
-        elif basis == "p-with-poly":
-            weights = {"q": (1,), "r": (1, -1), "s": (1, -2, 1)}[name]
-            for d, w in enumerate(weights):
-                total += w * at_half("p", j - d)
-        else:
-            raise ValueError("unknown basis %r" % basis)
+        total += at(m - k * (k + 1) // 2)
         k += 1
     return total
 
@@ -131,11 +115,11 @@ def validate_route(kind, name, basis, N):
     tables = {}
     fn = {"pentagonal": recur_value, "triangular": triangular_value}[kind]
     out = []
-    for m in range(N + 1):
+    for m in range(N, -1, -1):  # the first call sizes the shared tables for all m
         got = fn(name, m, basis, tables)
         if got != table[m]:
             out.append((m, got, table[m]))
-    return out
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +133,11 @@ def checksum(name, m, table=None):
     """name(m) + sum_{k>=1} (-1)^k [name(m-3k^2+k) + name(m-3k^2-k)]."""
     if table is None:
         table = named_sequence(name, max(m, 0))
-
-    def at(j):
-        return table[j] if 0 <= j <= table.last_n else 0
-
-    total = at(m)
-    for sign, (o1, o2) in _pentagonal_pairs(m):
-        total += sign * (at(m - o1) + at(m - o2))
-    return total
+    return _pentagonal_sum(lambda j: table[j] if 0 <= j <= table.last_n else 0, m)
 
 
 def _is_triangular(m):
-    if m < 0:
-        return False
-    k = 0
-    while k * (k + 1) // 2 < m:
-        k += 1
-    return k * (k + 1) // 2 == m
-
-
-# difference polynomial applied to the triangular indicator, per sequence
-_CHECKSUM_WEIGHTS = {
-    "q": ((0, 1),),
-    "r": ((0, 1), (1, -1)),
-    "s": ((0, 1), (1, -2), (2, 1)),
-    "t": ((0, 1), (1, -1), (3, -1), (4, 1)),
-}
+    return m >= 0 and isqrt(8 * m + 1) ** 2 == 8 * m + 1
 
 
 def expected_checksum(name, m):
@@ -185,22 +148,21 @@ def expected_checksum(name, m):
     is the closed case analysis the recursive solver runs on.  (Two printed
     case tables disagree with this at single inputs; see DEVIATIONS.md.)
     """
-    if name not in _CHECKSUM_WEIGHTS:
+    if name not in DIFF_WEIGHTS:
         raise ValueError("unknown checksum sequence %r" % name)
-    return sum(w * _is_triangular(m - d) for d, w in _CHECKSUM_WEIGHTS[name])
+    return sum(w * _is_triangular(m - d) for d, w in enumerate(DIFF_WEIGHTS[name]))
 
 
 def recursive_solve(name, N) -> SequenceTable:
     """Rebuild the table from the checksum relation alone:
     name(m) = expected_checksum(name, m) - alternating pentagonal sum."""
+    if N < 0:
+        raise ValueError("N=%d below the offset 0 of %s" % (N, name))
     vals = []
 
-    def at(j):
+    def at(j):  # vals holds 0..m-1, so at(m) reads 0
         return vals[j] if 0 <= j < len(vals) else 0
 
     for m in range(N + 1):
-        v = expected_checksum(name, m)
-        for sign, (o1, o2) in _pentagonal_pairs(m):
-            v -= sign * (at(m - o1) + at(m - o2))
-        vals.append(v)
+        vals.append(expected_checksum(name, m) - _pentagonal_sum(at, m))
     return SequenceTable(name, 0, vals, RECURRENCE)

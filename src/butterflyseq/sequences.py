@@ -26,8 +26,11 @@ from .families import (
 )
 
 ENUMERATED = "enumerated"
-SERIES = "series"
 RECURRENCE = "recurrence"
+
+# r, s and t are q times the difference polynomials (1 - x), (1 - x)^2 and
+# (1 + x + x^2)(1 - x)^2: name -> coefficients of x^0, x^1, ...
+DIFF_WEIGHTS = {"q": (1,), "r": (1, -1), "s": (1, -2, 1), "t": (1, -1, 0, -1, 1)}
 
 
 @dataclass(frozen=True)
@@ -80,27 +83,21 @@ SEQUENCE_NAMES = tuple(_OFFSETS)
 def named_sequence(name, N) -> SequenceTable:
     """Values of the named sequence for inputs offset..N.
 
-    q, r, s, t come from exact counting; r and s equal the first and second
-    differences of q by construction here, and the family enumerations they
-    are cross-checked against live in crosscheck_table / the test suite.
+    q, r, s, t come from exact counting; r, s and t apply their difference
+    polynomials (DIFF_WEIGHTS) to q by construction here, and the family
+    enumerations they are cross-checked against live in crosscheck_table /
+    the test suite.
     """
     if name not in _OFFSETS:
         raise ValueError("unknown sequence %r" % name)
     offset = _OFFSETS[name]
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
-    if name == "q":
-        return SequenceTable("q", 0, pt.count_strict_table(N))
-    if name == "r":
-        q = named_sequence("q", N)
-        return SequenceTable("r", 0, [q[n] - q[n - 1] for n in range(N + 1)])
-    if name == "s":
-        r = named_sequence("r", N)
-        return SequenceTable("s", 0, [r[n] - r[n - 1] for n in range(N + 1)])
-    if name == "t":
-        s = named_sequence("s", N)
-        vals = [s[n] + s[n - 1] + s[n - 2] for n in range(N + 1)]
-        return SequenceTable("t", 0, vals)
+    if name in DIFF_WEIGHTS:
+        q = pt.count_strict_table(N)
+        vals = [sum(w * q[n - d] for d, w in enumerate(DIFF_WEIGHTS[name]) if d <= n)
+                for n in range(N + 1)]
+        return SequenceTable(name, 0, vals)
     if name == "p":
         return SequenceTable("p", 0, pt.count_partitions_table(N))
     if name == "dp":
@@ -117,22 +114,33 @@ def named_sequence(name, N) -> SequenceTable:
         "s_o": Family(BUTTERFLY_ODD),
     }.get(name)
     if family is not None:
-        vals = [count_family(n, family) for n in range(offset, N + 1)]
-        return SequenceTable(name, offset, vals)
+        count = lambda n: count_family(n, family)
+    else:
+        kind, parity = _PARITY_REFINED[name]
+        count = lambda n: parity_split_counts(n, kind)[parity]
+    # largest n first, so that the listing limit refuses a table before any
+    # listing is done
+    vals = [count(n) for n in range(N, offset - 1, -1)]
+    return SequenceTable(name, offset, vals[::-1])
 
-    # parity-refined count families
-    fam, selector = {
-        "e": (EQUAL_TRIPLE, lambda p: p[0] % 2 == 0),
-        "o": (EQUAL_TRIPLE, lambda p: p[0] % 2 == 1),
-        "e_prime": (STAIRCASE_321, lambda p: len(p) % 2 == 0),
-        "o_prime": (STAIRCASE_321, lambda p: len(p) % 2 == 1),
-        "e_dprime": (STAIRCASE_33, lambda p: len(p) % 2 == 0),
-        "o_dprime": (STAIRCASE_33, lambda p: len(p) % 2 == 1),
-    }[name]
-    vals = []
-    for n in range(offset, N + 1):
-        vals.append(sum(1 for p in enumerate_family(n, Family(fam)) if selector(p)))
-    return SequenceTable(name, offset, vals)
+
+# parity-refined count families: name -> (family, parity of its split key)
+_PARITY_REFINED = {
+    "e": (EQUAL_TRIPLE, 0), "o": (EQUAL_TRIPLE, 1),
+    "e_prime": (STAIRCASE_321, 0), "o_prime": (STAIRCASE_321, 1),
+    "e_dprime": (STAIRCASE_33, 0), "o_dprime": (STAIRCASE_33, 1),
+}
+
+# the key whose parity splits each family: the repeated value of an equal
+# triple, the number of parts of a staircase
+_PARITY_KEYS = {EQUAL_TRIPLE: lambda p: p[0], STAIRCASE_321: len, STAIRCASE_33: len}
+
+
+def parity_split_counts(n, kind):
+    """(even, odd) counts of the family's partitions of n, by listing them."""
+    listed = enumerate_family(n, Family(kind))
+    even = sum(1 for p in listed if _PARITY_KEYS[kind](p) % 2 == 0)
+    return even, len(listed) - even
 
 
 def mod3_slices(s: SequenceTable, residue, m0) -> SequenceTable:
@@ -164,19 +172,19 @@ EVEN_MINUS_ONE_FORMS = ("gen_pentagonal_plus_two", "gen_pentagonal")
 EVEN_PLUS_ONE_FORMS = ("pentagonal", "pentagonal_plus_two")
 
 
+def _exception_values(N):
+    """(value, form name, t) for each closed form with t >= 2 and value <= N."""
+    for name, f in EXCEPTION_FORMS.items():
+        t = 2
+        while f(t) <= N:
+            yield f(t), name, t
+            t += 1
+
+
 def exception_form_of(n):
     """(form name, t) when n matches one of the four closed forms with t >= 2,
     else None.  The forms are pairwise disjoint on t >= 2."""
-    hits = []
-    for name, f in EXCEPTION_FORMS.items():
-        t = 2
-        while True:
-            v = f(t)
-            if v > n:
-                break
-            if v == n:
-                hits.append((name, t))
-            t += 1
+    hits = [(name, t) for v, name, t in _exception_values(n) if v == n]
     if not hits:
         return None
     if len(hits) > 1:
@@ -191,16 +199,7 @@ def parity_exception_inputs(N):
     and 40); see DEVIATIONS.md.  The computed list is the authoritative one
     and agrees with enumeration of the even/odd butterfly counts.
     """
-    out = set()
-    for f in EXCEPTION_FORMS.values():
-        t = 2
-        while True:
-            v = f(t)
-            if v > N:
-                break
-            out.add(v)
-            t += 1
-    return sorted(out)
+    return sorted({v for v, _, _ in _exception_values(N)})
 
 
 # ---------------------------------------------------------------------------

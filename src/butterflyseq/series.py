@@ -8,7 +8,9 @@ degrees up to the order.
 
 from dataclasses import dataclass
 
+from . import partitions as pt
 from . import sequences as seq
+from .recurrences import _pentagonal_pairs
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class TruncSeries:
         c = list(coeffs)[:order + 1]
         c += [0] * (order + 1 - len(c))
         return cls(order, c)
-
-    @classmethod
-    def from_poly(cls, order, *coeffs):
-        return cls.from_coeffs(order, coeffs)
 
     def __getitem__(self, n):
         if not 0 <= n <= self.order:
@@ -80,11 +78,6 @@ class TruncSeries:
             raise ValueError("shift must be nonnegative")
         return TruncSeries(self.order, ((0,) * k + self.coeffs)[:self.order + 1])
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(order, self.coeffs[:order + 1])
-
     def mismatches(self, other, lo=0, hi=None):
         """[(n, left coeff, right coeff)] where the two sides differ."""
         N = self._common_order(other)
@@ -96,19 +89,6 @@ class TruncSeries:
         """The coefficient list as a JSON array string."""
         import json
         return json.dumps(list(self.coeffs))
-
-    # in-place style helpers on lists, exposed for the product builders
-    @staticmethod
-    def _mul_one_plus_xk(c, k, sign=1):
-        # multiply coefficient list by (1 + sign*x^k)
-        for i in range(len(c) - 1, k - 1, -1):
-            c[i] += sign * c[i - k]
-
-    @staticmethod
-    def _div_one_minus_xk(c, k):
-        # multiply coefficient list by 1/(1 - x^k)
-        for i in range(k, len(c)):
-            c[i] += c[i - k]
 
 
 def geometric_alternating(N):
@@ -156,32 +136,25 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     "odd_reciprocal" for prod over odd n >= param of 1/(1-x^n);
     "even_reciprocal" for prod 1/(1-x^{2n}); "double" for
     prod (1+x^n)(1-x^{2n}); "distinct_not_pow2" for the power-of-two-free
-    strict product.
+    strict product.  Each is the counting DP of its partitions.
     """
-    c = [1] + [0] * N
     if kind == "distinct":
-        for m in range(1, N + 1):
-            TruncSeries._mul_one_plus_xk(c, m, +1)
+        c = pt.count_strict_table(N)
     elif kind == "partitions":
-        for m in range(1, N + 1):
-            TruncSeries._div_one_minus_xk(c, m)
+        c = pt.count_partitions_table(N)
     elif kind == "odd_reciprocal":
         if param not in (1, 3, 5):
             raise ValueError("odd_reciprocal wants the smallest part (1, 3 or 5)")
-        for m in range(param, N + 1, 2):
-            TruncSeries._div_one_minus_xk(c, m)
+        c = pt.count_odd_ge_table(N, param)
     elif kind == "even_reciprocal":
-        for m in range(2, N + 1, 2):
-            TruncSeries._div_one_minus_xk(c, m)
+        c = pt.count_with_parts(N, range(2, N + 1, 2))
     elif kind == "double":
-        for m in range(1, N + 1):
-            TruncSeries._mul_one_plus_xk(c, m, +1)
-        for m in range(2, N + 1, 2):
-            TruncSeries._mul_one_plus_xk(c, m, -1)
+        c = pt.count_strict_table(N)
+        for m in range(2, N + 1, 2):  # times (1 - x^m), in place from the top
+            for i in range(N, m - 1, -1):
+                c[i] -= c[i - m]
     elif kind == "distinct_not_pow2":
-        for m in range(3, N + 1):
-            if m & (m - 1):
-                TruncSeries._mul_one_plus_xk(c, m, +1)
+        c = pt.count_distinct_with_parts(N, [m for m in range(3, N + 1) if m & (m - 1)])
     else:
         raise ValueError("unknown product kind %r" % kind)
     return TruncSeries(N, c)
@@ -189,15 +162,11 @@ def expand_product(kind, N, param=None) -> TruncSeries:
 
 def theta_pentagonal(N) -> TruncSeries:
     """1 + sum over k >= 1 of (-1)^k (x^{3k^2-k} + x^{3k^2+k})."""
-    c = [0] * (N + 1)
-    c[0] = 1
-    k = 1
-    while 3 * k * k - k <= N:
-        sign = -1 if k % 2 else 1
-        c[3 * k * k - k] += sign
-        if 3 * k * k + k <= N:
-            c[3 * k * k + k] += sign
-        k += 1
+    c = [1] + [0] * N
+    for sign, offsets in _pentagonal_pairs(N):
+        for o in offsets:
+            if o <= N:
+                c[o] += sign
     return TruncSeries(N, c)
 
 
@@ -250,11 +219,7 @@ def filtration_term(kind, k, N) -> TruncSeries:
         raise ValueError("unknown filtration kind %r" % kind)
     if exp > N:
         return TruncSeries.zero(N)
-    c = [0] * (N + 1)
-    c[exp] = 1
-    for j in range(denom_lo, k + 1):
-        TruncSeries._div_one_minus_xk(c, j)
-    return TruncSeries(N, c)
+    return TruncSeries(N, [0] * exp + pt.count_with_parts(N - exp, range(denom_lo, k + 1)))
 
 
 def _sum_filtration(kind, N, k_lo):
@@ -310,7 +275,10 @@ def _table_series(name, N):
 
 
 def _identity_registry():
-    one_minus_x = lambda N: poly(N, 1, -1)
+    def diff(name, N):
+        # the difference polynomial of a sequence: (1 - x) for r, and so on
+        return poly(N, *seq.DIFF_WEIGHTS[name])
+
     ids = {}
 
     def ident(name, lhs, rhs, lo=0, note=""):
@@ -323,16 +291,16 @@ def _identity_registry():
           lambda N: expand_product("odd_reciprocal", N, 1),
           lambda N: filtered_series("strict", N))
     ident("consec-filtration",
-          lambda N: one_minus_x(N) * expand_product("distinct", N),
+          lambda N: diff("r", N) * expand_product("distinct", N),
           lambda N: filtered_series("consec", N))
     ident("oddge3-filtration",
           lambda N: expand_product("odd_reciprocal", N, 3),
           lambda N: filtered_series("consec", N))
     ident("butterfly-product-filtration",
-          lambda N: poly(N, 1, -2, 1) * expand_product("distinct", N),
-          lambda N: poly(N, 1, -2, 1) * filtered_series("strict", N))
+          lambda N: diff("s", N) * expand_product("distinct", N),
+          lambda N: diff("s", N) * filtered_series("strict", N))
     ident("butterfly-alt-filtration",
-          lambda N: one_minus_x(N) * expand_product("odd_reciprocal", N, 3),
+          lambda N: diff("r", N) * expand_product("odd_reciprocal", N, 3),
           lambda N: filtered_series("butterfly_alt", N))
     ident("oddge5-butterfly-tail",
           lambda N: expand_product("odd_reciprocal", N, 5),
@@ -350,11 +318,11 @@ def _identity_registry():
     ident("consec-pentagonal-split",
           lambda N: _table_series("r", N),
           lambda N: expand_product("partitions", N)
-          * (theta_pentagonal(N) * poly(N, 1, -1)))
+          * (theta_pentagonal(N) * diff("r", N)))
     ident("butterfly-pentagonal-split",
           lambda N: _table_series("s", N),
           lambda N: expand_product("partitions", N)
-          * (theta_pentagonal(N) * poly(N, 1, -2, 1)))
+          * (theta_pentagonal(N) * diff("s", N)))
     ident("triangular-double-product",
           lambda N: expand_product("double", N),
           lambda N: theta_triangular(N))
@@ -364,25 +332,25 @@ def _identity_registry():
     ident("consec-triangular-split",
           lambda N: _table_series("r", N),
           lambda N: expand_product("even_reciprocal", N)
-          * (theta_triangular(N) * poly(N, 1, -1)))
+          * (theta_triangular(N) * diff("r", N)))
     ident("butterfly-triangular-split",
           lambda N: _table_series("s", N),
           lambda N: expand_product("even_reciprocal", N)
-          * (theta_triangular(N) * poly(N, 1, -2, 1)))
+          * (theta_triangular(N) * diff("s", N)))
     ident("strict-checksum-series",
           lambda N: _table_series("q", N) * theta_pentagonal(N),
           lambda N: theta_triangular(N))
     ident("consec-checksum-series",
           lambda N: _table_series("r", N) * theta_pentagonal(N),
-          lambda N: theta_triangular(N) * poly(N, 1, -1))
+          lambda N: theta_triangular(N) * diff("r", N))
     ident("butterfly-checksum-series",
           lambda N: _table_series("s", N) * theta_pentagonal(N),
-          lambda N: theta_triangular(N) * poly(N, 1, -2, 1))
+          lambda N: theta_triangular(N) * diff("s", N))
     ident("oddge5-checksum-series",
           lambda N: _table_series("t", N) * theta_pentagonal(N),
-          lambda N: theta_triangular(N) * poly(N, 1, -1, 0, -1, 1))
+          lambda N: theta_triangular(N) * diff("t", N))
     ident("consec-powfree-product",
-          lambda N: one_minus_x(N) * expand_product("distinct", N),
+          lambda N: diff("r", N) * expand_product("distinct", N),
           lambda N: expand_product("distinct_not_pow2", N))
 
     # printed-reading variants: the published lower indices of three filtered
@@ -397,7 +365,7 @@ def _identity_registry():
           lambda N: filtered_series("butterfly_full", N, k_lo=2),
           note="printed lower index k=2; fails at degree 5")
     ident("butterfly-alt-filtration-printed",
-          lambda N: one_minus_x(N) * expand_product("odd_reciprocal", N, 3),
+          lambda N: diff("r", N) * expand_product("odd_reciprocal", N, 3),
           lambda N: filtered_series("butterfly_alt", N, k_lo=3),
           note="printed lower index k=3; fails at degree 3")
     return ids
@@ -424,7 +392,7 @@ class IdentityReport:
 
     def __str__(self):
         if self.ok:
-            return "%s: OK 0 mismatches (degrees %d..%d)" % (self.name, self.lo, self.order)
+            return "%s: OK 0 mismatches" % self.name
         lines = ["%s: %d mismatches" % (self.name, len(self.mismatches))]
         lines += ["%d %d %d" % m for m in self.mismatches]
         return "\n".join(lines)

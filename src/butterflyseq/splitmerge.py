@@ -21,7 +21,8 @@ one, which keeps the correspondence total.
 
 from dataclasses import dataclass, field
 
-from .partitions import Partition
+from .families import _iter_odd_parts
+from .partitions import Partition, is_butterfly_tuple
 
 STANDARD = "standard"
 SWITCHED = "switched"
@@ -171,10 +172,7 @@ def _route(parts, variant):
 # ---------------------------------------------------------------------------
 
 def _require_butterfly(p: Partition):
-    parts = p.parts
-    ok = (len(parts) >= 3 and p.is_strict() and parts[-1] >= 2
-          and parts[0] == parts[1] + 1 == parts[2] + 2)
-    if not ok:
+    if not is_butterfly_tuple(p.parts):
         raise SplitMergeError("not a butterfly partition: %s" % p)
 
 
@@ -197,10 +195,17 @@ def _split_tail(tail):
     return two_t, odd
 
 
-def _assemble(head, odd_tail, sentinel):
-    parts = list(head) + list(odd_tail) + ([3] if sentinel else [])
-    parts.sort(reverse=True)
-    return Partition(parts)
+def _split_to(p: Partition, form) -> Partition:
+    """Split a butterfly partition into the odd-part shape of ``form``."""
+    c = p[1] if p[1] % 2 else p[1] - 1  # the largest odd value <= the second part
+    two_t, odd_tail = _split_tail(p.parts[3:])
+    head = (c + 2 + two_t, c, c - 2) if _FORM_GAP2[form] else (c + two_t, c, c)
+    parts = list(head) + odd_tail
+    if _FORM_SENTINEL[form]:
+        parts.append(3)
+    out = Partition(sorted(parts, reverse=True))
+    assert out.n == p.n
+    return out
 
 
 def split_even(p: Partition) -> Partition:
@@ -208,11 +213,7 @@ def split_even(p: Partition) -> Partition:
     _require_butterfly(p)
     if p[1] % 2 != 0:
         raise SplitMergeError("second part must be even: %s" % p)
-    m = p[1] // 2
-    two_t, odd_tail = _split_tail(p.parts[3:])
-    out = _assemble((2 * m - 1 + two_t, 2 * m - 1, 2 * m - 1), odd_tail, sentinel=True)
-    assert out.n == p.n
-    return out
+    return _split_to(p, STEP1)
 
 
 def split_odd(p: Partition) -> Partition:
@@ -222,30 +223,19 @@ def split_odd(p: Partition) -> Partition:
         raise SplitMergeError("second part must be odd: %s" % p)
     if p.parts == (4, 3, 2):
         return Partition((3, 3, 3))
-    m = (p[1] + 1) // 2
-    two_t, odd_tail = _split_tail(p.parts[3:])
-    out = _assemble((2 * m + 1 + two_t, 2 * m - 1, 2 * m - 3), odd_tail, sentinel=False)
-    assert out.n == p.n
-    return out
+    return _split_to(p, STEP2)
 
 
 def split_switched(p: Partition) -> Partition:
     """Split under the switched variant (shapes of the two routes exchanged)."""
     _require_butterfly(p)
-    if p[1] % 2 == 0:
-        m = p[1] // 2
-        if m == 2:
-            # head 5>4>3: the gap-two shape would need a part below 3, so the
-            # switched route coincides with the standard one here
-            return split_even(p)
-        two_t, odd_tail = _split_tail(p.parts[3:])
-        out = _assemble((2 * m + 1 + two_t, 2 * m - 1, 2 * m - 3), odd_tail, sentinel=True)
-    else:
-        m = (p[1] + 1) // 2
-        two_t, odd_tail = _split_tail(p.parts[3:])
-        out = _assemble((2 * m - 1 + two_t, 2 * m - 1, 2 * m - 1), odd_tail, sentinel=False)
-    assert out.n == p.n
-    return out
+    if p[1] % 2:
+        return _split_to(p, STEP2_SWITCHED)
+    if p[1] == 4:
+        # head 5>4>3: the gap-two shape would need a part below 3, so the
+        # switched route coincides with the standard one here
+        return split_even(p)
+    return _split_to(p, STEP1_SWITCHED)
 
 
 def split(p: Partition, variant=STANDARD) -> Partition:
@@ -364,25 +354,10 @@ def count_capped(n, variant=STANDARD):
     else:
         raise ValueError("unknown variant %r" % variant)
     n_even = n_odd = 0
-    for parts in _iter_odd_ge3(n):
+    for parts in _iter_odd_parts(n, 3):
         q = Partition(parts)
         if matches_form(q, even_form):
             n_even += 1
         if matches_form(q, odd_form):
             n_odd += 1
     return n_even, n_odd
-
-
-def _iter_odd_ge3(n, max_part=None):
-    """Partitions of n into odd parts >= 3, lexicographically decreasing."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    top = min(n, max_part)
-    if top % 2 == 0:
-        top -= 1
-    for first in range(top, 2, -2):
-        for rest in _iter_odd_ge3(n - first, first):
-            yield (first,) + rest

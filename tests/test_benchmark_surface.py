@@ -1,0 +1,41 @@
+"""The library surface the benchmark's traced pass (perfbench/tracing.py)
+rebinds by module path: every traced name must exist where the tracer looks
+for it, the enumerators it times while consumed must stay generators, its
+hooks must find the positional arguments they read, and the strict-count
+cache must expose its size."""
+
+import inspect
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+@pytest.fixture
+def perfbench_path():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        yield
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+def test_traced_surface_installs_and_serves_coverage(perfbench_path, capsys):
+    import tracing
+    import workloads
+    from butterflyseq import cli
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for name in tracing.PARTITION_ENUMS + ("families._iter_odd_parts",):
+            assert inspect.isgeneratorfunction(tracer.originals[name]), name
+        for argv in workloads.COVERAGE:
+            assert cli.main(list(argv)) == 0, argv
+        assert tracer._strict_cache_size() >= 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert len(tracer.start) > 0

@@ -48,6 +48,23 @@ def test_bij(capsys):
     assert code == 0 and "pass" in out
 
 
+def test_bij_that_checks_nothing_fails(capsys):
+    code, out, _ = run(capsys, "bij", "bar", "--from", "6", "--to", "10")
+    assert code == 1
+    assert out.strip() == "bar bijection on n=6..10: FAIL (0 maps checked)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bij", "bar", "--from", "6", "--to", "10", "--h", "2"),
+    ("enum", "bar-ae", "20", "--h", "0"),
+])
+def test_bar_size_below_three_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_split_merge_round(capsys):
     code, out, _ = run(capsys, "split", "7+6+5+4+3+2", "--variant", "switched")
     assert code == 0 and out.strip() == "13+5+3+3+3"
@@ -55,9 +72,12 @@ def test_split_merge_round(capsys):
     assert code == 0 and out.strip() == "7+6+5+4+3+2"
 
 
-def test_merge_error_is_usage_exit(capsys):
-    code, _, err = run(capsys, "merge", "13+5+3")
-    assert code == 2 and "error" in err
+def test_merge_caps_violation_is_domain_exit(capsys):
+    # violated caps are a domain failure, the same exit as caps on that input
+    code, out, err = run(capsys, "merge", "13+5+3")
+    assert code == 1 and out == "" and "error" in err
+    code, _, _ = run(capsys, "caps", "13+5+3")
+    assert code == 1
 
 
 def test_caps(capsys):
@@ -103,6 +123,22 @@ def test_solve(capsys):
     code, out, _ = run(capsys, "solve", "s", "--to", "12")
     assert code == 0
     assert out.splitlines()[-1] == "12 1"
+
+
+def test_negative_bound_is_usage_error(capsys):
+    for verb in ("seq", "solve"):
+        code, out, err = run(capsys, verb, "s", "--to", "-2")
+        assert code == 2 and out == "" and "error" in err, verb
+
+
+def test_listing_limit_does_not_block_a_count(capsys):
+    from butterflyseq.partitions import count_butterfly
+    code, out, _ = run(capsys, "seq", "s_e", "--to", "250")
+    assert code == 0
+    assert out.splitlines()[-1] == "250 %d" % count_butterfly(250, 0)
+    # r1 is counted by listing, which the limit still guards
+    code, out, err = run(capsys, "seq", "r1", "--to", "250")
+    assert code == 2 and out == "" and "limit" in err
 
 
 def test_diagram(capsys):

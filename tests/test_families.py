@@ -7,7 +7,7 @@ from butterflyseq.families import (
     ODD_STEP2, STAIRCASE_321, STAIRCASE_33, STRICT,
     Family, count_family, enumerate_family, in_family,
 )
-from butterflyseq.partitions import EnumerationLimitError, Partition
+from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
 
 P = Partition
 
@@ -122,6 +122,8 @@ def test_butterfly_plus_ones_counts_three_term_sums():
 def test_enumeration_limit_guard():
     with pytest.raises(EnumerationLimitError):
         enumerate_family(201, Family(BUTTERFLY))
+    # the limit guards listing, so it reaches a count only through a listing
     with pytest.raises(EnumerationLimitError):
-        count_family(500, Family(STRICT))
-    assert count_family(500, Family(STRICT), limit=None) > 0
+        count_family(201, Family(CONSEC_NO_ONE))
+    assert count_family(500, Family(STRICT)) == count_family(500, Family(STRICT), limit=None) > 0
+    assert count_family(250, Family(BUTTERFLY_EVEN)) == count_butterfly(250, 0)

@@ -62,6 +62,31 @@ def test_triangular_dp_routes_fail_where_documented():
     assert validate_route("triangular", "s", "d2p", 30)[0] == (1, 1, -1)
 
 
+@pytest.mark.parametrize("kind,name,basis", [
+    ("pentagonal", "q", "p"), ("pentagonal", "r", "dp"), ("pentagonal", "s", "d2p"),
+    ("pentagonal", "s", "p-with-poly"), ("triangular", "q", "p"),
+    ("triangular", "r", "dp"), ("triangular", "s", "d2p"),
+    ("triangular", "s", "p-with-poly"),
+])
+def test_validate_route_builds_each_table_once(monkeypatch, kind, name, basis):
+    import butterflyseq.recurrences as rec
+    N = 60
+    fn = {"pentagonal": recur_value, "triangular": triangular_value}[kind]
+    table = named_sequence(name, N)
+    # the reference evaluates every m on tables of its own
+    want = [(m, fn(name, m, basis), table[m]) for m in range(N + 1)]
+    want = [row for row in want if row[1] != row[2]]
+    built = []
+
+    def counting(key, n):
+        built.append(key)
+        return named_sequence(key, n)
+
+    monkeypatch.setattr(rec, "named_sequence", counting)
+    assert validate_route(kind, name, basis, N) == want
+    assert sorted(built) == sorted(set(built))
+
+
 def test_basis_mismatch_raises():
     with pytest.raises(ValueError):
         recur_value("q", 5, "dp")

@@ -160,9 +160,9 @@ def test_round_trip_on_random_large_butterflies(data):
 
 
 def test_forms_are_mutually_exclusive():
-    from butterflyseq.splitmerge import _iter_odd_ge3
+    from butterflyseq.families import _iter_odd_parts
     for n in range(6, 40):
-        for t in _iter_odd_ge3(n):
+        for t in _iter_odd_parts(n, 3):
             q = P(t)
             assert not (matches_form(q, STEP1) and matches_form(q, STEP2))
             assert not (matches_form(q, STEP1_SWITCHED)

@@ -84,6 +84,10 @@ def _cmd_enum(args):
 
 
 def _cmd_bij(args):
+    if args.kind == "raise" and args.start < 2:
+        # the map sends the strict partitions of n - 1 to those of n, and a
+        # strict partition of 0 has no largest part to raise
+        raise UsageError("bij raise --from must be >= 2, got %d" % args.start)
     report = bijections.verify_bijection(args.kind, args.start, args.to, h=args.h)
     result = {"kind": report.kind, "range": list(report.n_range),
               "checked": report.checked, "passed": report.passed,
@@ -189,6 +193,13 @@ def _bar_size(text):
     return h
 
 
+def _order(text):
+    order = int(text)
+    if order < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % order)
+    return order
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="butterflyseq",
                                  description="butterfly sequence toolkit")
@@ -237,7 +248,7 @@ def build_parser():
     p = sub.add_parser("verify", help="verify a generating-function identity")
     p.add_argument("identity",
                    help="identity name or 'all' (%s)" % ", ".join(series.VERIFIED_IDENTITIES))
-    p.add_argument("--order", type=int, default=60)
+    p.add_argument("--order", type=_order, default=60)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("checksum", help="pentagonal checksum of a sequence at m")

@@ -109,7 +109,9 @@ def _in_butterfly_plus_ones(parts):
     return is_butterfly_tuple(parts[:len(parts) - ones])
 
 
-_POW2 = frozenset(1 << k for k in range(40))
+def pow2_free_parts(n):
+    """The parts 1..n that are not powers of two, ascending (3, 5, 6, 7, 9...)."""
+    return [x for x in range(1, n + 1) if x & (x - 1)]
 
 
 def in_family(p: Partition, f: Family) -> bool:
@@ -158,7 +160,7 @@ def in_family(p: Partition, f: Family) -> bool:
     if kind == BUTTERFLY_PLUS_ONES:
         return _in_butterfly_plus_ones(parts)
     if kind == DISTINCT_NOT_POW2:
-        return is_strict_tuple(parts) and not any(x in _POW2 for x in parts)
+        return is_strict_tuple(parts) and set(parts) <= set(pow2_free_parts(p.max_part()))
     raise ValueError("unknown family %r" % (f,))
 
 
@@ -245,8 +247,7 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     elif kind == BUTTERFLY_PLUS_ONES:
         tuples = _iter_prop21(n)
     elif kind == DISTINCT_NOT_POW2:
-        allowed = [x for x in range(3, n + 1) if x not in _POW2]
-        tuples = _iter_distinct_from(n, allowed)
+        tuples = _iter_distinct_from(n, pow2_free_parts(n))
     else:
         raise ValueError("unknown family %r" % (f,))
     result = sorted(tuples, reverse=True)
@@ -301,7 +302,7 @@ def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
         raise ValueError("n must be nonnegative")
     kind = f.kind
     if kind == STRICT:
-        return pt.count_strict_table(n)[n]
+        return pt.strict_pentagonal_table(n)[n]
     if kind == ODD_GE:
         return pt.count_odd_ge_table(n, f.param)[n]
     if kind == BUTTERFLY:
@@ -311,6 +312,5 @@ def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
     if kind == BUTTERFLY_ODD:
         return pt.count_butterfly(n, second_parity=1)
     if kind == DISTINCT_NOT_POW2:
-        allowed = [x for x in range(3, n + 1) if x not in _POW2]
-        return pt.count_distinct_with_parts(n, allowed)[n]
+        return pt.count_distinct_with_parts(n, pow2_free_parts(n))[n]
     return len(enumerate_family(n, f, limit))

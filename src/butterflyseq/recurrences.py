@@ -14,26 +14,15 @@ them; solving that relation for name(m) rebuilds the whole table.
 
 from math import isqrt
 
+from .partitions import pentagonal_offsets, pentagonal_solve
 from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, named_sequence
 
 PENT_BASES = {"q": "p", "r": "dp", "s": "d2p"}
 
 
-def _pentagonal_pairs(m):
-    """Yield (sign, (3k^2-k, 3k^2+k)) for k >= 1 while the smaller offset fits."""
-    k = 1
-    while 3 * k * k - k <= m:
-        sign = -1 if k % 2 else 1
-        yield sign, (3 * k * k - k, 3 * k * k + k)
-        k += 1
-
-
 def _pentagonal_sum(at, m):
     """at(m) + sum_{k>=1} (-1)^k [at(m - 3k^2 + k) + at(m - 3k^2 - k)]."""
-    total = at(m)
-    for sign, (o1, o2) in _pentagonal_pairs(m):
-        total += sign * (at(m - o1) + at(m - o2))
-    return total
+    return at(m) + sum(sign * at(m - o) for o, sign in pentagonal_offsets(m, 2))
 
 
 def _basis_reader(name, m, basis, tables, step):
@@ -154,15 +143,10 @@ def expected_checksum(name, m):
 
 
 def recursive_solve(name, N) -> SequenceTable:
-    """Rebuild the table from the checksum relation alone:
+    """Rebuild the table from the checksum relation alone: the table times
+    prod (1 - x^{2j}) is the expected checksum series, so
     name(m) = expected_checksum(name, m) - alternating pentagonal sum."""
     if N < 0:
         raise ValueError("N=%d below the offset 0 of %s" % (N, name))
-    vals = []
-
-    def at(j):  # vals holds 0..m-1, so at(m) reads 0
-        return vals[j] if 0 <= j < len(vals) else 0
-
-    for m in range(N + 1):
-        vals.append(expected_checksum(name, m) - _pentagonal_sum(at, m))
-    return SequenceTable(name, 0, vals, RECURRENCE)
+    rhs = [expected_checksum(name, m) for m in range(N + 1)]
+    return SequenceTable(name, 0, pentagonal_solve(rhs, 2), RECURRENCE)

@@ -83,10 +83,12 @@ SEQUENCE_NAMES = tuple(_OFFSETS)
 def named_sequence(name, N) -> SequenceTable:
     """Values of the named sequence for inputs offset..N.
 
-    q, r, s, t come from exact counting; r, s and t apply their difference
-    polynomials (DIFF_WEIGHTS) to q by construction here, and the family
-    enumerations they are cross-checked against live in crosscheck_table /
-    the test suite.
+    q comes from the pentagonal kernel (partitions.strict_pentagonal_table,
+    O(N^{3/2}) additions); r, s and t apply their difference polynomials
+    (DIFF_WEIGHTS) to q by construction here.  The distinct-part DP and the
+    family enumerations they are cross-checked against live in
+    crosscheck_table and the test suite.  p, dp and d2p come from their
+    counting DPs, and the remaining tables from family counts.
     """
     if name not in _OFFSETS:
         raise ValueError("unknown sequence %r" % name)
@@ -94,7 +96,7 @@ def named_sequence(name, N) -> SequenceTable:
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
     if name in DIFF_WEIGHTS:
-        q = pt.count_strict_table(N)
+        q = pt.strict_pentagonal_table(N)
         vals = [sum(w * q[n - d] for d, w in enumerate(DIFF_WEIGHTS[name]) if d <= n)
                 for n in range(N + 1)]
         return SequenceTable(name, 0, vals)
@@ -209,9 +211,10 @@ def parity_exception_inputs(N):
 def crosscheck_table(name, N) -> list:
     """Independent recomputation of a named table; returns mismatches.
 
-    q is checked against explicit strict enumeration, r against both the
-    difference of q and the odd-parts>=3 counts, s against the difference of
-    r and butterfly enumeration (n >= 6), t against odd-parts>=5 counts.
+    q is checked against explicit strict enumeration, the odd-parts counts
+    and the distinct-part DP, r against both the difference of q and the
+    odd-parts>=3 counts, s against the difference of r and butterfly
+    enumeration (n >= 6), t against odd-parts>=5 counts.
     """
     table = named_sequence(name, N)
     mismatches = []
@@ -224,8 +227,10 @@ def crosscheck_table(name, N) -> list:
         for n in range(min(N, 45) + 1):
             check(n, len(list(pt.iter_strict_tuples(n))), table[n], "listing")
         odd1 = pt.count_odd_ge_table(N, 1)
+        strict = pt.count_strict_table(N)
         for n in range(N + 1):
             check(n, odd1[n], table[n], "odd-parts")
+            check(n, strict[n], table[n], "strict-dp")
     elif name == "r":
         q = named_sequence("q", N)
         odd3 = pt.count_odd_ge_table(N, 3)

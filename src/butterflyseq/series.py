@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import partitions as pt
 from . import sequences as seq
-from .recurrences import _pentagonal_pairs
+from .families import pow2_free_parts
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,11 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     "odd_reciprocal" for prod over odd n >= param of 1/(1-x^n);
     "even_reciprocal" for prod 1/(1-x^{2n}); "double" for
     prod (1+x^n)(1-x^{2n}); "distinct_not_pow2" for the power-of-two-free
-    strict product.  Each is the counting DP of its partitions.
+    strict product.  Each is the counting DP of its partitions, except that
+    the strict counts come from the pentagonal kernel.
     """
     if kind == "distinct":
-        c = pt.count_strict_table(N)
+        c = pt.strict_pentagonal_table(N)
     elif kind == "partitions":
         c = pt.count_partitions_table(N)
     elif kind == "odd_reciprocal":
@@ -149,12 +150,12 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     elif kind == "even_reciprocal":
         c = pt.count_with_parts(N, range(2, N + 1, 2))
     elif kind == "double":
-        c = pt.count_strict_table(N)
+        c = pt.strict_pentagonal_table(N)
         for m in range(2, N + 1, 2):  # times (1 - x^m), in place from the top
             for i in range(N, m - 1, -1):
                 c[i] -= c[i - m]
     elif kind == "distinct_not_pow2":
-        c = pt.count_distinct_with_parts(N, [m for m in range(3, N + 1) if m & (m - 1)])
+        c = pt.count_distinct_with_parts(N, pow2_free_parts(N))
     else:
         raise ValueError("unknown product kind %r" % kind)
     return TruncSeries(N, c)
@@ -162,12 +163,7 @@ def expand_product(kind, N, param=None) -> TruncSeries:
 
 def theta_pentagonal(N) -> TruncSeries:
     """1 + sum over k >= 1 of (-1)^k (x^{3k^2-k} + x^{3k^2+k})."""
-    c = [1] + [0] * N
-    for sign, offsets in _pentagonal_pairs(N):
-        for o in offsets:
-            if o <= N:
-                c[o] += sign
-    return TruncSeries(N, c)
+    return TruncSeries(N, pt.euler_product(N, 2))
 
 
 def theta_triangular(N) -> TruncSeries:

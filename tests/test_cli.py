@@ -65,6 +65,23 @@ def test_bar_size_below_three_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_negative_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--order", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --order: must be >= 0, got -1" in out.err and "coefficients" not in out.err
+
+
+def test_bij_raise_below_its_domain_is_usage_error(capsys):
+    code, out, err = run(capsys, "bij", "raise", "--from", "1", "--to", "5")
+    assert code == 2 and out == ""
+    assert "--from must be >= 2" in err
+    code, out, _ = run(capsys, "bij", "raise", "--from", "2", "--to", "5")
+    assert code == 0 and "pass" in out
+
+
 def test_split_merge_round(capsys):
     code, out, _ = run(capsys, "split", "7+6+5+4+3+2", "--variant", "switched")
     assert code == 0 and out.strip() == "13+5+3+3+3"

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,10 +13,16 @@ from butterflyseq.partitions import (
     count_odd_ge_table,
     count_partitions_table,
     count_strict_table,
+    euler_product,
     iter_butterfly_tuples,
     iter_partition_tuples,
     iter_strict_tuples,
+    pentagonal_offsets,
+    pentagonal_solve,
+    strict_pentagonal_table,
 )
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def test_partition_validation():
@@ -111,3 +119,63 @@ def test_enumeration_limit():
         check_limit(201)
     check_limit(201, limit=300)
     check_limit(200)
+
+
+def _expand_euler_product(N, step):
+    # prod_{j>=1} (1 - x^{step j}) through degree N, one factor at a time
+    c = [1] + [0] * N
+    for part in range(step, N + 1, step):
+        for i in range(N, part - 1, -1):
+            c[i] -= c[i - part]
+    return c
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_pentagonal_offsets_expand_the_euler_product(step):
+    N = 150
+    offsets = [o for o, _ in pentagonal_offsets(N, step)]
+    assert offsets == sorted(set(offsets)) and offsets[-1] <= N
+    assert euler_product(N, step) == _expand_euler_product(N, step)
+
+
+def test_pentagonal_q_equals_the_strict_dp():
+    for N in range(301):
+        assert strict_pentagonal_table(N) == count_strict_table(N), N
+    assert strict_pentagonal_table(3000) == count_strict_table(3000)
+
+
+def test_pentagonal_q_matches_the_oeis_fixture():
+    q = strict_pentagonal_table(50)
+    with open(os.path.join(FIXTURES, "a000009.txt")) as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    assert rows and all(q[int(n)] == int(v) for n, v in rows)
+
+
+def test_pentagonal_solve_with_unit_rhs_gives_p():
+    N = 2000
+    assert pentagonal_solve([1] + [0] * N, 1) == count_partitions_table(N)
+    assert pentagonal_solve([1], 1) == [1]
+
+
+def test_strict_count_cache_is_bounded(capsys):
+    from butterflyseq import partitions
+    from butterflyseq.cli import main
+    from butterflyseq.sequences import named_sequence
+
+    cache = partitions._strict_bounded_count
+    cache.cache_clear()
+    tables = []
+    for name in ("s_e", "s_o"):
+        assert main(["seq", name, "--to", "250"]) == 0
+        rows = (line.split() for line in capsys.readouterr().out.splitlines())
+        tables.append({int(n): int(v) for n, v in rows})
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    s = named_sequence("s", 250)
+    assert all(tables[0][n] + tables[1][n] == s[n] for n in range(6, 251))
+    # the bound holds a whole table's working set: no entry is computed twice
+    cache.cache_clear()
+    assert main(["seq", "s_e", "--to", "600"]) == 0
+    capsys.readouterr()
+    info = cache.cache_info()
+    assert info.misses == info.currsize <= info.maxsize

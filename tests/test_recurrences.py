@@ -139,3 +139,25 @@ def test_recursive_solve_rebuilds_tables():
         solved = recursive_solve(name, 90)
         table = named_sequence(name, 90)
         assert list(solved.values) == [table[m] for m in range(91)]
+
+
+def _solve_term_by_term(name, N):
+    # the checksum relation solved for one m at a time, with the offsets
+    # 3k^2 - k and 3k^2 + k written out
+    vals = []
+
+    def at(j):
+        return vals[j] if 0 <= j < len(vals) else 0
+
+    for m in range(N + 1):
+        total, k = 0, 1
+        while 3 * k * k - k <= m:
+            total += (-1) ** k * (at(m - 3 * k * k + k) + at(m - 3 * k * k - k))
+            k += 1
+        vals.append(expected_checksum(name, m) - total)
+    return vals
+
+
+@pytest.mark.parametrize("name", CHECKSUM_NAMES)
+def test_recursive_solve_equals_the_term_by_term_loop(name):
+    assert list(recursive_solve(name, 800).values) == _solve_term_by_term(name, 800)

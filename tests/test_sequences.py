@@ -3,6 +3,7 @@ import json
 import pytest
 
 import golden
+from butterflyseq import sequences
 from butterflyseq.sequences import (
     SequenceTable,
     crosscheck_table,
@@ -152,6 +153,31 @@ def test_parity_structure_of_s():
 def test_crosschecks_pass():
     for name in ("q", "r", "s", "t", "s_e", "s_o"):
         assert crosscheck_table(name, 50) == []
+
+
+@pytest.mark.parametrize("name, routes", [
+    ("q", ("listing", "odd-parts", "strict-dp")),
+    ("r", ("difference", "odd-ge-3")),
+    ("s", ("difference", "butterfly")),
+    ("t", ("odd-ge-5",)),
+    ("s_e", ("butterfly-parity",)),
+    ("s_o", ("butterfly-parity",)),
+])
+def test_crosscheck_reports_an_altered_value(monkeypatch, name, routes):
+    real = sequences.named_sequence
+
+    def altered(seq_name, N):
+        table = real(seq_name, N)
+        if seq_name != name:
+            return table
+        vals = list(table.values)
+        vals[20 - table.offset] += 1
+        return SequenceTable(table.name, table.offset, vals, table.provenance)
+
+    monkeypatch.setattr(sequences, "named_sequence", altered)
+    found = crosscheck_table(name, 30)
+    assert sorted((route, n) for _, n, route, _, _ in found) == sorted(
+        (route, 20) for route in routes)
 
 
 def test_exports():

@@ -13,14 +13,15 @@
 from dataclasses import dataclass
 
 from .families import (
-    BAR_AE,
-    BAR_AO,
     BAR_BE,
     BAR_BO,
     CONSEC_ISOLATED,
     CONSEC_WITH_ONE,
     STRICT,
     Family,
+    _bar_sets,
+    _in_bar_a,
+    _in_bar_b,
     enumerate_family,
     in_family,
 )
@@ -67,7 +68,7 @@ def bar_forward(p: Partition, h: int) -> Partition:
     """Remove the part equal to h, add one unit to each of the h largest parts."""
     if h < 3:
         raise BijectionError("h must be >= 3")
-    if not (in_family(p, Family(BAR_AE, h)) or in_family(p, Family(BAR_AO, h))):
+    if not _in_bar_a(p.parts, h):
         raise BijectionError("input is not a horizontal-bar-%d partition: %s" % (h, p))
     parts = list(p.parts)
     parts.remove(h)
@@ -79,7 +80,7 @@ def bar_forward(p: Partition, h: int) -> Partition:
 def bar_backward(p: Partition, h: int) -> Partition:
     if h < 3:
         raise BijectionError("h must be >= 3")
-    if not (in_family(p, Family(BAR_BE, h)) or in_family(p, Family(BAR_BO, h))):
+    if not _in_bar_b(p.parts, h):
         raise BijectionError("input is not a vertical-bar-%d partition: %s" % (h, p))
     parts = list(p.parts)
     for i in range(h):
@@ -133,10 +134,7 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
             member = lambda img, src=None: (img.n == n
                                             and in_family(img, Family(CONSEC_ISOLATED)))
         elif kind == "bar":
-            ae = enumerate_family(n, Family(BAR_AE, h))
-            ao = enumerate_family(n, Family(BAR_AO, h))
-            be = enumerate_family(n, Family(BAR_BE, h))
-            bo = enumerate_family(n, Family(BAR_BO, h))
+            ae, ao, be, bo = _bar_sets(n, h)
             source = ae + ao
             target = be + bo
             fwd = lambda p: bar_forward(p, h)

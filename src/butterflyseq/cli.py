@@ -7,6 +7,7 @@ success, 1 on verification or domain failure, 2 on usage errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,6 +201,7 @@ def _order(text):
     return order
 
 
+@functools.cache  # built on first use, once per process
 def build_parser():
     ap = argparse.ArgumentParser(prog="butterflyseq",
                                  description="butterfly sequence toolkit")

@@ -1,9 +1,14 @@
 """The closed catalogue of partition families.
 
 Each family has a decidable membership predicate and a deterministic
-enumerator returning partitions in lexicographically decreasing order.
-Counting goes through a fast exact path where one exists (the predicates and
-listers remain the oracle it is checked against).
+enumerator returning partitions in lexicographically decreasing order.  The
+consecutive-pair, butterfly and equal-triple families are listed from their
+head-and-tail shapes (_HEAD_TAIL) by one lister in partitions, while their
+predicates stay independent of it.  The horizontal- and vertical-bar sets are
+sorted out of one listing of the butterflies (_bar_sets), and _in_bar_a and
+_in_bar_b are their only shape tests.  Counting goes through a fast exact
+path where one exists (the predicates and listers remain the oracle it is
+checked against).
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,7 @@ from .partitions import (
     is_butterfly_tuple,
     is_strict_tuple,
     iter_butterfly_tuples,
+    iter_head_tail_tuples,
     iter_strict_tuples,
 )
 
@@ -120,15 +126,15 @@ def in_family(p: Partition, f: Family) -> bool:
     kind = f.kind
     if kind == STRICT:
         return is_strict_tuple(parts)
-    if kind == CONSEC:
-        return len(parts) >= 2 and is_strict_tuple(parts) and parts[0] == parts[1] + 1
-    if kind == CONSEC_NO_ONE:
-        return in_family(p, Family(CONSEC)) and parts[-1] >= 2
-    if kind == CONSEC_WITH_ONE:
-        return in_family(p, Family(CONSEC)) and parts[-1] == 1
-    if kind == CONSEC_ISOLATED:
-        return (in_family(p, Family(CONSEC_NO_ONE))
-                and (len(parts) < 3 or parts[1] >= parts[2] + 2))
+    if kind in (CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED):
+        if len(parts) < 2 or not is_strict_tuple(parts) or parts[0] != parts[1] + 1:
+            return False
+        if kind == CONSEC:
+            return True
+        if kind == CONSEC_WITH_ONE:
+            return parts[-1] == 1
+        isolated = len(parts) < 3 or parts[1] >= parts[2] + 2
+        return parts[-1] >= 2 and (kind == CONSEC_NO_ONE or isolated)
     if kind == BUTTERFLY:
         return is_butterfly_tuple(parts)
     if kind == BUTTERFLY_EVEN:
@@ -168,14 +174,19 @@ def in_family(p: Partition, f: Family) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _iter_consec(n, tail_min):
-    # head (a+1, a) with a >= tail_min, strict tail below a with parts >= tail_min
-    for a in range((n - 1) // 2, tail_min - 1, -1):
-        rest = n - 2 * a - 1
-        if rest < 0:
-            continue
-        for tail in iter_strict_tuples(rest, a - 1, tail_min):
-            yield (a + 1, a) + tail
+# kind -> (head-and-tail shape, parity of the second part) of the families
+# listed by partitions.iter_head_tail_tuples: a consecutive pair over a strict
+# tail below it (of parts >= 2 for r1, and two below the pair for r1'), a
+# butterfly head, or an equal triple over a strict tail of parts >= 2 two below it
+_HEAD_TAIL = {
+    CONSEC: (((1, 0), 1, 1, 1), None),
+    CONSEC_NO_ONE: (((1, 0), 2, 1, 2), None),
+    CONSEC_ISOLATED: (((1, 0), 2, 2, 2), None),
+    BUTTERFLY: (pt.BUTTERFLY_SHAPE, None),
+    BUTTERFLY_EVEN: (pt.BUTTERFLY_SHAPE, 0),
+    BUTTERFLY_ODD: (pt.BUTTERFLY_SHAPE, 1),
+    EQUAL_TRIPLE: (((0, 0, 0), 3, 2, 2), None),
+}
 
 
 def _iter_staircase(n, threes, tail):
@@ -217,22 +228,10 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     kind = f.kind
     if kind == STRICT:
         tuples = iter_strict_tuples(n)
-    elif kind == CONSEC:
-        tuples = _iter_consec(n, 1)
-    elif kind == CONSEC_NO_ONE:
-        tuples = _iter_consec(n, 2)
+    elif kind in _HEAD_TAIL:
+        tuples = iter_head_tail_tuples(n, *_HEAD_TAIL[kind])
     elif kind == CONSEC_WITH_ONE:
-        tuples = (t for t in _iter_consec(n, 1) if t[-1] == 1)
-    elif kind == CONSEC_ISOLATED:
-        tuples = (t for t in _iter_consec(n, 2) if len(t) < 3 or t[1] >= t[2] + 2)
-    elif kind == BUTTERFLY:
-        tuples = iter_butterfly_tuples(n)
-    elif kind == BUTTERFLY_EVEN:
-        tuples = iter_butterfly_tuples(n, second_parity=0)
-    elif kind == BUTTERFLY_ODD:
-        tuples = iter_butterfly_tuples(n, second_parity=1)
-    elif kind == EQUAL_TRIPLE:
-        tuples = _iter_equal_triple(n)
+        tuples = (t for t in iter_head_tail_tuples(n, *_HEAD_TAIL[CONSEC]) if t[-1] == 1)
     elif kind == STAIRCASE_321:
         tuples = _iter_staircase(n, 1, (2, 1))
     elif kind == STAIRCASE_33:
@@ -252,16 +251,6 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         raise ValueError("unknown family %r" % (f,))
     result = sorted(tuples, reverse=True)
     return [Partition(t) for t in result]
-
-
-def _iter_equal_triple(n):
-    for a in range(n // 3, 2, -1):
-        rest = n - 3 * a
-        if rest == 0:
-            yield (a, a, a)
-            continue
-        for tail in iter_strict_tuples(rest, a - 2, 2):
-            yield (a, a, a) + tail
 
 
 def _iter_odd_parts(n, bound, max_part=None):
@@ -291,6 +280,19 @@ def _iter_distinct_from(n, allowed, idx=None):
             continue
         for rest in _iter_distinct_from(n - x, allowed, i):
             yield (x,) + rest
+
+
+def _bar_sets(n, h):
+    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), from one listing
+    of the butterflies of n."""
+    sets = ([], [], [], [])
+    for p in enumerate_family(n, Family(BUTTERFLY)):
+        odd = p[1] % 2
+        if _in_bar_a(p.parts, h):
+            sets[odd].append(p)
+        if _in_bar_b(p.parts, h):
+            sets[2 + odd].append(p)
+    return sets
 
 
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:

@@ -5,6 +5,9 @@ Everything downstream (families, sequences, bijections, splitting/merging)
 works on the Partition type defined here.  The enumerators are deliberately
 simple backtracking generators so they can serve as the brute-force oracle
 that the faster counting routines and the series algebra are tested against.
+One lister, iter_head_tail_tuples, serves every family shaped as a head of
+consecutive or equal largest parts over a strict tail (consecutive pairs,
+butterflies, equal triples); count_butterfly counts over the same heads.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts and the checksum solver; the part-by-part DPs stay as
 the independent oracles it is checked against, and count p and its relatives.
@@ -164,6 +167,33 @@ def iter_strict_tuples(n, max_part=None, min_part=1):
             yield (first,) + rest
 
 
+# A head-and-tail shape (offsets, smallest a, gap, low) lists the partitions
+# head(a) + tail with head(a) = (a + d for d in offsets), a >= smallest a, and
+# the tail strict within [low, a - gap].
+BUTTERFLY_SHAPE = ((2, 1, 0), 2, 1, 2)
+
+
+def _shape_heads(n, shape, second_parity):
+    """(head, rest, top) for each head of the shape in a partition of n,
+    largest first: the tail is strict within [low, top] and sums to rest.
+    ``second_parity`` of 0 or 1 keeps the heads whose second part has it."""
+    offsets, smallest, gap, low = shape
+    width, lift = len(offsets), sum(offsets)
+    for a in range((n - lift) // width, smallest - 1, -1):
+        if second_parity is not None and (a + offsets[1]) % 2 != second_parity:
+            continue
+        rest, top = n - width * a - lift, a - gap
+        if rest <= max(top - low + 1, 0) * (top + low) // 2:  # sum of low..top
+            yield tuple(a + d for d in offsets), rest, top
+
+
+def iter_head_tail_tuples(n, shape, second_parity=None):
+    """The partitions of n of a head-and-tail shape, largest head first."""
+    for head, rest, top in _shape_heads(n, shape, second_parity):
+        for tail in iter_strict_tuples(rest, top, shape[3]):
+            yield head + tail
+
+
 def iter_butterfly_tuples(n, second_parity=None):
     """Strict partitions of n with >= 3 parts, the three largest consecutive,
     and smallest part >= 2.
@@ -171,20 +201,7 @@ def iter_butterfly_tuples(n, second_parity=None):
     ``second_parity`` of 0 (even) or 1 (odd) filters on the parity of the
     second-largest part.
     """
-    for a, rest in _butterfly_heads(n, second_parity):
-        for tail in iter_strict_tuples(rest, a - 1, 2):
-            yield (a + 2, a + 1, a) + tail
-
-
-def _butterfly_heads(n, second_parity):
-    """(a, rest) for each head (a+2, a+1, a) of a butterfly partition of n,
-    largest first: the tail is strict within [2, a-1] and sums to rest."""
-    for a in range((n - 3) // 3, 1, -1):
-        if second_parity is not None and (a + 1) % 2 != second_parity:
-            continue
-        rest = n - 3 * a - 3
-        if rest <= (a + 1) * (a - 2) // 2:  # sum of 2..a-1
-            yield a, rest
+    yield from iter_head_tail_tuples(n, BUTTERFLY_SHAPE, second_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +318,15 @@ def count_no_ones_table(N):
 
 def count_no_ones_repeated_top_table(N):
     """Counts of partitions with no part 1 and the largest part occurring at
-    least twice (the empty partition counts for n = 0)."""
-
-    @lru_cache(maxsize=None)
-    def bounded(m, cap):
-        # partitions of m with parts in [2, cap]
-        if m == 0:
-            return 1
-        if cap < 2 or m < 2:
-            return 0
-        total = 0
-        for part in range(2, min(m, cap) + 1):
-            total += bounded(m - part, part)
-        return total
-
+    least twice (the empty partition counts for n = 0): the coefficients of
+    1 + sum_{j>=2} x^{2j} / prod_{i=2}^{j} (1 - x^i), in O(N^2)."""
     out = [1] + [0] * N
-    for n in range(4, N + 1):
-        total = 0
-        for j in range(2, n // 2 + 1):
-            total += bounded(n - 2 * j, j)
-        out[n] = total
+    below = [1] + [0] * N  # partitions into parts 2..j, valid through N - 2j
+    for j in range(2, N // 2 + 1):
+        for m in range(j, N - 2 * j + 1):
+            below[m] += below[m - j]
+        for m in range(N - 2 * j + 1):
+            out[2 * j + m] += below[m]
     return out
 
 
@@ -347,5 +353,5 @@ def _strict_bounded_count(m, top, low):
 def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
     of the second-largest part), without listing them."""
-    return sum(_strict_bounded_count(rest, a - 1, 2)
-               for a, rest in _butterfly_heads(n, second_parity))
+    return sum(_strict_bounded_count(rest, top, 2)
+               for _, rest, top in _shape_heads(n, BUTTERFLY_SHAPE, second_parity))

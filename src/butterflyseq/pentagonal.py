@@ -13,10 +13,6 @@ even/odd butterfly counts to agree away from the four closed-form inputs.
 from dataclasses import dataclass
 
 from .families import (
-    BAR_AE,
-    BAR_AO,
-    BAR_BE,
-    BAR_BO,
     BUTTERFLY,
     BUTTERFLY_EVEN,
     BUTTERFLY_ODD,
@@ -24,17 +20,14 @@ from .families import (
     STAIRCASE_321,
     STAIRCASE_33,
     Family,
+    _bar_sets,
+    _in_bar_a,
+    _in_bar_b,
     count_family,
-    enumerate_family,
     in_family,
 )
 from .partitions import Partition
-from .sequences import (
-    EVEN_MINUS_ONE_FORMS,
-    EVEN_PLUS_ONE_FORMS,
-    exception_form_of,
-    parity_split_counts,
-)
+from .sequences import EXCEPTION_SIGNS, exception_form_of, parity_split_counts
 
 PENTAGONAL = "pentagonal"
 GEN_PENTAGONAL = "gen_pentagonal"
@@ -93,9 +86,9 @@ def classify(p: Partition) -> PentClass:
     if h >= 2 and p[0] == 2 * h and p == make_pentagonal(GEN_PENTAGONAL_DOMINO, h):
         return PentClass(GEN_PENTAGONAL_DOMINO, h)
     for h in range(3, p[0] + 1):
-        if in_family(p, Family(BAR_AE, h)) or in_family(p, Family(BAR_AO, h)):
+        if _in_bar_a(p.parts, h):
             return PentClass(NONPENT_HBAR, h)
-        if in_family(p, Family(BAR_BE, h)) or in_family(p, Family(BAR_BO, h)):
+        if _in_bar_b(p.parts, h):
             return PentClass(NONPENT_VBAR, h)
     raise AssertionError("unclassifiable butterfly partition: %s" % p)
 
@@ -104,10 +97,7 @@ def enumerate_bars(n, h):
     """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o)."""
     if n < 6 or h < 3:
         raise ValueError("need n >= 6 and h >= 3")
-    return (enumerate_family(n, Family(BAR_AE, h)),
-            enumerate_family(n, Family(BAR_AO, h)),
-            enumerate_family(n, Family(BAR_BE, h)),
-            enumerate_family(n, Family(BAR_BO, h)))
+    return _bar_sets(n, h)
 
 
 EQUAL = "equal"
@@ -131,22 +121,16 @@ def parity_relation(n) -> ParityWitness:
     if hit is None:
         return ParityWitness(EQUAL, None, None)
     form, t = hit
-    if form in EVEN_MINUS_ONE_FORMS:
-        return ParityWitness(EVEN_MINUS_ONE, form, t)
-    assert form in EVEN_PLUS_ONE_FORMS
-    return ParityWitness(EVEN_PLUS_ONE, form, t)
+    relation = EVEN_MINUS_ONE if EXCEPTION_SIGNS[form] < 0 else EVEN_PLUS_ONE
+    return ParityWitness(relation, form, t)
 
 
 def parity_relation_holds(n) -> bool:
-    """Does the predicted relation agree with enumeration at n?"""
-    w = parity_relation(n)
+    """Does the predicted relation agree with enumeration at n?  It predicts
+    s_e - s_o: 0, or the sign of the closed form n matches."""
+    delta = EXCEPTION_SIGNS.get(parity_relation(n).form, 0)
     se = count_family(n, Family(BUTTERFLY_EVEN))
-    so = count_family(n, Family(BUTTERFLY_ODD))
-    if w.relation == EQUAL:
-        return se == so
-    if w.relation == EVEN_MINUS_ONE:
-        return se == so - 1
-    return se == so + 1
+    return se - count_family(n, Family(BUTTERFLY_ODD)) == delta
 
 
 @dataclass(frozen=True)
@@ -182,12 +166,7 @@ def parity_refined_counts(n) -> ParityRefinedCounts:
     e_pp, o_pp = parity_split_counts(n, STAIRCASE_33)
 
     w = parity_relation(n)
-    s = s_e + s_o
-    if w.relation == EQUAL:
-        ok = (s == 2 * s_e and e == o and e_p == o_p and e_pp == o_pp)
-    elif w.relation == EVEN_MINUS_ONE:
-        ok = (s == 2 * s_e + 1 and e == o - 1 and e_p == o_p + 1 and e_pp == o_pp - 1)
-    else:
-        ok = (s == 2 * s_e - 1 and e == o + 1 and e_p == o_p - 1 and e_pp == o_pp + 1)
-    return ParityRefinedCounts(n, s, s_e, s_o, e, o, e_p, o_p, e_pp, o_pp,
-                           w.relation, ok)
+    delta = EXCEPTION_SIGNS.get(w.form, 0)
+    ok = s_e - s_o == e - o == e_pp - o_pp == delta and e_p - o_p == -delta
+    return ParityRefinedCounts(n, s_e + s_o, s_e, s_o, e, o, e_p, o_p, e_pp, o_pp,
+                               w.relation, ok)

@@ -96,10 +96,7 @@ def named_sequence(name, N) -> SequenceTable:
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
     if name in DIFF_WEIGHTS:
-        q = pt.strict_pentagonal_table(N)
-        vals = [sum(w * q[n - d] for d, w in enumerate(DIFF_WEIGHTS[name]) if d <= n)
-                for n in range(N + 1)]
-        return SequenceTable(name, 0, vals)
+        return SequenceTable(name, 0, _weighted(name, pt.strict_pentagonal_table(N)))
     if name == "p":
         return SequenceTable("p", 0, pt.count_partitions_table(N))
     if name == "dp":
@@ -124,6 +121,13 @@ def named_sequence(name, N) -> SequenceTable:
     # listing is done
     vals = [count(n) for n in range(N, offset - 1, -1)]
     return SequenceTable(name, offset, vals[::-1])
+
+
+def _weighted(name, q):
+    """q times the difference polynomial of the named sequence, through the
+    length of q."""
+    return [sum(w * q[n - d] for d, w in enumerate(DIFF_WEIGHTS[name]) if d <= n)
+            for n in range(len(q))]
 
 
 # parity-refined count families: name -> (family, parity of its split key)
@@ -169,9 +173,10 @@ EXCEPTION_FORMS = {
     "gen_pentagonal": lambda t: (3 * (t + 1) ** 2 + t + 1) // 2,
 }
 
-# forms where the even-second-part count trails by one; the other two lead by one
-EVEN_MINUS_ONE_FORMS = ("gen_pentagonal_plus_two", "gen_pentagonal")
-EVEN_PLUS_ONE_FORMS = ("pentagonal", "pentagonal_plus_two")
+# form name -> s_e - s_o at its inputs: the even-second-part count trails by
+# one or leads by one (and e - o, e'' - o'' agree with it, e' - o' is its negative)
+EXCEPTION_SIGNS = {"gen_pentagonal_plus_two": -1, "pentagonal": 1,
+                   "pentagonal_plus_two": 1, "gen_pentagonal": -1}
 
 
 def _exception_values(N):
@@ -212,9 +217,9 @@ def crosscheck_table(name, N) -> list:
     """Independent recomputation of a named table; returns mismatches.
 
     q is checked against explicit strict enumeration, the odd-parts counts
-    and the distinct-part DP, r against both the difference of q and the
-    odd-parts>=3 counts, s against the difference of r and butterfly
-    enumeration (n >= 6), t against odd-parts>=5 counts.
+    and the distinct-part DP, r against both the difference of the DP's q and
+    the odd-parts>=3 counts, s against the second difference of the DP's q
+    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts.
     """
     table = named_sequence(name, N)
     mismatches = []
@@ -231,18 +236,17 @@ def crosscheck_table(name, N) -> list:
         for n in range(N + 1):
             check(n, odd1[n], table[n], "odd-parts")
             check(n, strict[n], table[n], "strict-dp")
-    elif name == "r":
-        q = named_sequence("q", N)
-        odd3 = pt.count_odd_ge_table(N, 3)
+    elif name in ("r", "s"):
+        diff = _weighted(name, pt.count_strict_table(N))
         for n in range(N + 1):
-            check(n, q[n] - q[n - 1], table[n], "difference")
-            check(n, odd3[n], table[n], "odd-ge-3")
-    elif name == "s":
-        r = named_sequence("r", N)
-        for n in range(N + 1):
-            check(n, r[n] - r[n - 1], table[n], "difference")
-        for n in range(6, N + 1):
-            check(n, pt.count_butterfly(n), table[n], "butterfly")
+            check(n, diff[n], table[n], "difference")
+        if name == "r":
+            odd3 = pt.count_odd_ge_table(N, 3)
+            for n in range(N + 1):
+                check(n, odd3[n], table[n], "odd-ge-3")
+        else:
+            for n in range(6, N + 1):
+                check(n, pt.count_butterfly(n), table[n], "butterfly")
     elif name == "t":
         odd5 = pt.count_odd_ge_table(N, 5)
         for n in range(N + 1):

@@ -184,6 +184,16 @@ def poly(N, *coeffs) -> TruncSeries:
 # Filtered series (filtration by the number of parts)
 # ---------------------------------------------------------------------------
 
+# kind -> (smallest k, c, first denominator factor j0): the k-parts term is
+# x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j)
+_FILTRATION = {"strict": (1, 1, 1), "consec": (2, 1, 2), "butterfly": (3, 3, 3),
+               "tail": (2, 3, 3), "alt_tail": (2, 1, 3)}
+
+
+def _exponent(kind, k):
+    return k * (k + _FILTRATION[kind][1]) // 2
+
+
 def filtration_term(kind, k, N) -> TruncSeries:
     """The k-parts term of a filtered series.
 
@@ -196,23 +206,12 @@ def filtration_term(kind, k, N) -> TruncSeries:
     exponent k(k+1)/2 with denominator from j=3 (k >= 2), the term shape of
     the alternating butterfly filtration.
     """
-    if kind in ("strict", "consec"):
-        if k < (1 if kind == "strict" else 2):
-            raise ValueError("k too small for %s" % kind)
-        exp = k * (k + 1) // 2
-        denom_lo = 1 if kind == "strict" else 2
-    elif kind in ("butterfly", "tail"):
-        if k < (3 if kind == "butterfly" else 2):
-            raise ValueError("k too small for %s" % kind)
-        exp = k * (k + 3) // 2
-        denom_lo = 3
-    elif kind == "alt_tail":
-        if k < 2:
-            raise ValueError("k too small for alt_tail")
-        exp = k * (k + 1) // 2
-        denom_lo = 3
-    else:
+    if kind not in _FILTRATION:
         raise ValueError("unknown filtration kind %r" % kind)
+    k_min, _, denom_lo = _FILTRATION[kind]
+    if k < k_min:
+        raise ValueError("k too small for %s" % kind)
+    exp = _exponent(kind, k)
     if exp > N:
         return TruncSeries.zero(N)
     return TruncSeries(N, [0] * exp + pt.count_with_parts(N - exp, range(denom_lo, k + 1)))
@@ -221,10 +220,7 @@ def filtration_term(kind, k, N) -> TruncSeries:
 def _sum_filtration(kind, N, k_lo):
     total = TruncSeries.zero(N)
     k = k_lo
-    while True:
-        exp = k * (k + 3) // 2 if kind in ("butterfly", "tail") else k * (k + 1) // 2
-        if exp > N:
-            break
+    while _exponent(kind, k) <= N:
         total = total + filtration_term(kind, k, N)
         k += 1
     return total

@@ -269,20 +269,12 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
     if not caps.satisfied:
         raise CapsError("merging caps violated for %s: %s" % (q, caps.checks))
 
-    if parts in _SWITCHED_EVEN_SPECIALS and variant == SWITCHED:
-        m = 2
-        head = (5, 4, 3)
-        two_t = parts[0] - 3
-    elif form in (STEP1, STEP1_SWITCHED):
-        m = (parts[1] + 1) // 2
-        head = (2 * m + 1, 2 * m, 2 * m - 1)
-        two_t = caps.two_t
-    else:
-        m = (parts[1] + 1) // 2
-        head = (2 * m, 2 * m - 1, 2 * m - 2)
-        two_t = caps.two_t
-
-    out = list(head)
+    # parts[1] = 2m - 1, the largest odd value at most the butterfly's second
+    # part: 2m on the even routes, 2m - 1 on the odd ones
+    m = (parts[1] + 1) // 2
+    top = 2 * m + 1 if form in (STEP1, STEP1_SWITCHED) else 2 * m
+    out = [top, top - 1, top - 2]
+    two_t = caps.two_t
     bit = 1
     while bit <= two_t:
         if two_t & bit:

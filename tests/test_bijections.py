@@ -88,3 +88,24 @@ def test_count_identities():
                 + count_family(n, Family(BUTTERFLY))
                 - count_family(n - 1, Family(CONSEC_WITH_ONE))
                 == s_n)
+
+
+@pytest.mark.parametrize("kind, lo, hi, h, checked", [
+    ("raise", 2, 30, 3, 1738),
+    ("butterfly", 6, 40, 3, 459),
+    ("bar", 6, 60, 3, 463),
+    ("bar", 6, 60, 4, 63),
+    ("bar", 40, 75, 5, 38),
+])
+def test_verify_checks_every_map(kind, lo, hi, h, checked):
+    rep = verify_bijection(kind, lo, hi, h)
+    assert rep.passed and rep.failures == ()
+    assert rep.checked == checked
+
+
+def test_bar_verify_below_the_first_butterfly():
+    # no butterfly exists below n = 9, so only the upper end of the range checks maps
+    assert verify_bijection("bar", 0, 12, 3).checked == 0
+    assert not verify_bijection("bar", 0, 12, 3).passed
+    rep = verify_bijection("bar", 1, 20, 3)
+    assert rep.passed and rep.checked == 2

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from butterflyseq import cli
 from butterflyseq.cli import main
 
 
@@ -176,3 +180,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["seq"])  # missing required arguments
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_serves_every_call_alike(capsys):
+    # one parser serves every call of a process; each call still answers as
+    # a fresh process does, a refusal by argparse included
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in (["seq", "s", "--to", "-1"], ["enum", "bar-ae", "20", "--h", "2"],
+                 ["--json", "split", "7+6+5+4+3+2"], ["seq", "nope", "--to", "3"],
+                 ["--json", "parity", "12"]):
+        fresh = subprocess.run([sys.executable, "-m", "butterflyseq.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

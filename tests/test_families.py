@@ -127,3 +127,25 @@ def test_enumeration_limit_guard():
         count_family(201, Family(CONSEC_NO_ONE))
     assert count_family(500, Family(STRICT)) == count_family(500, Family(STRICT), limit=None) > 0
     assert count_family(250, Family(BUTTERFLY_EVEN)) == count_butterfly(250, 0)
+
+
+HEAD_TAIL_KINDS = (CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED,
+                   BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD)
+
+
+def test_head_and_tail_listings_equal_the_filtered_candidates():
+    """The families listed by one head-and-tail shape equal their candidates
+    filtered by the membership predicate, for n <= 60: the strict partitions
+    of n, or for the equal triples (a, a) over a strict partition of n - 2a
+    with largest part a."""
+    from butterflyseq.partitions import iter_strict_tuples
+    for n in range(61):
+        strict = list(iter_strict_tuples(n))
+        for kind in HEAD_TAIL_KINDS:
+            want = [t for t in strict if in_family(P(t), Family(kind))]
+            assert [p.parts for p in enumerate_family(n, Family(kind))] == want, (kind, n)
+        triples = sorted(((a, a) + t for a in range(1, n // 3 + 1)
+                          for t in iter_strict_tuples(n - 2 * a, a) if t and t[0] == a),
+                         reverse=True)
+        want = [t for t in triples if in_family(P(t), Family(EQUAL_TRIPLE))]
+        assert [p.parts for p in enumerate_family(n, Family(EQUAL_TRIPLE))] == want, n

@@ -1,4 +1,5 @@
 import os
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,3 +180,24 @@ def test_strict_count_cache_is_bounded(capsys):
     capsys.readouterr()
     info = cache.cache_info()
     assert info.misses == info.currsize <= info.maxsize
+
+
+def _repeated_top_by_recursion(N):
+    """The O(N^3) recursion count_no_ones_repeated_top_table replaced: for each
+    doubled largest part j, the partitions of the rest into parts 2..j."""
+
+    @lru_cache(maxsize=None)
+    def bounded(m, cap):
+        if m == 0:
+            return 1
+        if cap < 2 or m < 2:
+            return 0
+        return sum(bounded(m - part, part) for part in range(2, min(m, cap) + 1))
+
+    return [1] + [sum(bounded(n - 2 * j, j) for j in range(2, n // 2 + 1)) if n >= 4 else 0
+                  for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5, 10, 60, 160])
+def test_repeated_top_table_matches_the_recursion(N):
+    assert count_no_ones_repeated_top_table(N) == _repeated_top_by_recursion(N)

@@ -147,3 +147,14 @@ def test_parity_refined_examples():
 def test_parity_refined_relations_hold():
     for n in range(6, 61):
         assert parity_refined_counts(n).relations_hold, n
+
+
+def test_enumerate_bars_equals_the_four_bar_families():
+    for n in range(6, 71):
+        for h in range(3, 7):
+            assert enumerate_bars(n, h) == tuple(
+                enumerate_family(n, Family(kind, h)) for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
+    with pytest.raises(ValueError):
+        enumerate_bars(5, 3)
+    with pytest.raises(ValueError):
+        enumerate_bars(20, 2)

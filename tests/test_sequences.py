@@ -180,6 +180,22 @@ def test_crosscheck_reports_an_altered_value(monkeypatch, name, routes):
         (route, 20) for route in routes)
 
 
+@pytest.mark.parametrize("name, moved", [("r", (20, 21)), ("s", (20, 21, 22))])
+def test_difference_route_reports_an_altered_q(monkeypatch, name, moved):
+    # r and s are built from the pentagonal q, so their difference route must
+    # read q from elsewhere to see a fault in it
+    real = sequences.pt.strict_pentagonal_table
+
+    def altered(N):
+        q = real(N)
+        q[20] += 1
+        return q
+
+    monkeypatch.setattr(sequences.pt, "strict_pentagonal_table", altered)
+    found = crosscheck_table(name, 30)
+    assert sorted(n for _, n, route, _, _ in found if route == "difference") == list(moved)
+
+
 def test_exports():
     t = named_sequence("q", 5)
     assert to_bfile(t) == "0 1\n1 1\n2 1\n3 2\n4 2\n5 3\n"

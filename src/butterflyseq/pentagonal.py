@@ -126,8 +126,12 @@ def parity_relation(n) -> ParityWitness:
 
 
 def parity_relation_holds(n) -> bool:
-    """Does the predicted relation agree with enumeration at n?  It predicts
-    s_e - s_o: 0, or the sign of the closed form n matches."""
+    """Does the predicted relation hold at n?  It predicts s_e - s_o: 0, or
+    the sign of the closed form n matches.  s_e and s_o are the butterfly
+    counts of ``count_family`` (the ``count_butterfly`` DP); no partition is
+    listed.  ``parity --json`` reports the result under the key
+    ``agrees_with_enumeration``, kept for its callers: the DP counts equal
+    the lengths of the enumerated families, which the tests check."""
     delta = EXCEPTION_SIGNS.get(parity_relation(n).form, 0)
     se = count_family(n, Family(BUTTERFLY_EVEN))
     return se - count_family(n, Family(BUTTERFLY_ODD)) == delta

@@ -129,6 +129,23 @@ def test_verify(capsys):
     assert code == 0
 
 
+def test_verify_that_checked_no_degree_fails(capsys):
+    # oddge5-butterfly-tail holds only from degree 9: at order 5 no
+    # coefficient is compared, which is not a pass
+    code, out, _ = run(capsys, "verify", "oddge5-butterfly-tail", "--order", "5")
+    assert code == 1
+    assert "OK" not in out and "no degree checked" in out
+    code, out, _ = run(capsys, "--json", "verify", "oddge5-butterfly-tail", "--order", "8")
+    assert code == 1
+    assert json.loads(out)["result"] == [{"name": "oddge5-butterfly-tail", "order": 8,
+                                          "ok": False, "mismatches": []}]
+    code, out, _ = run(capsys, "verify", "all", "--order", "8")
+    assert code == 1
+    # from the identity's first degree on, the report is the usual pass
+    code, out, _ = run(capsys, "verify", "oddge5-butterfly-tail", "--order", "9")
+    assert code == 0 and out == "oddge5-butterfly-tail: OK 0 mismatches\n"
+
+
 def test_verify_reports_mismatches(capsys):
     code, out, _ = run(capsys, "verify", "butterfly-filtration-printed", "--order", "30")
     assert code == 1

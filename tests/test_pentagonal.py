@@ -158,3 +158,13 @@ def test_enumerate_bars_equals_the_four_bar_families():
         enumerate_bars(5, 3)
     with pytest.raises(ValueError):
         enumerate_bars(20, 2)
+
+
+def test_parity_counts_equal_the_enumerated_families():
+    # parity_relation_holds (the CLI's "agrees_with_enumeration") compares
+    # count_family counts, which come from a DP; they must be the listing sizes
+    from butterflyseq.families import BUTTERFLY_EVEN, BUTTERFLY_ODD, count_family
+    for n in range(6, 61):
+        for kind in (BUTTERFLY_EVEN, BUTTERFLY_ODD):
+            f = Family(kind)
+            assert count_family(n, f) == len(enumerate_family(n, f)), (n, kind)

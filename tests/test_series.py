@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 import golden
 from butterflyseq.sequences import named_sequence
 from butterflyseq.series import (
-    IDENTITIES, TruncSeries, VERIFIED_IDENTITIES,
+    IDENTITIES, TruncSeries, VERIFIED_IDENTITIES, _FILTRATION,
     div_exact, expand_product, filtered_series, filtration_term,
     poly, theta_triangular,
     verify_all, verify_identity,
@@ -182,3 +182,104 @@ def test_unknown_identity():
 
 def test_series_json_dump():
     assert poly(3, 1, -1).to_json() == "[1, -1, 0, 0]"
+
+
+# -- kernels against their references -------------------------------------------
+
+def schoolbook(a, b):
+    """Every (i, j) pair, zeros included: the reference for TruncSeries.__mul__."""
+    if isinstance(b, int):
+        return a.order, tuple(b * x for x in a.coeffs)
+    N = min(a.order, b.order)
+    out = [0] * (N + 1)
+    for i in range(N + 1):
+        for j in range(N + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return N, tuple(out)
+
+
+@st.composite
+def any_series(draw):
+    order = draw(st.integers(min_value=0, max_value=40))
+    shape = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    coeffs = [0] * (order + 1)
+    if shape == "sparse":
+        spots = st.dictionaries(st.integers(0, order), st.integers(-9, 9), max_size=4)
+        for i, c in draw(spots).items():
+            coeffs[i] = c
+    elif shape == "dense":
+        big = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
+        coeffs = draw(st.lists(big, min_size=order + 1, max_size=order + 1))
+    return TruncSeries(order, coeffs)
+
+
+@given(any_series(), st.one_of(any_series(), st.integers(-10 ** 6, 10 ** 6)))
+def test_multiply_matches_schoolbook(a, b):
+    product = a * b
+    assert (product.order, product.coeffs) == schoolbook(a, b)
+    swapped = b * a
+    assert (swapped.order, swapped.coeffs) == schoolbook(a, b)
+
+
+# the named filtered series as sums of filtration_term, with 1/(1+x) taken as
+# the alternating series: kind -> (filtration kind, smallest k, assemble)
+def _alternating(N):
+    return TruncSeries(N, [(-1) ** i for i in range(N + 1)])
+
+
+FILTERED = {
+    "strict": ("strict", 1, lambda N, tail: TruncSeries.one(N) + tail),
+    "consec": ("consec", 2, lambda N, tail: TruncSeries.one(N) + tail),
+    "butterfly_parts": ("butterfly", 3, lambda N, tail: tail),
+    "odd_ge5_full": ("tail", 2,
+                     lambda N, tail: poly(N, 1, 0, 0, 0, 0, 1, 0, 1) + poly(N, 1, 1, 1) * tail),
+    "butterfly_full": ("tail", 2, lambda N, tail: poly(N, 1, -1, 0, 1, -1, 1) + tail),
+    "butterfly_alt": ("alt_tail", 2, lambda N, tail: poly(N, 1, -1) + _alternating(N) * tail),
+}
+
+
+def _term_by_term(kind, N, k_lo):
+    total = TruncSeries.zero(N)
+    k = k_lo
+    while True:
+        term = filtration_term(kind, k, N)
+        if not any(term.coeffs):  # x^{e(k)} has coefficient 1 while e(k) <= N
+            return total
+        total = total + term
+        k += 1
+
+
+def _check_filtered(name, N):
+    kind, k_min, assemble = FILTERED[name]
+    for k_lo in range(k_min, k_min + 4):
+        want = assemble(N, _term_by_term(kind, N, k_lo))
+        assert filtered_series(name, N, k_lo).coeffs == want.coeffs, (name, N, k_lo)
+
+
+@pytest.mark.parametrize("name", sorted(FILTERED))
+def test_filtered_series_is_the_sum_of_its_terms(name):
+    assert {kind for kind, _, _ in FILTERED.values()} == set(_FILTRATION)
+    for N in range(121):
+        _check_filtered(name, N)
+    _check_filtered(name, 700)
+
+
+@pytest.mark.parametrize("name", sorted(FILTERED))
+def test_filtered_series_refuses_k_lo_below_its_smallest_k(name):
+    kind, k_min, _ = FILTERED[name]
+    k_lo = k_min - 1 or -1  # 0 would read as "the default"
+    with pytest.raises(ValueError, match="k too small for %s$" % kind):
+        filtered_series(name, 40, k_lo)
+    for N in (0, 40):
+        with pytest.raises(ValueError, match="k too small for %s$" % kind):
+            filtration_term(kind, k_min - 1, N)
+
+
+def test_report_that_checked_no_degree_is_not_ok():
+    rep = verify_identity("oddge5-butterfly-tail", 8)
+    assert rep.checked == 0 and rep.mismatches == () and not rep.ok
+    assert str(rep) == ("oddge5-butterfly-tail: no degree checked "
+                        "(holds from degree 9, order 8)")
+    rep = verify_identity("oddge5-butterfly-tail", 9)
+    assert rep.checked == 1 and rep.ok
+    assert not all(r.ok for r in verify_all(8))

@@ -4,16 +4,19 @@ Each family has a decidable membership predicate and a deterministic
 enumerator returning partitions in lexicographically decreasing order.  The
 consecutive-pair, butterfly and equal-triple families are listed from their
 head-and-tail shapes (_HEAD_TAIL) by one lister in partitions, while their
-predicates stay independent of it.  The horizontal- and vertical-bar sets are
-sorted out of one listing of the butterflies (_bar_sets), and _in_bar_a and
-_in_bar_b are their only shape tests.  Counting goes through a fast exact
-path where one exists (the predicates and listers remain the oracle it is
-checked against).
+predicates stay independent of it.  The horizontal- and vertical-bar sets
+are generated from their shapes by the same lister (_iter_bar_tuples), and
+the capped odd-step forms by splitmerge.iter_form_tuples, so neither lists a
+larger family to filter it.  Every partition those two generators produce is
+checked against its predicate (_in_bar_a, _in_bar_b, splitmerge.matches_form),
+which stays the oracle.  Counting goes through a fast exact path where one
+exists (the predicates and listers remain the oracle it is checked against).
 """
 
 from dataclasses import dataclass
 
 from . import partitions as pt
+from . import splitmerge
 from .partitions import (
     DEFAULT_ENUM_LIMIT,
     Partition,
@@ -57,6 +60,15 @@ class Family:
 
     def __str__(self):
         return self.kind if self.param is None else "%s(%d)" % (self.kind, self.param)
+
+
+# odd-step kind -> its splitmerge form
+_ODD_STEP_FORMS = {ODD_STEP1: splitmerge.STEP1, ODD_STEP2: splitmerge.STEP2,
+                   ODD_STEP1_SWITCHED: splitmerge.STEP1_SWITCHED,
+                   ODD_STEP2_SWITCHED: splitmerge.STEP2_SWITCHED}
+
+# bar kind -> (vertical, parity of the second part)
+_BAR_KINDS = {BAR_AE: (False, 0), BAR_AO: (False, 1), BAR_BE: (True, 0), BAR_BO: (True, 1)}
 
 
 def _in_bar_a(parts, h):
@@ -149,12 +161,8 @@ def in_family(p: Partition, f: Family) -> bool:
         return _in_staircase_33(parts)
     if kind == ODD_GE:
         return all(x % 2 == 1 and x >= f.param for x in parts)
-    if kind in (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED):
-        from . import splitmerge
-        form = {ODD_STEP1: splitmerge.STEP1, ODD_STEP2: splitmerge.STEP2,
-                ODD_STEP1_SWITCHED: splitmerge.STEP1_SWITCHED,
-                ODD_STEP2_SWITCHED: splitmerge.STEP2_SWITCHED}[kind]
-        return splitmerge.matches_form(p, form)
+    if kind in _ODD_STEP_FORMS:
+        return splitmerge.matches_form(p, _ODD_STEP_FORMS[kind])
     if kind == BAR_AE:
         return _in_bar_a(parts, f.param) and parts[1] % 2 == 0
     if kind == BAR_AO:
@@ -238,19 +246,23 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         tuples = _iter_staircase(n, 2, ())
     elif kind == ODD_GE:
         tuples = _iter_odd_parts(n, f.param)
-    elif kind in (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED):
-        tuples = (t for t in _iter_odd_parts(n, 3)
-                  if in_family(Partition(t), f))
-    elif kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO):
-        tuples = (t for t in iter_butterfly_tuples(n) if in_family(Partition(t), f))
+    elif kind in _ODD_STEP_FORMS:
+        tuples = splitmerge.iter_form_tuples(n, _ODD_STEP_FORMS[kind])
+    elif kind in _BAR_KINDS:
+        tuples = _iter_bar_tuples(n, f.param, *_BAR_KINDS[kind])
     elif kind == BUTTERFLY_PLUS_ONES:
         tuples = _iter_prop21(n)
     elif kind == DISTINCT_NOT_POW2:
         tuples = _iter_distinct_from(n, pow2_free_parts(n))
     else:
         raise ValueError("unknown family %r" % (f,))
-    result = sorted(tuples, reverse=True)
-    return [Partition(t) for t in result]
+    result = [Partition(t) for t in sorted(tuples, reverse=True)]
+    if kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
+        # generated from shape: the predicate stays the oracle of every member
+        for p in result:
+            if not in_family(p, f):
+                raise AssertionError("generated %s outside %s" % (p, f))
+    return result
 
 
 def _iter_odd_parts(n, bound, max_part=None):
@@ -282,17 +294,29 @@ def _iter_distinct_from(n, allowed, idx=None):
             yield (x,) + rest
 
 
+def _iter_bar_tuples(n, h, vertical, second_parity):
+    """The horizontal-bar (A) or vertical-bar (B) partitions of n for bar
+    size h whose second part has the given parity, from their shape: a head
+    (a+h-1, ..., a) over a strict tail, then an optional part 2, with
+
+    * A: a >= h + 1, the tail within [h + 1, a - 1], then the part h;
+    * B: a >= h + 2, the tail within [h + 1, a - 2].
+
+    Sizes h < 3 have no bar sets."""
+    if h < 3:
+        return
+    shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
+    for end in (((), (2,)) if vertical else ((h,), (h, 2))):
+        for t in iter_head_tail_tuples(n - sum(end), shape, second_parity):
+            yield t + end
+
+
 def _bar_sets(n, h):
-    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), from one listing
-    of the butterflies of n."""
-    sets = ([], [], [], [])
-    for p in enumerate_family(n, Family(BUTTERFLY)):
-        odd = p[1] % 2
-        if _in_bar_a(p.parts, h):
-            sets[odd].append(p)
-        if _in_bar_b(p.parts, h):
-            sets[2 + odd].append(p)
-    return sets
+    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), each generated
+    from its shape (_iter_bar_tuples) and checked member by member against
+    _in_bar_a or _in_bar_b."""
+    return tuple(enumerate_family(n, Family(kind, h))
+                 for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
 
 
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:

@@ -7,12 +7,13 @@ simple backtracking generators so they can serve as the brute-force oracle
 that the faster counting routines and the series algebra are tested against.
 One lister, iter_head_tail_tuples, serves every family shaped as a head of
 consecutive or equal largest parts over a strict tail (consecutive pairs,
-butterflies, equal triples); count_butterfly counts over the same heads.
+butterflies, equal triples); count_head_tail counts over the same heads.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts and the checksum solver; the part-by-part DPs stay as
 the independent oracles it is checked against, and count p and its relatives.
 """
 
+import operator
 from functools import lru_cache
 
 # Desk-scale guard: enumeration is refused above this n unless the caller
@@ -36,12 +37,14 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts)
-        for i, x in enumerate(parts):
-            if x < 1:
-                raise ValueError("parts must be positive integers: %r" % (parts,))
-            if i and parts[i - 1] < x:
-                raise ValueError("parts must be non-increasing: %r" % (parts,))
+        parts = tuple(map(int, parts))
+        if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            # report the first violation, in the order the parts are read
+            for i, x in enumerate(parts):
+                if x < 1:
+                    raise ValueError("parts must be positive integers: %r" % (parts,))
+                if i and parts[i - 1] < x:
+                    raise ValueError("parts must be non-increasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
@@ -350,8 +353,14 @@ def _strict_bounded_count(m, top, low):
     return _strict_bounded_count(m - top, top - 1, low) + _strict_bounded_count(m, top - 1, low)
 
 
+def count_head_tail(n, shape, second_parity=None):
+    """len(list(iter_head_tail_tuples(n, shape, second_parity))), without
+    listing: the strict tails of each head are counted, not built."""
+    return sum(_strict_bounded_count(rest, top, shape[3])
+               for _, rest, top in _shape_heads(n, shape, second_parity))
+
+
 def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
     of the second-largest part), without listing them."""
-    return sum(_strict_bounded_count(rest, top, 2)
-               for _, rest, top in _shape_heads(n, BUTTERFLY_SHAPE, second_parity))
+    return count_head_tail(n, BUTTERFLY_SHAPE, second_parity)

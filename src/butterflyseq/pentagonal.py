@@ -94,7 +94,9 @@ def classify(p: Partition) -> PentClass:
 
 
 def enumerate_bars(n, h):
-    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o)."""
+    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), generated from
+    their shapes; every member is checked against _in_bar_a or _in_bar_b,
+    which stay the oracle."""
     if n < 6 or h < 3:
         raise ValueError("need n >= 6 and h >= 3")
     return _bar_sets(n, h)

@@ -20,8 +20,8 @@ one, which keeps the correspondence total.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .families import _iter_odd_parts
 from .partitions import Partition, is_butterfly_tuple
 
 STANDARD = "standard"
@@ -336,6 +336,54 @@ def matches_form(q: Partition, form) -> bool:
         return False
 
 
+def _iter_capped_tail(r, top, bound):
+    """The partitions of r into odd parts in [3, top] whose every value x
+    occurs u times with x * pow2floor(u) <= bound (the tail caps)."""
+    values = [(x, 2 * _pow2_floor(bound // x) - 1) for x in range(3, min(top, bound) + 1, 2)]
+    reach = list(accumulate(x * most for x, most in values))  # largest sum of values[:i+1]
+
+    def rec(r, i):
+        if r == 0:
+            yield ()
+        elif i >= 0 and r <= reach[i]:
+            x, most = values[i]
+            for u in range(min(most, r // x), -1, -1):
+                for rest in rec(r - u * x, i - 1):
+                    yield (x,) * u + rest
+    return rec(r, len(values) - 1)
+
+
+def iter_form_tuples(n, form):
+    """The odd-part partitions of n that match ``form`` with every cap
+    satisfied (the partitions matches_form accepts), in no particular order.
+
+    They are generated from the head and a capped tail instead of filtered
+    out of every odd partition: q3 odd >= 3 and q2 = q3 (q3 + 2 on the
+    gap-two forms); q1 = q2 + 2t (q2 + 2 + 2t) with pow2floor(2t) <= the
+    bound; the sentinel 3 where the form carries one; and a tail of odd
+    parts below q2 in which each value x occurs u times with
+    x * pow2floor(u) <= the bound.  The three specials the routing adds
+    outright come last.
+    """
+    if form not in _FORM_SENTINEL:
+        raise ValueError("unknown form %r" % form)
+    gap = 2 if _FORM_GAP2[form] else 0
+    sentinel = (3,) if _FORM_SENTINEL[form] else ()
+    rest = n - sum(sentinel)
+    # q1 + q2 + q3 = 3 * q2 + 2t, and the tail parts stay below q2
+    for q2 in range(3 + gap, rest // 3 + 1, 2):
+        q3, bound = q2 - gap, q2 - gap + _FORM_BOUND_OFFSET[form]
+        for two_t in range(0, rest - 3 * q2 + 1, 2):
+            if two_t and _pow2_floor(two_t) > bound:
+                break
+            for tail in _iter_capped_tail(rest - 3 * q2 - two_t, q2 - 2, bound):
+                yield (q2 + gap + two_t, q2, q3) + tail + sentinel
+    specials = {STEP2: [(3, 3, 3)], STEP1_SWITCHED: sorted(_SWITCHED_EVEN_SPECIALS)}
+    for parts in specials.get(form, ()):
+        if sum(parts) == n:
+            yield parts
+
+
 def count_capped(n, variant=STANDARD):
     """Counts of odd-part partitions of n matching the variant's two routed
     forms with all caps satisfied, as (even-route count, odd-route count)."""
@@ -345,11 +393,5 @@ def count_capped(n, variant=STANDARD):
         even_form, odd_form = STEP1_SWITCHED, STEP2_SWITCHED
     else:
         raise ValueError("unknown variant %r" % variant)
-    n_even = n_odd = 0
-    for parts in _iter_odd_parts(n, 3):
-        q = Partition(parts)
-        if matches_form(q, even_form):
-            n_even += 1
-        if matches_form(q, odd_form):
-            n_odd += 1
-    return n_even, n_odd
+    return (sum(1 for _ in iter_form_tuples(n, even_form)),
+            sum(1 for _ in iter_form_tuples(n, odd_form)))

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from butterflyseq.bijections import (
     BijectionError,
+    BijectionReport,
+    bar_backward,
     bar_forward,
     butterfly_backward,
     butterfly_forward,
@@ -10,7 +13,7 @@ from butterflyseq.bijections import (
     verify_bijection,
 )
 from butterflyseq.families import (
-    BUTTERFLY, CONSEC_ISOLATED, CONSEC_WITH_ONE, STRICT,
+    BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, CONSEC_ISOLATED, CONSEC_WITH_ONE, STRICT,
     Family, count_family, enumerate_family,
 )
 from butterflyseq.partitions import Partition
@@ -109,3 +112,64 @@ def test_bar_verify_below_the_first_butterfly():
     assert not verify_bijection("bar", 0, 12, 3).passed
     rep = verify_bijection("bar", 1, 20, 3)
     assert rep.passed and rep.checked == 2
+
+
+def listing_target_report(kind, lo, hi, h=3):
+    """The verifier with every target family listed, kept as the reference
+    for the one that counts its targets."""
+    failures, checked = [], 0
+    for n in range(lo, hi + 1):
+        if kind == "raise":
+            source = [p for p in enumerate_family(n - 1, Family(STRICT)) if len(p)]
+            target = [p for p in enumerate_family(n, Family(STRICT))
+                      if len(p) and (len(p) < 2 or p[0] - p[1] >= 2)]
+            fwd, back, image_family = raise_largest, lower_largest, lambda p: target
+        elif kind == "butterfly":
+            source = enumerate_family(n - 1, Family(CONSEC_WITH_ONE))
+            target = enumerate_family(n, Family(CONSEC_ISOLATED))
+            fwd, back, image_family = butterfly_forward, butterfly_backward, lambda p: target
+        else:
+            ae, ao, be, bo = (enumerate_family(n, Family(k, h))
+                              for k in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
+            source, target = ae + ao, be + bo
+            fwd, back = (lambda p: bar_forward(p, h)), (lambda p: bar_backward(p, h))
+            # the image swaps the parity of the second-largest part
+            image_family = lambda p: bo if p in ae else be
+            if len(ae) != len(bo) or len(ao) != len(be):
+                failures.append((n, "parity-swapped cardinalities differ"))
+        images = []
+        for p in source:
+            img = fwd(p)
+            checked += 1
+            if img not in image_family(p):
+                failures.append((n, "image %s of %s outside the target family" % (img, p)))
+            if back(img) != p:
+                failures.append((n, "backward did not recover %s" % p))
+            images.append(img)
+        if len(set(images)) != len(images):
+            failures.append((n, "forward map is not injective"))
+        if len(source) != len(target):
+            failures.append((n, "count mismatch: %d sources vs %d targets"
+                             % (len(source), len(target))))
+    return BijectionReport(kind, (lo, hi), checked, checked > 0 and not failures,
+                           tuple(failures))
+
+
+@pytest.mark.parametrize("kind, lo, hi, h", [
+    ("raise", 2, 40, 3),
+    ("butterfly", 6, 40, 3),
+    ("bar", 6, 60, 3),
+    ("bar", 6, 60, 4),
+])
+def test_counted_targets_agree_with_listed_targets(kind, lo, hi, h):
+    assert verify_bijection(kind, lo, hi, h) == listing_target_report(kind, lo, hi, h)
+
+
+# one example lists a whole A(n, h) half, up to 2,561 partitions, so the
+# per-example time follows the host's speed rather than a fixed deadline
+@settings(deadline=None)
+@given(st.integers(min_value=9, max_value=120), st.integers(min_value=3, max_value=6),
+       st.sampled_from([BAR_AE, BAR_AO]))
+def test_bar_round_trip_over_generated_a_sets(n, h, kind):
+    for p in enumerate_family(n, Family(kind, h)):
+        assert bar_backward(bar_forward(p, h), h) == p

@@ -4,7 +4,8 @@ from butterflyseq.families import (
     BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD,
     BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE,
     CONSEC_WITH_ONE, DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1,
-    ODD_STEP2, STAIRCASE_321, STAIRCASE_33, STRICT,
+    ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321,
+    STAIRCASE_33, STRICT,
     Family, count_family, enumerate_family, in_family,
 )
 from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
@@ -149,3 +150,42 @@ def test_head_and_tail_listings_equal_the_filtered_candidates():
                          reverse=True)
         want = [t for t in triples if in_family(P(t), Family(EQUAL_TRIPLE))]
         assert [p.parts for p in enumerate_family(n, Family(EQUAL_TRIPLE))] == want, n
+
+
+BAR_KINDS = (BAR_AE, BAR_AO, BAR_BE, BAR_BO)
+ODD_STEP_KINDS = (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED)
+
+
+def test_bar_sets_generated_from_shape_equal_the_filtered_butterflies():
+    """The bar families, generated from their shapes, equal the butterflies of
+    n kept by the shape predicates and split on the parity of the second
+    part, for n <= 120 and h = 3..6."""
+    from butterflyseq.families import _in_bar_a, _in_bar_b
+    from butterflyseq.partitions import iter_butterfly_tuples
+    for n in range(121):
+        butterflies = list(iter_butterfly_tuples(n))
+        for h in range(3, 7):
+            want = ([], [], [], [])
+            for t in butterflies:
+                if _in_bar_a(t, h):
+                    want[t[1] % 2].append(t)
+                if _in_bar_b(t, h):
+                    want[2 + t[1] % 2].append(t)
+            for kind, parts in zip(BAR_KINDS, want):
+                got = [p.parts for p in enumerate_family(n, Family(kind, h))]
+                assert got == parts, (kind, h, n)
+
+
+def test_odd_step_forms_generated_from_head_and_tail_equal_the_filtered_odd_parts():
+    """The capped odd-step forms, specials included, equal the partitions into
+    odd parts >= 3 kept by the membership predicate, for n <= 70."""
+    from butterflyseq.families import _iter_odd_parts
+    for n in range(71):
+        odd = [P(t) for t in _iter_odd_parts(n, 3)]
+        for kind in ODD_STEP_KINDS:
+            fam = Family(kind)
+            want = [p for p in odd if in_family(p, fam)]
+            assert enumerate_family(n, fam) == want, (kind, n)
+    assert [list(p) for p in enumerate_family(9, Family(ODD_STEP2))] == [[3, 3, 3]]
+    assert [list(p) for p in enumerate_family(12, Family(ODD_STEP1_SWITCHED))] == [[3, 3, 3, 3]]
+    assert [5, 3, 3, 3] in lists(14, Family(ODD_STEP1_SWITCHED))

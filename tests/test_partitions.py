@@ -9,6 +9,7 @@ from butterflyseq.partitions import (
     Partition,
     count_butterfly,
     count_distinct_with_parts,
+    count_head_tail,
     count_no_ones_repeated_top_table,
     count_no_ones_table,
     count_odd_ge_table,
@@ -16,6 +17,7 @@ from butterflyseq.partitions import (
     count_strict_table,
     euler_product,
     iter_butterfly_tuples,
+    iter_head_tail_tuples,
     iter_partition_tuples,
     iter_strict_tuples,
     pentagonal_offsets,
@@ -36,6 +38,21 @@ def test_partition_validation():
         Partition([2, 0])
 
 
+@pytest.mark.parametrize("parts, message", [
+    ((3, 4), "parts must be non-increasing: (3, 4)"),
+    ((2, 0), "parts must be positive integers: (2, 0)"),
+    ((0,), "parts must be positive integers: (0,)"),
+    ((5, -1, -2), "parts must be positive integers: (5, -1, -2)"),
+    # both rules broken: the first violation in reading order is reported
+    ((2, 3, 0), "parts must be non-increasing: (2, 3, 0)"),
+    ((2, 0, 3), "parts must be positive integers: (2, 0, 3)"),
+])
+def test_partition_rejection_names_the_first_violation(parts, message):
+    with pytest.raises(ValueError) as exc:
+        Partition(parts)
+    assert str(exc.value) == message
+
+
 def test_partition_is_immutable_and_hashable():
     p = Partition([5, 3])
     with pytest.raises(AttributeError):
@@ -50,6 +67,12 @@ def test_parse_and_str_round_trip():
     assert Partition.parse("5+6+7") == Partition([7, 6, 5])
     assert Partition.parse("") == Partition([])
     assert str(Partition([])) == ""
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), max_size=12))
+def test_parse_inverts_str(parts):
+    p = Partition(sorted(parts, reverse=True))
+    assert Partition.parse(str(p)) == p
 
 
 def test_consecutive_run():
@@ -97,6 +120,15 @@ def test_butterfly_enumerator_properties(n):
     assert even == count_butterfly(n, 0)
     assert odd == count_butterfly(n, 1)
     assert even + odd == len(shapes)
+
+
+def test_count_head_tail_equals_the_listing():
+    from butterflyseq.families import _HEAD_TAIL
+    for shape, _ in set(_HEAD_TAIL.values()):
+        for parity in (None, 0, 1):
+            for n in range(71):
+                assert count_head_tail(n, shape, parity) == sum(
+                    1 for _ in iter_head_tail_tuples(n, shape, parity)), (shape, parity, n)
 
 
 def test_counting_tables_against_brute_force():

@@ -5,11 +5,13 @@ enumerator returning partitions in lexicographically decreasing order.  The
 consecutive-pair, butterfly and equal-triple families are listed from their
 head-and-tail shapes (_HEAD_TAIL) by one lister in partitions, while their
 predicates stay independent of it.  The horizontal- and vertical-bar sets
-are generated from their shapes by the same lister (_iter_bar_tuples), and
-the capped odd-step forms by splitmerge.iter_form_tuples, so neither lists a
-larger family to filter it.  Every partition those two generators produce is
-checked against its predicate (_in_bar_a, _in_bar_b, splitmerge.matches_form),
-which stays the oracle.  Counting goes through a fast exact path where one
+are generated from their shapes by the same lister (_iter_bar_tuples), the
+consecutive pairs ending in 1 from the r1 shape with the part 1 appended
+(_iter_consec_with_one), and the capped odd-step forms by
+splitmerge.iter_form_tuples, so none lists a larger family to filter it.
+Every partition those generators produce is checked against its predicate
+(_in_bar_a, _in_bar_b, in_family, splitmerge.matches_form), which stays the
+oracle.  Counting goes through a fast exact path where one
 exists (the predicates and listers remain the oracle it is checked against).
 """
 
@@ -239,7 +241,7 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     elif kind in _HEAD_TAIL:
         tuples = iter_head_tail_tuples(n, *_HEAD_TAIL[kind])
     elif kind == CONSEC_WITH_ONE:
-        tuples = (t for t in iter_head_tail_tuples(n, *_HEAD_TAIL[CONSEC]) if t[-1] == 1)
+        tuples = _iter_consec_with_one(n)
     elif kind == STAIRCASE_321:
         tuples = _iter_staircase(n, 1, (2, 1))
     elif kind == STAIRCASE_33:
@@ -257,7 +259,7 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     else:
         raise ValueError("unknown family %r" % (f,))
     result = [Partition(t) for t in sorted(tuples, reverse=True)]
-    if kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
+    if kind == CONSEC_WITH_ONE or kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
         # generated from shape: the predicate stays the oracle of every member
         for p in result:
             if not in_family(p, f):
@@ -309,6 +311,16 @@ def _iter_bar_tuples(n, h, vertical, second_parity):
     for end in (((), (2,)) if vertical else ((h,), (h, 2))):
         for t in iter_head_tail_tuples(n - sum(end), shape, second_parity):
             yield t + end
+
+
+def _iter_consec_with_one(n):
+    """The consecutive-pair partitions of n whose smallest part is 1: an r1
+    partition of n - 1 (pair over a strict tail of parts >= 2) with the part 1
+    appended, and (2, 1) at n = 3."""
+    if n == 3:
+        yield (2, 1)
+    for t in iter_head_tail_tuples(n - 1, *_HEAD_TAIL[CONSEC_NO_ONE]):
+        yield t + (1,)
 
 
 def _bar_sets(n, h):

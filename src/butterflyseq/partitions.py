@@ -9,8 +9,9 @@ One lister, iter_head_tail_tuples, serves every family shaped as a head of
 consecutive or equal largest parts over a strict tail (consecutive pairs,
 butterflies, equal triples); count_head_tail counts over the same heads.
 The pentagonal kernel (pentagonal_solve) is the production route for the
-strict-partition counts and the checksum solver; the part-by-part DPs stay as
-the independent oracles it is checked against, and count p and its relatives.
+strict-partition counts, the partition counts p and their differences, and
+the checksum solver; the part-by-part DPs stay as the independent oracles it
+is checked against, and as the product sides of the series identities.
 """
 
 import operator

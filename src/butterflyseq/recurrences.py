@@ -15,7 +15,7 @@ them; solving that relation for name(m) rebuilds the whole table.
 from math import isqrt
 
 from .partitions import pentagonal_offsets, pentagonal_solve
-from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, named_sequence
+from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, counting_dp, named_sequence
 
 PENT_BASES = {"q": "p", "r": "dp", "s": "d2p"}
 
@@ -30,8 +30,10 @@ def _basis_reader(name, m, basis, tables, step):
 
     The basis table sits on the lattice step * Z (basis(h) at degree
     step * h) and is spread by the difference polynomial of name for basis
-    "p-with-poly".  Tables are kept in ``tables`` and rebuilt only when
-    shorter than m, so callers evaluating many m can share them.
+    "p-with-poly".  The basis comes from its counting DP (counting_dp), not
+    from named_sequence, whose p, dp and d2p come from the pentagonal kernel
+    the route is meant to check.  Tables are kept in ``tables`` and rebuilt
+    only when shorter than m, so callers evaluating many m can share them.
     """
     if name not in PENT_BASES:
         raise ValueError("no recurrence route for %r" % name)
@@ -45,8 +47,8 @@ def _basis_reader(name, m, basis, tables, step):
         raise ValueError("unknown basis %r" % basis)
     if tables is None:
         tables = {}
-    if key not in tables or tables[key].last_n < m:
-        tables[key] = named_sequence(key, max(m, 0))
+    if key not in tables or len(tables[key]) <= m:
+        tables[key] = counting_dp(key, max(m, 0))
     table = tables[key]
 
     def at(j):
@@ -142,11 +144,30 @@ def expected_checksum(name, m):
     return sum(w * _is_triangular(m - d) for d, w in enumerate(DIFF_WEIGHTS[name]))
 
 
+def expected_checksum_series(name, N):
+    """[expected_checksum(name, m) for m in 0..N], written only at the
+    triangular numbers T <= N: the difference polynomial's weight d lands
+    at T + d, so the series costs O(sqrt(N)) writes."""
+    if name not in DIFF_WEIGHTS:
+        raise ValueError("unknown checksum sequence %r" % name)
+    out = [0] * (N + 1)
+    T, k = 0, 0
+    while T <= N:
+        for d, w in enumerate(DIFF_WEIGHTS[name]):
+            if T + d <= N:
+                out[T + d] += w
+        k += 1
+        T += k
+    return out
+
+
 def recursive_solve(name, N) -> SequenceTable:
     """Rebuild the table from the checksum relation alone: the table times
     prod (1 - x^{2j}) is the expected checksum series, so
-    name(m) = expected_checksum(name, m) - alternating pentagonal sum."""
+    name(m) = expected_checksum(name, m) - alternating pentagonal sum.  The
+    right-hand side is expected_checksum_series, and pentagonal_solve divides
+    it in O(N^{3/2})."""
     if N < 0:
         raise ValueError("N=%d below the offset 0 of %s" % (N, name))
-    rhs = [expected_checksum(name, m) for m in range(N + 1)]
-    return SequenceTable(name, 0, pentagonal_solve(rhs, 2), RECURRENCE)
+    return SequenceTable(name, 0, pentagonal_solve(expected_checksum_series(name, N), 2),
+                         RECURRENCE)

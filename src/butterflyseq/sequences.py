@@ -32,6 +32,16 @@ RECURRENCE = "recurrence"
 # (1 + x + x^2)(1 - x)^2: name -> coefficients of x^0, x^1, ...
 DIFF_WEIGHTS = {"q": (1,), "r": (1, -1), "s": (1, -2, 1), "t": (1, -1, 0, -1, 1)}
 
+# dp and d2p are p times (1 - x) and (1 - x)^2, and d2p adds x - x^2: no
+# partition of 1 or 2 is free of 1s with a repeated largest part, where the
+# second difference of p reads -1 and +1
+_P_WEIGHTS = {"p": (1,), "dp": (1, -1), "d2p": (1, -2, 1)}
+
+# p, dp and d2p -> the part-by-part counting DP in partitions that checks
+# them, by name, so that a rebound partitions function is the one called
+_COUNTING_DPS = {"p": "count_partitions_table", "dp": "count_no_ones_table",
+                 "d2p": "count_no_ones_repeated_top_table"}
+
 
 @dataclass(frozen=True)
 class SequenceTable:
@@ -83,12 +93,14 @@ SEQUENCE_NAMES = tuple(_OFFSETS)
 def named_sequence(name, N) -> SequenceTable:
     """Values of the named sequence for inputs offset..N.
 
-    q comes from the pentagonal kernel (partitions.strict_pentagonal_table,
-    O(N^{3/2}) additions); r, s and t apply their difference polynomials
-    (DIFF_WEIGHTS) to q by construction here.  The distinct-part DP and the
+    q and p come from the pentagonal kernel (partitions.pentagonal_solve,
+    O(N^{3/2}) additions): q solves Q(x) E(x) = E(x^2) and p solves
+    P(x) E(x) = 1, with E(x) = prod (1 - x^j).  r, s and t apply their
+    difference polynomials (DIFF_WEIGHTS) to q, and dp and d2p theirs
+    (_P_WEIGHTS) to p, by construction here.  The O(N^2) counting DPs and the
     family enumerations they are cross-checked against live in
-    crosscheck_table and the test suite.  p, dp and d2p come from their
-    counting DPs, and the remaining tables from family counts.
+    crosscheck_table, counting_dp and the test suite.  The remaining tables
+    come from family counts.
     """
     if name not in _OFFSETS:
         raise ValueError("unknown sequence %r" % name)
@@ -96,13 +108,13 @@ def named_sequence(name, N) -> SequenceTable:
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
     if name in DIFF_WEIGHTS:
-        return SequenceTable(name, 0, _weighted(name, pt.strict_pentagonal_table(N)))
-    if name == "p":
-        return SequenceTable("p", 0, pt.count_partitions_table(N))
-    if name == "dp":
-        return SequenceTable("dp", 0, pt.count_no_ones_table(N))
-    if name == "d2p":
-        return SequenceTable("d2p", 0, pt.count_no_ones_repeated_top_table(N))
+        q = pt.strict_pentagonal_table(N)
+        return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], q))
+    if name in _P_WEIGHTS:
+        vals = _weighted(_P_WEIGHTS[name], pt.pentagonal_solve([1] + [0] * N, 1))
+        if name == "d2p":  # + x - x^2
+            vals[1:3] = [v + c for v, c in zip(vals[1:3], (1, -1))]
+        return SequenceTable(name, 0, vals)
 
     family = {
         "r1": Family(CONSEC_NO_ONE),
@@ -123,11 +135,17 @@ def named_sequence(name, N) -> SequenceTable:
     return SequenceTable(name, offset, vals[::-1])
 
 
-def _weighted(name, q):
-    """q times the difference polynomial of the named sequence, through the
-    length of q."""
-    return [sum(w * q[n - d] for d, w in enumerate(DIFF_WEIGHTS[name]) if d <= n)
-            for n in range(len(q))]
+def _weighted(weights, series):
+    """series times the polynomial with coefficients weights, through the
+    length of series."""
+    return [sum(w * series[n - d] for d, w in enumerate(weights) if d <= n)
+            for n in range(len(series))]
+
+
+def counting_dp(name, N):
+    """[name(0..N)] for p, dp or d2p from its O(N^2) part-by-part counting DP
+    in partitions: the oracle of the pentagonal route of named_sequence."""
+    return getattr(pt, _COUNTING_DPS[name])(N)
 
 
 # parity-refined count families: name -> (family, parity of its split key)
@@ -219,7 +237,8 @@ def crosscheck_table(name, N) -> list:
     q is checked against explicit strict enumeration, the odd-parts counts
     and the distinct-part DP, r against both the difference of the DP's q and
     the odd-parts>=3 counts, s against the second difference of the DP's q
-    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts.
+    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts, and p,
+    dp and d2p against their counting DPs.
     """
     table = named_sequence(name, N)
     mismatches = []
@@ -237,7 +256,7 @@ def crosscheck_table(name, N) -> list:
             check(n, odd1[n], table[n], "odd-parts")
             check(n, strict[n], table[n], "strict-dp")
     elif name in ("r", "s"):
-        diff = _weighted(name, pt.count_strict_table(N))
+        diff = _weighted(DIFF_WEIGHTS[name], pt.count_strict_table(N))
         for n in range(N + 1):
             check(n, diff[n], table[n], "difference")
         if name == "r":
@@ -255,6 +274,10 @@ def crosscheck_table(name, N) -> list:
         parity = 0 if name == "s_e" else 1
         for n in range(6, N + 1):
             check(n, pt.count_butterfly(n, parity), table[n], "butterfly-parity")
+    elif name in _COUNTING_DPS:
+        counted = counting_dp(name, N)
+        for n in range(N + 1):
+            check(n, counted[n], table[n], "counting-dp")
     else:
         raise ValueError("no cross-check route for %r" % name)
     return mismatches

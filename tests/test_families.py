@@ -189,3 +189,13 @@ def test_odd_step_forms_generated_from_head_and_tail_equal_the_filtered_odd_part
     assert [list(p) for p in enumerate_family(9, Family(ODD_STEP2))] == [[3, 3, 3]]
     assert [list(p) for p in enumerate_family(12, Family(ODD_STEP1_SWITCHED))] == [[3, 3, 3, 3]]
     assert [5, 3, 3, 3] in lists(14, Family(ODD_STEP1_SWITCHED))
+
+
+def test_consec_with_one_generated_equals_the_filtered_consecutive_pairs():
+    """r2, generated as the r1 shape at n - 1 with a part 1 appended (and
+    (2, 1) at n = 3), equals the consecutive-pair listing kept where the
+    smallest part is 1, for n <= 70."""
+    for n in range(71):
+        want = [p for p in enumerate_family(n, Family(CONSEC)) if p.parts[-1] == 1]
+        assert enumerate_family(n, Family(CONSEC_WITH_ONE)) == want, n
+    assert lists(3, Family(CONSEC_WITH_ONE)) == [[2, 1]]

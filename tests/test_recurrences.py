@@ -5,12 +5,13 @@ from butterflyseq.recurrences import (
     CHECKSUM_NAMES,
     checksum,
     expected_checksum,
+    expected_checksum_series,
     recur_value,
     recursive_solve,
     triangular_value,
     validate_route,
 )
-from butterflyseq.sequences import named_sequence
+from butterflyseq.sequences import counting_dp, named_sequence
 
 
 def test_recur_value_examples():
@@ -78,13 +79,41 @@ def test_validate_route_builds_each_table_once(monkeypatch, kind, name, basis):
     want = [row for row in want if row[1] != row[2]]
     built = []
 
-    def counting(key, n):
-        built.append(key)
-        return named_sequence(key, n)
+    def counting(build):
+        def wrapper(key, n):
+            built.append(key)
+            return build(key, n)
+        return wrapper
 
-    monkeypatch.setattr(rec, "named_sequence", counting)
+    monkeypatch.setattr(rec, "named_sequence", counting(named_sequence))
+    monkeypatch.setattr(rec, "counting_dp", counting(counting_dp))
     assert validate_route(kind, name, basis, N) == want
+    assert name in built and len(built) > 1
     assert sorted(built) == sorted(set(built))
+
+
+@pytest.mark.parametrize("kind,name,basis", [
+    ("pentagonal", "q", "p"), ("pentagonal", "r", "dp"), ("pentagonal", "s", "p-with-poly"),
+    ("triangular", "q", "p"), ("triangular", "s", "p-with-poly"),
+])
+def test_recurrence_routes_read_the_counting_dps_not_the_pentagonal_kernel(
+        monkeypatch, kind, name, basis):
+    """The recurrence routes check tables that the pentagonal kernel builds,
+    so their basis must come from elsewhere: with named_sequence answered
+    from a table built beforehand, a route calls the counting DP and never
+    pentagonal_solve (otherwise the q route would compare E(x^2)/E(x) with
+    itself)."""
+    import butterflyseq.partitions as pt
+    import butterflyseq.recurrences as rec
+    N = 60
+    table = named_sequence(name, N)
+    dps = []
+    monkeypatch.setattr(rec, "named_sequence", lambda seq_name, n: (
+        table if seq_name == name else named_sequence(seq_name, n)))
+    monkeypatch.setattr(pt, "pentagonal_solve", lambda *args: pytest.fail("kernel called"))
+    monkeypatch.setattr(rec, "counting_dp", lambda key, n: dps.append(key) or counting_dp(key, n))
+    assert validate_route(kind, name, basis, N) == []
+    assert dps == [rec.PENT_BASES["q"] if basis == "p-with-poly" else basis]
 
 
 def test_basis_mismatch_raises():
@@ -92,6 +121,13 @@ def test_basis_mismatch_raises():
         recur_value("q", 5, "dp")
     with pytest.raises(ValueError):
         triangular_value("r", 5, "p")
+
+
+@pytest.mark.parametrize("name", CHECKSUM_NAMES)
+def test_expected_checksum_series_equals_the_per_m_values(name):
+    for N in list(range(61)) + [10 ** 4]:
+        assert expected_checksum_series(name, N) == [
+            expected_checksum(name, m) for m in range(N + 1)], (name, N)
 
 
 def test_checksum_examples():

@@ -151,8 +151,11 @@ def test_parity_structure_of_s():
 
 
 def test_crosschecks_pass():
-    for name in ("q", "r", "s", "t", "s_e", "s_o"):
+    for name in ("q", "r", "s", "t", "s_e", "s_o", "p", "dp", "d2p"):
         assert crosscheck_table(name, 50) == []
+    for name in ("p", "dp", "d2p"):  # d2p's + x - x^2 in the shortest tables too
+        for N in (0, 1, 2, 400):
+            assert crosscheck_table(name, N) == []
 
 
 @pytest.mark.parametrize("name, routes", [
@@ -162,6 +165,9 @@ def test_crosschecks_pass():
     ("t", ("odd-ge-5",)),
     ("s_e", ("butterfly-parity",)),
     ("s_o", ("butterfly-parity",)),
+    ("p", ("counting-dp",)),
+    ("dp", ("counting-dp",)),
+    ("d2p", ("counting-dp",)),
 ])
 def test_crosscheck_reports_an_altered_value(monkeypatch, name, routes):
     real = sequences.named_sequence
@@ -194,6 +200,38 @@ def test_difference_route_reports_an_altered_q(monkeypatch, name, moved):
     monkeypatch.setattr(sequences.pt, "strict_pentagonal_table", altered)
     found = crosscheck_table(name, 30)
     assert sorted(n for _, n, route, _, _ in found if route == "difference") == list(moved)
+
+
+@pytest.mark.parametrize("name, dp", [
+    ("p", "count_partitions_table"),
+    ("dp", "count_no_ones_table"),
+    ("d2p", "count_no_ones_repeated_top_table"),
+])
+def test_p_tables_call_the_pentagonal_kernel_and_their_routes_the_dp(monkeypatch, name, dp):
+    """The production table never runs its O(N^2) DP, and the cross-check
+    route runs the DP and never the pentagonal kernel, so the two are
+    independent."""
+    real_dp, real_kernel = getattr(sequences.pt, dp), sequences.pt.pentagonal_solve
+    calls = {"dp": 0, "kernel": 0}
+
+    def refuse(*args):
+        raise AssertionError("reached a function it must not call")
+
+    def counted(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(sequences.pt, dp, refuse)
+    monkeypatch.setattr(sequences.pt, "pentagonal_solve", counted("kernel", real_kernel))
+    table = named_sequence(name, 80)
+    assert calls["kernel"] == 1
+    monkeypatch.setattr(sequences, "named_sequence", lambda seq_name, N: table)
+    monkeypatch.setattr(sequences.pt, "pentagonal_solve", refuse)
+    monkeypatch.setattr(sequences.pt, dp, counted("dp", real_dp))
+    assert crosscheck_table(name, 80) == []
+    assert calls["dp"] == 1
 
 
 def test_exports():

@@ -244,7 +244,7 @@ def build_parser():
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--exceptions", action="store_true",
                    help="list the closed-form exceptional inputs instead")
-    p.add_argument("--to", type=int, default=51)
+    p.add_argument("--to", type=_order, default=51)
     p.set_defaults(fn=_cmd_parity)
 
     p = sub.add_parser("verify", help="verify a generating-function identity")

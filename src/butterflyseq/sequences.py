@@ -237,8 +237,11 @@ def crosscheck_table(name, N) -> list:
     q is checked against explicit strict enumeration, the odd-parts counts
     and the distinct-part DP, r against both the difference of the DP's q and
     the odd-parts>=3 counts, s against the second difference of the DP's q
-    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts, and p,
-    dp and d2p against their counting DPs.
+    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts, p,
+    dp and d2p against their counting DPs, and s_e and s_o (n >= 6) against
+    (s + delta)/2 and (s - delta)/2, with s the second difference of the DP's
+    q and delta the parity theorem's sign (EXCEPTION_SIGNS at the closed-form
+    inputs, 0 elsewhere); an odd s +- delta is a mismatch (expected None).
     """
     table = named_sequence(name, N)
     mismatches = []
@@ -271,9 +274,13 @@ def crosscheck_table(name, N) -> list:
         for n in range(N + 1):
             check(n, odd5[n], table[n], "odd-ge-5")
     elif name in ("s_e", "s_o"):
-        parity = 0 if name == "s_e" else 1
+        # s_e - s_o = delta, the sign at the closed-form inputs and 0 elsewhere
+        s = _weighted(DIFF_WEIGHTS["s"], pt.count_strict_table(N))
+        delta = {v: EXCEPTION_SIGNS[form] for v, form, _ in _exception_values(N)}
+        sign = 1 if name == "s_e" else -1
         for n in range(6, N + 1):
-            check(n, pt.count_butterfly(n, parity), table[n], "butterfly-parity")
+            twice = s[n] + sign * delta.get(n, 0)
+            check(n, twice // 2 if twice % 2 == 0 else None, table[n], "butterfly-parity")
     elif name in _COUNTING_DPS:
         counted = counting_dp(name, N)
         for n in range(N + 1):

@@ -21,6 +21,7 @@ one, which keeps the correspondence total.
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .partitions import Partition, is_butterfly_tuple
 
@@ -32,13 +33,32 @@ STEP2 = "step2"
 STEP1_SWITCHED = "step1_switched"
 STEP2_SWITCHED = "step2_switched"
 
-# form -> (sentinel carried, head-gap rule, cap bound as offset from q3)
-_FORM_SENTINEL = {STEP1: True, STEP2: False, STEP1_SWITCHED: True, STEP2_SWITCHED: False}
-_FORM_GAP2 = {STEP1: False, STEP2: True, STEP1_SWITCHED: True, STEP2_SWITCHED: False}
-_FORM_BOUND_OFFSET = {STEP1: -1, STEP2: 0, STEP1_SWITCHED: 1, STEP2_SWITCHED: -2}
 
-# switched even-route specials: images of the two butterflies with head 5>4>3
-_SWITCHED_EVEN_SPECIALS = {(3, 3, 3, 3), (5, 3, 3, 3)}
+class _Form(NamedTuple):
+    sentinel: bool   # carries a smallest part 3 set aside from the tail
+    gap: int         # q2 - q3 on the head: 0 (equal pair) or 2
+    offset: int      # the caps' bound is q3 + offset
+    outright: dict   # odd partition -> butterfly, routed here whatever its head
+
+
+# A gap-two head over second part 3 or 4 would need a part 1, so those
+# butterflies go outright: 4+3+2 to 3+3+3, and head 5>4>3 to its standard
+# even images.
+_FORMS = {
+    STEP1: _Form(True, 0, -1, {}),
+    STEP2: _Form(False, 2, 0, {(3, 3, 3): (4, 3, 2)}),
+    STEP1_SWITCHED: _Form(True, 2, 1, {(3, 3, 3, 3): (5, 4, 3), (5, 3, 3, 3): (5, 4, 3, 2)}),
+    STEP2_SWITCHED: _Form(False, 0, -2, {}),
+}
+
+# variant -> (form of the even-second-part route, form of the odd one)
+_VARIANTS = {STANDARD: (STEP1, STEP2), SWITCHED: (STEP1_SWITCHED, STEP2_SWITCHED)}
+
+
+def _forms_of(variant):
+    if variant not in _VARIANTS:
+        raise ValueError("unknown variant %r" % variant)
+    return _VARIANTS[variant]
 
 
 class SplitMergeError(ValueError):
@@ -85,36 +105,30 @@ class MergeCaps:
 def caps_of(q: Partition, variant=STANDARD, form=None) -> MergeCaps:
     """Evaluate the merging caps of ``q`` against a routed form.
 
-    The form is inferred from the head shape when not given.  All
-    comparisons are exact integer arithmetic.
+    The form is inferred from the head shape when not given.  A partition
+    the form takes outright is measured against the standard route of its
+    butterfly's parity: the images of head 5>4>3 against the standard even
+    form, and 3+3+3 against step2, whose head it does not have, so it is
+    refused.  All comparisons are exact integer arithmetic.
     """
     parts = q.parts
     if any(x % 2 == 0 or x < 3 for x in parts):
         raise ShapeError("parts must be odd and >= 3: %s" % q)
     if form is None:
         form = _route(parts, variant)
-    if form not in _FORM_SENTINEL:
+    if form not in _FORMS:
         raise ShapeError("unknown form %r" % form)
     if len(parts) < 3:
         raise ShapeError("need at least three parts: %s" % q)
-    if form == STEP1_SWITCHED and parts in _SWITCHED_EVEN_SPECIALS:
-        # the switched even route coincides with the standard one on these,
-        # so the standard geometry applies
-        inner = caps_of(q, STANDARD, STEP1)
-        return MergeCaps(form=form, bound=inner.bound, two_t=inner.two_t,
-                         u_by_q=inner.u_by_q, v=inner.v,
-                         largest_pows=inner.largest_pows, checks=inner.checks)
+    butterfly = _FORMS[form].outright.get(parts)
+    shape = _FORMS[_VARIANTS[STANDARD][butterfly[1] % 2] if butterfly else form]
     q1, q2, q3 = parts[0], parts[1], parts[2]
-    if _FORM_GAP2[form]:
-        if q2 != q3 + 2 or q1 < q2 + 2:
-            raise ShapeError("head does not match the gap-two form: %s" % q)
-        two_t = q1 - q2 - 2
-    else:
-        if q2 != q3:
-            raise ShapeError("head does not match the equal-pair form: %s" % q)
-        two_t = q1 - q2
+    if q2 != q3 + shape.gap or q1 < q2 + shape.gap:
+        raise ShapeError("head does not match the %s form: %s"
+                         % ("gap-two" if shape.gap else "equal-pair", q))
+    two_t = q1 - q2 - shape.gap
     tail = list(parts[3:])
-    if _FORM_SENTINEL[form]:
+    if shape.sentinel:
         if 3 not in tail:
             raise ShapeError("form requires a smallest part 3: %s" % q)
         tail.remove(3)
@@ -125,7 +139,7 @@ def caps_of(q: Partition, variant=STANDARD, form=None) -> MergeCaps:
             v += 1
         else:
             u_by_q[x] = u_by_q.get(x, 0) + 1
-    bound = q3 + _FORM_BOUND_OFFSET[form]
+    bound = q3 + shape.offset
 
     largest_pows = {}
     checks = {}
@@ -144,37 +158,24 @@ def caps_of(q: Partition, variant=STANDARD, form=None) -> MergeCaps:
 
 
 def _route(parts, variant):
-    """Pick the routed form from the head shape (merge-side dispatch)."""
+    """Pick the routed form from the head shape (merge-side dispatch): a
+    partition one of the variant's forms takes outright, else the form
+    whose head gap q2 - q3 it has."""
     if len(parts) < 3:
         raise ShapeError("need at least three parts")
-    q2, q3 = parts[1], parts[2]
-    if variant == STANDARD:
-        if parts == (3, 3, 3):
-            return STEP2
-        if q2 == q3:
-            return STEP1
-        if q2 == q3 + 2:
-            return STEP2
-    elif variant == SWITCHED:
-        if parts in _SWITCHED_EVEN_SPECIALS:
-            return STEP1_SWITCHED
-        if q2 == q3:
-            return STEP2_SWITCHED
-        if q2 == q3 + 2:
-            return STEP1_SWITCHED
-    else:
-        raise ValueError("unknown variant %r" % variant)
+    forms = _forms_of(variant)
+    for form in forms:
+        if parts in _FORMS[form].outright:
+            return form
+    for form in forms:
+        if parts[1] - parts[2] == _FORMS[form].gap:
+            return form
     raise ShapeError("head shape matches neither routed form: %s" % Partition(parts))
 
 
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
-
-def _require_butterfly(p: Partition):
-    if not is_butterfly_tuple(p.parts):
-        raise SplitMergeError("not a butterfly partition: %s" % p)
-
 
 def _split_tail(tail):
     """Fold power-of-two parts into 2t, Euler-split even non-powers of two."""
@@ -195,14 +196,21 @@ def _split_tail(tail):
     return two_t, odd
 
 
-def _split_to(p: Partition, form) -> Partition:
-    """Split a butterfly partition into the odd-part shape of ``form``."""
+def _split_route(p: Partition, variant, parity=None) -> Partition:
+    """Split a butterfly partition along the variant's route for the parity
+    of its second part (which must be ``parity`` when given)."""
+    forms = _forms_of(variant)
+    if not is_butterfly_tuple(p.parts):
+        raise SplitMergeError("not a butterfly partition: %s" % p)
+    if parity is not None and p[1] % 2 != parity:
+        raise SplitMergeError("second part must be %s: %s" % ("odd" if parity else "even", p))
+    shape = _FORMS[forms[p[1] % 2]]
+    for odd, butterfly in shape.outright.items():
+        if butterfly == p.parts:
+            return Partition(odd)
     c = p[1] if p[1] % 2 else p[1] - 1  # the largest odd value <= the second part
     two_t, odd_tail = _split_tail(p.parts[3:])
-    head = (c + 2 + two_t, c, c - 2) if _FORM_GAP2[form] else (c + two_t, c, c)
-    parts = list(head) + odd_tail
-    if _FORM_SENTINEL[form]:
-        parts.append(3)
+    parts = [c + shape.gap + two_t, c, c - shape.gap] + odd_tail + [3] * shape.sentinel
     out = Partition(sorted(parts, reverse=True))
     assert out.n == p.n
     return out
@@ -210,40 +218,21 @@ def _split_to(p: Partition, form) -> Partition:
 
 def split_even(p: Partition) -> Partition:
     """Standard split of a butterfly partition with even second part."""
-    _require_butterfly(p)
-    if p[1] % 2 != 0:
-        raise SplitMergeError("second part must be even: %s" % p)
-    return _split_to(p, STEP1)
+    return _split_route(p, STANDARD, 0)
 
 
 def split_odd(p: Partition) -> Partition:
     """Standard split of a butterfly partition with odd second part."""
-    _require_butterfly(p)
-    if p[1] % 2 != 1:
-        raise SplitMergeError("second part must be odd: %s" % p)
-    if p.parts == (4, 3, 2):
-        return Partition((3, 3, 3))
-    return _split_to(p, STEP2)
+    return _split_route(p, STANDARD, 1)
 
 
 def split_switched(p: Partition) -> Partition:
     """Split under the switched variant (shapes of the two routes exchanged)."""
-    _require_butterfly(p)
-    if p[1] % 2:
-        return _split_to(p, STEP2_SWITCHED)
-    if p[1] == 4:
-        # head 5>4>3: the gap-two shape would need a part below 3, so the
-        # switched route coincides with the standard one here
-        return split_even(p)
-    return _split_to(p, STEP1_SWITCHED)
+    return _split_route(p, SWITCHED)
 
 
 def split(p: Partition, variant=STANDARD) -> Partition:
-    if variant == STANDARD:
-        return split_even(p) if p[1] % 2 == 0 else split_odd(p)
-    if variant == SWITCHED:
-        return split_switched(p)
-    raise ValueError("unknown variant %r" % variant)
+    return _split_route(p, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +250,17 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
     parts = q.parts
     if any(x % 2 == 0 or x < 3 for x in parts):
         raise ShapeError("parts must be odd and >= 3: %s" % q)
-    if variant == STANDARD and parts == (3, 3, 3):
-        return Partition((4, 3, 2))
-
     form = _route(parts, variant)
+    if parts in _FORMS[form].outright:
+        return Partition(_FORMS[form].outright[parts])
     caps = caps_of(q, variant, form)
     if not caps.satisfied:
         raise CapsError("merging caps violated for %s: %s" % (q, caps.checks))
 
     # parts[1] = 2m - 1, the largest odd value at most the butterfly's second
-    # part: 2m on the even routes, 2m - 1 on the odd ones
+    # part: 2m on the even route, 2m - 1 on the odd one
     m = (parts[1] + 1) // 2
-    top = 2 * m + 1 if form in (STEP1, STEP1_SWITCHED) else 2 * m
+    top = 2 * m + 1 - _forms_of(variant).index(form)
     out = [top, top - 1, top - 2]
     two_t = caps.two_t
     bit = 1
@@ -301,35 +289,17 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
 # ---------------------------------------------------------------------------
 
 def matches_form(q: Partition, form) -> bool:
-    """Total membership test for the four odd-part target forms (caps included)."""
-    parts = q.parts
-    if len(parts) < 3 or any(x % 2 == 0 or x < 3 for x in parts):
-        return False
-    q1, q2, q3 = parts[0], parts[1], parts[2]
-    q4 = parts[3] if len(parts) > 3 else None
-
-    if form == STEP1:
-        if len(parts) < 4 or parts[-1] != 3 or q2 != q3:
-            return False
-        if q4 is not None and q3 <= q4 and not (q2 == q3 == q4 == 3):
-            return False
-    elif form == STEP2:
-        if parts == (3, 3, 3):
-            return True
-        if q1 < q2 + 2 or q2 != q3 + 2:
-            return False
-    elif form == STEP1_SWITCHED:
-        if parts in _SWITCHED_EVEN_SPECIALS:
-            return True
-        if len(parts) < 4 or parts[-1] != 3 or q1 < q2 + 2 or q2 != q3 + 2:
-            return False
-    elif form == STEP2_SWITCHED:
-        if q2 != q3:
-            return False
-        if q4 is not None and q3 <= q4 and not (q2 == q3 == q4 == 3):
-            return False
-    else:
+    """Total membership test for the four odd-part target forms (caps
+    included): the partitions the form takes outright, and those caps_of
+    measures against it with every cap satisfied whose tail, on the
+    equal-pair forms, stays below the pair except for 3s."""
+    if form not in _FORMS:
         raise ValueError("unknown form %r" % form)
+    parts = q.parts
+    if parts in _FORMS[form].outright:
+        return True
+    if not _FORMS[form].gap and len(parts) > 3 and parts[2] == parts[3] != 3:
+        return False
     try:
         return caps_of(q, form=form).satisfied
     except ShapeError:
@@ -358,28 +328,26 @@ def iter_form_tuples(n, form):
     satisfied (the partitions matches_form accepts), in no particular order.
 
     They are generated from the head and a capped tail instead of filtered
-    out of every odd partition: q3 odd >= 3 and q2 = q3 (q3 + 2 on the
-    gap-two forms); q1 = q2 + 2t (q2 + 2 + 2t) with pow2floor(2t) <= the
-    bound; the sentinel 3 where the form carries one; and a tail of odd
-    parts below q2 in which each value x occurs u times with
-    x * pow2floor(u) <= the bound.  The three specials the routing adds
-    outright come last.
+    out of every odd partition: q3 odd >= 3 and q2 = q3 + the form's head
+    gap; q1 = q2 + gap + 2t with pow2floor(2t) <= the bound; the sentinel 3
+    where the form carries one; and a tail of odd parts below q2 in which
+    each value x occurs u times with x * pow2floor(u) <= the bound.  The
+    partitions the form takes outright come last.
     """
-    if form not in _FORM_SENTINEL:
+    if form not in _FORMS:
         raise ValueError("unknown form %r" % form)
-    gap = 2 if _FORM_GAP2[form] else 0
-    sentinel = (3,) if _FORM_SENTINEL[form] else ()
+    shape = _FORMS[form]
+    gap, sentinel = shape.gap, (3,) * shape.sentinel
     rest = n - sum(sentinel)
     # q1 + q2 + q3 = 3 * q2 + 2t, and the tail parts stay below q2
     for q2 in range(3 + gap, rest // 3 + 1, 2):
-        q3, bound = q2 - gap, q2 - gap + _FORM_BOUND_OFFSET[form]
+        q3, bound = q2 - gap, q2 - gap + shape.offset
         for two_t in range(0, rest - 3 * q2 + 1, 2):
             if two_t and _pow2_floor(two_t) > bound:
                 break
             for tail in _iter_capped_tail(rest - 3 * q2 - two_t, q2 - 2, bound):
                 yield (q2 + gap + two_t, q2, q3) + tail + sentinel
-    specials = {STEP2: [(3, 3, 3)], STEP1_SWITCHED: sorted(_SWITCHED_EVEN_SPECIALS)}
-    for parts in specials.get(form, ()):
+    for parts in shape.outright:
         if sum(parts) == n:
             yield parts
 
@@ -387,11 +355,6 @@ def iter_form_tuples(n, form):
 def count_capped(n, variant=STANDARD):
     """Counts of odd-part partitions of n matching the variant's two routed
     forms with all caps satisfied, as (even-route count, odd-route count)."""
-    if variant == STANDARD:
-        even_form, odd_form = STEP1, STEP2
-    elif variant == SWITCHED:
-        even_form, odd_form = STEP1_SWITCHED, STEP2_SWITCHED
-    else:
-        raise ValueError("unknown variant %r" % variant)
+    even_form, odd_form = _forms_of(variant)
     return (sum(1 for _ in iter_form_tuples(n, even_form)),
             sum(1 for _ in iter_form_tuples(n, odd_form)))

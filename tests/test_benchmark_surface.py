@@ -39,3 +39,27 @@ def test_traced_surface_installs_and_serves_coverage(perfbench_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert len(tracer.start) > 0
+
+
+def test_no_benchmark_layer_goes_idle(perfbench_path, capsys):
+    """The smallest request of every class of each workload, served under
+    the tracer, leaves no layer that STRESSED_ON names for the workload
+    without self time: the traced benchmark run would refuse the workload."""
+    import tracing
+    import workloads
+    from butterflyseq import cli
+
+    idle = {}
+    for workload, classes in workloads.CLASSES.items():
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            for i, cls in enumerate(classes()):
+                tracer.request = i
+                cli.main(list(cls.items[0]))
+            tracer.end_workload()
+        finally:
+            tracer.uninstall()
+        idle[workload] = tracer.derive(workload)[1]
+    capsys.readouterr()
+    assert idle == dict.fromkeys(workloads.CLASSES, [])

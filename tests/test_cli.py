@@ -78,6 +78,24 @@ def test_negative_order_is_usage_error(capsys):
     assert "argument --order: must be >= 0, got -1" in out.err and "coefficients" not in out.err
 
 
+def test_negative_parity_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parity", "--exceptions", "--to", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --to: must be >= 0, got -1" in out.err
+    code, out, _ = run(capsys, "parity", "--exceptions", "--to", "0")
+    assert code == 0 and out == "\n"
+
+
+@pytest.mark.parametrize("text", ["7", "7+6"])
+def test_split_of_too_few_parts_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "split", text)
+    assert code == 2 and out == ""
+    assert "not a butterfly partition" in err
+
+
 def test_bij_raise_below_its_domain_is_usage_error(capsys):
     code, out, err = run(capsys, "bij", "raise", "--from", "1", "--to", "5")
     assert code == 2 and out == ""

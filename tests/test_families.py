@@ -9,6 +9,7 @@ from butterflyseq.families import (
     Family, count_family, enumerate_family, in_family,
 )
 from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
+from butterflyseq.sequences import named_sequence
 
 P = Partition
 
@@ -199,3 +200,22 @@ def test_consec_with_one_generated_equals_the_filtered_consecutive_pairs():
         want = [p for p in enumerate_family(n, Family(CONSEC)) if p.parts[-1] == 1]
         assert enumerate_family(n, Family(CONSEC_WITH_ONE)) == want, n
     assert lists(3, Family(CONSEC_WITH_ONE)) == [[2, 1]]
+
+
+def test_staircases_are_the_conjugates_of_equal_triples_and_butterflies():
+    """Conjugation sends STAIRCASE_33 onto EQUAL_TRIPLE and STAIRCASE_321 onto
+    BUTTERFLY, turning the number of parts into the largest part; so the
+    staircase tables are e'' = e, o'' = o, e' = s_o and o' = s_e."""
+    def conjugate(parts):
+        return tuple(sum(1 for x in parts if x > i) for i in range(parts[0])) if parts else ()
+
+    for n in range(61):
+        for staircase, image in ((STAIRCASE_33, EQUAL_TRIPLE), (STAIRCASE_321, BUTTERFLY)):
+            listed = enumerate_family(n, Family(staircase))
+            conjugates = [conjugate(p.parts) for p in listed]
+            assert all(c[0] == len(p) for c, p in zip(conjugates, listed))
+            assert sorted(conjugates) == sorted(
+                p.parts for p in enumerate_family(n, Family(image))), (n, staircase)
+    for staircase, image in (("e_dprime", "e"), ("o_dprime", "o"),
+                             ("e_prime", "s_o"), ("o_prime", "s_e")):
+        assert named_sequence(staircase, 60).values == named_sequence(image, 60).values

@@ -234,6 +234,41 @@ def test_p_tables_call_the_pentagonal_kernel_and_their_routes_the_dp(monkeypatch
     assert calls["dp"] == 1
 
 
+@pytest.mark.parametrize("name", ["s_e", "s_o"])
+def test_butterfly_parity_route_reads_the_strict_dp_not_the_butterfly_counts(monkeypatch,
+                                                                              name):
+    """The s_e/s_o route is (s +- delta)/2 from the strict DP and the closed
+    forms: it never reaches the counts the production table comes from."""
+    table = named_sequence(name, 80)
+    real_dp = sequences.pt.count_strict_table
+    calls = {"dp": 0}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a function it must not call")
+
+    def counted(N):
+        calls["dp"] += 1
+        return real_dp(N)
+
+    monkeypatch.setattr(sequences, "named_sequence", lambda seq_name, N: table)
+    for fn in ("count_butterfly", "count_head_tail"):
+        monkeypatch.setattr(sequences.pt, fn, refuse)
+    monkeypatch.setattr(sequences, "count_family", refuse)
+    monkeypatch.setattr(sequences.pt, "count_strict_table", counted)
+    assert crosscheck_table(name, 80) == []
+    assert calls["dp"] == 1
+
+    def altered(N):  # q(20) + 1 moves s(20), s(21), s(22) by +1, -2, +1
+        q = real_dp(N)
+        q[20] += 1
+        return q
+
+    monkeypatch.setattr(sequences.pt, "count_strict_table", altered)
+    found = crosscheck_table(name, 30)
+    assert [(n, expected is None) for _, n, _, expected, _ in found] == [
+        (20, True), (21, False), (22, True)]
+
+
 def test_exports():
     t = named_sequence("q", 5)
     assert to_bfile(t) == "0 1\n1 1\n2 1\n3 2\n4 2\n5 3\n"

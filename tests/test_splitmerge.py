@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from butterflyseq.partitions import Partition, count_butterfly, iter_butterfly_tuples
 from butterflyseq.splitmerge import (
     STANDARD, STEP1, STEP1_SWITCHED, STEP2, STEP2_SWITCHED, SWITCHED,
-    CapsError, ShapeError, caps_of, count_capped, matches_form, merge_odd,
-    split, split_even, split_odd, split_switched,
+    CapsError, ShapeError, SplitMergeError, _route, caps_of, count_capped, matches_form,
+    merge_odd, split, split_even, split_odd, split_switched,
 )
 
 P = Partition
@@ -167,3 +167,35 @@ def test_forms_are_mutually_exclusive():
             assert not (matches_form(q, STEP1) and matches_form(q, STEP2))
             assert not (matches_form(q, STEP1_SWITCHED)
                         and matches_form(q, STEP2_SWITCHED))
+
+
+@pytest.mark.parametrize("variant, forms", [
+    (STANDARD, (STEP1, STEP2)),
+    (SWITCHED, (STEP1_SWITCHED, STEP2_SWITCHED)),
+])
+def test_merge_routing_and_caps_agree_on_every_odd_partition(variant, forms):
+    """merge_odd succeeds exactly on the partitions matches_form accepts for
+    one of the variant's forms (the even route's first), _route and caps_of
+    name that form, and the merged second part has the route's parity;
+    caps_of still refuses standard 3+3+3, which merges to 4+3+2."""
+    from butterflyseq.families import _iter_odd_parts
+    merged = 0
+    for n in range(46):
+        for t in _iter_odd_parts(n, 3):
+            q = P(t)
+            accepted = [f for f in forms if matches_form(q, f)]
+            assert len(accepted) <= 1, q
+            try:
+                p = merge_odd(q, variant)
+            except SplitMergeError:
+                assert accepted == [], q
+                continue
+            merged += 1
+            assert accepted and _route(t, variant) == accepted[0], q
+            assert p[1] % 2 == forms.index(accepted[0]), q
+            if variant == STANDARD and t == (3, 3, 3):
+                with pytest.raises(ShapeError):
+                    caps_of(q, variant)
+            else:
+                assert caps_of(q, variant).form == accepted[0], q
+    assert merged == sum(count_butterfly(n) for n in range(46))

@@ -40,7 +40,7 @@ def raise_largest(p: Partition) -> Partition:
         raise BijectionError("empty partition has no largest part")
     if not p.is_strict():
         raise BijectionError("input must be strict: %s" % p)
-    return Partition((p[0] + 1,) + p.parts[1:])
+    return Partition._of((p[0] + 1,) + p.parts[1:])
 
 
 def lower_largest(p: Partition) -> Partition:
@@ -48,7 +48,7 @@ def lower_largest(p: Partition) -> Partition:
         raise BijectionError("no unit to remove from the largest part: %s" % p)
     if not p.is_strict() or (len(p) >= 2 and p[0] - p[1] < 2):
         raise BijectionError("two largest parts must differ by at least 2: %s" % p)
-    return Partition((p[0] - 1,) + p.parts[1:])
+    return Partition._of((p[0] - 1,) + p.parts[1:])
 
 
 def butterfly_forward(p: Partition) -> Partition:
@@ -57,14 +57,14 @@ def butterfly_forward(p: Partition) -> Partition:
         raise BijectionError(
             "input must have >= 3 parts, two largest consecutive, smallest 1: %s" % p)
     rest = p.parts[:-1]
-    return Partition((rest[0] + 1, rest[1] + 1) + rest[2:])
+    return Partition._of((rest[0] + 1, rest[1] + 1) + rest[2:])
 
 
 def butterfly_backward(p: Partition) -> Partition:
     if not in_family(p, Family(CONSEC_ISOLATED)) or len(p) < 2:
         raise BijectionError("input must be a consecutive-pair partition with the "
                              "pair isolated and no part 1: %s" % p)
-    return Partition((p[0] - 1, p[1] - 1) + p.parts[2:] + (1,))
+    return Partition._of((p[0] - 1, p[1] - 1) + p.parts[2:] + (1,))
 
 
 def bar_forward(p: Partition, h: int) -> Partition:
@@ -77,7 +77,7 @@ def bar_forward(p: Partition, h: int) -> Partition:
     parts.remove(h)
     for i in range(h):
         parts[i] += 1
-    return Partition(parts)
+    return Partition._of(tuple(parts))
 
 
 def bar_backward(p: Partition, h: int) -> Partition:
@@ -90,7 +90,7 @@ def bar_backward(p: Partition, h: int) -> Partition:
         parts[i] -= 1
     parts.append(h)
     parts.sort(reverse=True)
-    return Partition(parts)
+    return Partition._of(tuple(parts))
 
 
 @dataclass(frozen=True)

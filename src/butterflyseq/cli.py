@@ -79,7 +79,9 @@ def _cmd_enum(args):
         raise UsageError("unknown family %r (choose from %s)"
                           % (args.family, ", ".join(sorted(FAMILY_ALIASES) + sorted(BAR_ALIASES))))
     parts = enumerate_family(args.n, fam)
-    result = [str(p) for p in parts]
+    # each part value is formatted once per call, not once per occurrence
+    digits = [str(x) for x in range(args.n + 1)]
+    result = ["+".join([digits[x] for x in p.parts]) for p in parts]
     _emit(args, "enum", result, "\n".join(result))
     return 0
 

@@ -258,7 +258,7 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         tuples = _iter_distinct_from(n, pow2_free_parts(n))
     else:
         raise ValueError("unknown family %r" % (f,))
-    result = [Partition(t) for t in sorted(tuples, reverse=True)]
+    result = list(map(Partition._of, sorted(tuples, reverse=True)))
     if kind == CONSEC_WITH_ONE or kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
         # generated from shape: the predicate stays the oracle of every member
         for p in result:
@@ -268,32 +268,56 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
 
 
 def _iter_odd_parts(n, bound, max_part=None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
+    """The partitions of n into odd parts in [bound, max_part], largest first
+    part first."""
+    out = []
+    _fill_odd(out, n, n if max_part is None else max_part, bound, ())
+    yield from out
+
+
+def _fill_odd(out, n, top, bound, prefix):
+    # append prefix + t for each partition t of n into odd parts in
+    # [bound, top]; a rest in (0, bound) has no such partition
+    if not n:
+        out.append(prefix)
         return
-    top = min(n, max_part)
-    if top % 2 == 0:
-        top -= 1
-    for first in range(top, bound - 1, -2):
-        for rest in _iter_odd_parts(n - first, bound, first):
-            yield (first,) + rest
+    top = min(n, top)
+    for first in range(top if top % 2 else top - 1, bound - 1, -2):
+        rest = n - first
+        if rest >= bound:
+            _fill_odd(out, rest, first, bound, prefix + (first,))
+        elif not rest:
+            out.append(prefix + (first,))
 
 
-def _iter_distinct_from(n, allowed, idx=None):
-    # allowed is ascending; choose largest-first for lex-descending output
-    if idx is None:
-        idx = len(allowed)
-    if n == 0:
-        yield ()
+def _iter_distinct_from(n, allowed):
+    """The partitions of n into distinct parts drawn from ``allowed``
+    (ascending), largest first part first."""
+    below = [0]  # below[i] = sum(allowed[:i])
+    for x in allowed:
+        below.append(below[-1] + x)
+    out = []
+    _fill_distinct(out, n, allowed, below, len(allowed), ())
+    return out
+
+
+def _fill_distinct(out, n, allowed, below, idx, prefix):
+    # append prefix + t for each partition t of n into distinct parts from
+    # allowed[:idx]; once the parts below allowed[i] cannot make up the rest,
+    # neither can those below a smaller one
+    if not n:
+        out.append(prefix)
         return
     for i in range(idx - 1, -1, -1):
         x = allowed[i]
-        if x > n or sum(allowed[:i]) < n - x:
+        if x > n:
             continue
-        for rest in _iter_distinct_from(n - x, allowed, i):
-            yield (x,) + rest
+        if below[i] < n - x:
+            break
+        if x < n:
+            _fill_distinct(out, n - x, allowed, below, i, prefix + (x,))
+        else:
+            out.append(prefix + (x,))
 
 
 def _iter_bar_tuples(n, h, vertical, second_parity):

@@ -2,12 +2,16 @@
 pentagonal-recurrence kernel and the counting DPs.
 
 Everything downstream (families, sequences, bijections, splitting/merging)
-works on the Partition type defined here.  The enumerators are deliberately
-simple backtracking generators so they can serve as the brute-force oracle
-that the faster counting routines and the series algebra are tested against.
-One lister, iter_head_tail_tuples, serves every family shaped as a head of
-consecutive or equal largest parts over a strict tail (consecutive pairs,
-butterflies, equal triples); count_head_tail counts over the same heads.
+works on the Partition type defined here.  The unrestricted lister
+iter_partition_tuples is a plain backtracking generator, the brute-force
+oracle the other listers, the counting routines and the series algebra are
+tested against.  The strict listers fill one list of tuples through one
+recursive helper (_fill_strict) that carries the prefix built so far and
+stops at the first part below which the rest no longer fits, then yield from
+that list.  One lister, iter_head_tail_tuples, serves every family shaped as
+a head of consecutive or equal largest parts over a strict tail (consecutive
+pairs, butterflies, equal triples); count_head_tail counts over the same
+heads.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
@@ -48,6 +52,17 @@ class Partition:
                     raise ValueError("parts must be non-increasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _of(cls, parts):
+        """The Partition of a tuple of ints the library built: __init__'s
+        check without its per-part int(), and on a violation __init__ itself,
+        so the error is the same."""
+        if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            return cls(parts)
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -78,7 +93,7 @@ class Partition:
         return "Partition(%r)" % list(self.parts)
 
     def __str__(self):
-        return "+".join(str(x) for x in self.parts)
+        return "+".join(map(str, self.parts))
 
     @classmethod
     def parse(cls, text):
@@ -155,20 +170,28 @@ def iter_partition_tuples(n, max_part=None, min_part=1):
 
 def iter_strict_tuples(n, max_part=None, min_part=1):
     """All strict (distinct-part) partitions of n, parts in [min_part, max_part]."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
+    out = []
+    _fill_strict(out, n, n if max_part is None else max_part, min_part, ())
+    yield from out
+
+
+def _fill_strict(out, n, top, low, prefix):
+    # append prefix + t for each strict partition t of n with parts in
+    # [low, top], largest first part first
+    if not n:
+        out.append(prefix)
         return
-    top = min(n, max_part)
-    for first in range(top, min_part - 1, -1):
-        rest_max = first - 1
-        # prune: remaining sum must fit below 'first' with distinct parts
-        reachable = (rest_max + min_part) * (rest_max - min_part + 1) // 2
-        if n - first > max(reachable, 0):
-            continue
-        for rest in iter_strict_tuples(n - first, rest_max, min_part):
-            yield (first,) + rest
+    for first in range(n if n < top else top, low - 1, -1):
+        rest = n - first
+        # the rest must fit below 'first' with distinct parts (sum of
+        # low..first-1); that room shrinks as 'first' does, so no smaller
+        # 'first' fits once one does not
+        if rest > (first - 1 + low) * (first - low) // 2:
+            break
+        if not rest:
+            out.append(prefix + (first,))
+        elif rest >= low:
+            _fill_strict(out, rest, first - 1, low, prefix + (first,))
 
 
 # A head-and-tail shape (offsets, smallest a, gap, low) lists the partitions
@@ -193,9 +216,10 @@ def _shape_heads(n, shape, second_parity):
 
 def iter_head_tail_tuples(n, shape, second_parity=None):
     """The partitions of n of a head-and-tail shape, largest head first."""
+    out = []
     for head, rest, top in _shape_heads(n, shape, second_parity):
-        for tail in iter_strict_tuples(rest, top, shape[3]):
-            yield head + tail
+        _fill_strict(out, rest, top, shape[3], head)
+    yield from out
 
 
 def iter_butterfly_tuples(n, second_parity=None):

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from butterflyseq import cli
 from butterflyseq.cli import main
+from butterflyseq.families import Family, enumerate_family
+from butterflyseq.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -39,6 +44,36 @@ def test_enum(capsys):
 def test_enum_bar_family(capsys):
     code, out, _ = run(capsys, "enum", "bar-bo", "21", "--h", "3")
     assert code == 0 and out == "8+7+6\n"
+
+
+ENUM_ALIASES = ([(alias, fam, ()) for alias, fam in cli.FAMILY_ALIASES.items()]
+                + [(alias, Family(kind, h), ("--h", str(h)))
+                   for alias, kind in cli.BAR_ALIASES.items() for h in (3, 4, 5)])
+
+
+def _stdout(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("alias,fam,extra", ENUM_ALIASES,
+                         ids=["%s%s" % (a, "".join(e)) for a, _, e in ENUM_ALIASES])
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(min_value=0, max_value=30))
+def test_enum_text_and_json_round_trip(alias, fam, extra, n):
+    """enum prints the family's members one per line as str(p) gives them,
+    and every string of --json enum parses back to the same member, in order."""
+    members = enumerate_family(n, fam)
+    code, out = _stdout("enum", alias, str(n), *extra)
+    assert code == 0
+    assert out == "\n".join(str(p) for p in members) + "\n"
+    code, out = _stdout("--json", "enum", alias, str(n), *extra)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["command"] == "enum"
+    assert [Partition.parse(text) for text in blob["result"]] == members
 
 
 def test_enum_unknown_family(capsys):

@@ -155,6 +155,12 @@ def test_head_and_tail_listings_equal_the_filtered_candidates():
 
 BAR_KINDS = (BAR_AE, BAR_AO, BAR_BE, BAR_BO)
 ODD_STEP_KINDS = (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED)
+ALL_FAMILIES = ([Family(kind) for kind in (
+    STRICT, CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED, BUTTERFLY,
+    BUTTERFLY_EVEN, BUTTERFLY_ODD, EQUAL_TRIPLE, STAIRCASE_321, STAIRCASE_33,
+    BUTTERFLY_PLUS_ONES, DISTINCT_NOT_POW2) + ODD_STEP_KINDS]
+    + [Family(ODD_GE, b) for b in (1, 3, 5)]
+    + [Family(kind, h) for kind in BAR_KINDS for h in (3, 4, 5)])
 
 
 def test_bar_sets_generated_from_shape_equal_the_filtered_butterflies():
@@ -190,6 +196,35 @@ def test_odd_step_forms_generated_from_head_and_tail_equal_the_filtered_odd_part
     assert [list(p) for p in enumerate_family(9, Family(ODD_STEP2))] == [[3, 3, 3]]
     assert [list(p) for p in enumerate_family(12, Family(ODD_STEP1_SWITCHED))] == [[3, 3, 3, 3]]
     assert [5, 3, 3, 3] in lists(14, Family(ODD_STEP1_SWITCHED))
+
+
+def test_odd_and_pow2_free_listers_equal_the_filtered_partitions():
+    """The odd-part lister equals the all-odd members of the unrestricted
+    lister iter_partition_tuples (bounds 1, 3, 5, n <= 45), and the distinct
+    pow2-free lister its strict members without a power of two (n <= 50;
+    1 and 2 are powers of two, so the parts start at 3), in its order."""
+    from butterflyseq.families import _iter_distinct_from, _iter_odd_parts, pow2_free_parts
+    from butterflyseq.partitions import is_strict_tuple, iter_partition_tuples
+    for n in range(46):
+        for bound in (1, 3, 5):
+            want = [t for t in iter_partition_tuples(n, None, bound) if all(x % 2 for x in t)]
+            assert list(_iter_odd_parts(n, bound)) == want, (n, bound)
+    for n in range(51):
+        allowed = pow2_free_parts(n)
+        want = [t for t in iter_partition_tuples(n, None, 3)
+                if is_strict_tuple(t) and set(t) <= set(allowed)]
+        assert list(_iter_distinct_from(n, allowed)) == want, n
+
+
+def test_every_listed_member_is_a_partition_of_ints():
+    """enumerate_family wraps its tuples through Partition._of: every member
+    of every family for n <= 30 is a Partition of int parts, equal to the
+    Partition that __init__ builds from the same parts."""
+    for n in range(31):
+        for fam in ALL_FAMILIES:
+            for p in enumerate_family(n, fam):
+                assert type(p) is Partition and all(type(x) is int for x in p.parts)
+                assert p == Partition(p.parts) and str(p) == str(Partition(p.parts))
 
 
 def test_consec_with_one_generated_equals_the_filtered_consecutive_pairs():

@@ -16,6 +16,7 @@ from butterflyseq.partitions import (
     count_partitions_table,
     count_strict_table,
     euler_product,
+    is_strict_tuple,
     iter_butterfly_tuples,
     iter_head_tail_tuples,
     iter_partition_tuples,
@@ -73,6 +74,44 @@ def test_parse_and_str_round_trip():
 def test_parse_inverts_str(parts):
     p = Partition(sorted(parts, reverse=True))
     assert Partition.parse(str(p)) == p
+
+
+def test_private_constructor_is_partition():
+    """Partition._of, the constructor for tuples the library built, gives the
+    Partition that __init__ gives and refuses what __init__ refuses, with the
+    same message."""
+    for t in ((), (1,), (5, 3), (7, 6, 5, 2), (3, 3, 1)):
+        p = Partition._of(t)
+        assert type(p) is Partition
+        assert p == Partition(t) and hash(p) == hash(Partition(t))
+        assert str(p) == str(Partition(t)) and repr(p) == repr(Partition(t))
+    for bad in ((0,), (2, 3), (3, -1), (3, 3, 0)):
+        with pytest.raises(ValueError) as want:
+            Partition(bad)
+        with pytest.raises(ValueError) as got:
+            Partition._of(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_strict_lister_equals_the_strict_partitions():
+    """iter_strict_tuples(n, max_part, min_part) lists the strict members of
+    the unrestricted lister iter_partition_tuples(n, max_part, min_part), in
+    its order and without repeats, for n <= 40, every max_part and min_part
+    1..4.  The unrestricted listing is made once per (n, min_part) and cut at
+    max_part by its first part, which is what max_part does to it (asserted
+    outright for n <= 20)."""
+    for n in range(41):
+        for low in range(1, 5):
+            strict = [t for t in iter_partition_tuples(n, None, low) if is_strict_tuple(t)]
+            assert list(iter_strict_tuples(n, None, low)) == strict, (n, low)
+            for top in range(1, n + 1):
+                want = [t for t in strict if not t or t[0] <= top]
+                if n <= 20:
+                    assert want == [t for t in iter_partition_tuples(n, top, low)
+                                    if is_strict_tuple(t)]
+                got = list(iter_strict_tuples(n, top, low))
+                assert got == want, (n, top, low)
+                assert len(set(got)) == len(got)
 
 
 def test_consecutive_run():

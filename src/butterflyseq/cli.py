@@ -159,8 +159,10 @@ def _cmd_parity(args):
 
 
 def _cmd_verify(args):
-    names = series.VERIFIED_IDENTITIES if args.identity == "all" else (args.identity,)
-    reports = [series.verify_identity(name, args.order) for name in names]
+    if args.identity == "all":
+        reports = series.verify_all(args.order)
+    else:
+        reports = [series.verify_identity(args.identity, args.order)]
     result = [{"name": r.name, "order": r.order, "ok": r.ok,
                "mismatches": [list(m) for m in r.mismatches]} for r in reports]
     _emit(args, "verify", result, "\n".join(str(r) for r in reports))

@@ -15,9 +15,14 @@ heads.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
-is checked against, and as the product sides of the series identities.
+is checked against, and as the product sides of the series identities.  They
+hold a whole table as one packed integer, so a factor 1 + x^m, and each of
+the doublings m, 2m, 4m, ... that make up a factor 1/(1 - x^m), is one
+big-integer shift-add, in a product (_packed_product) and in a nested sum
+over k (_packed_nested_sum, which also serves the series filtration sums).
 """
 
+import math
 import operator
 from functools import lru_cache
 
@@ -295,41 +300,103 @@ def strict_pentagonal_table(N):
 # Exact counting (dynamic programming).  These are independent of the series
 # and recurrence machinery, so they can stand as oracles at sizes where
 # listing every partition would be wasteful.
+#
+# A table c[0..N] is packed into one integer: c[n] sits in a slot of w bytes
+# at bit 8w(N - n), so degree 0 is the top slot.  Times (1 + x^s) is then
+# C += C >> 8ws: the right shift adds c[n - s] into c[n] for every n at once
+# and drops the terms above degree N.  Times 1/(1 - x^m) is the same step for
+# s = m, 2m, 4m, ... <= N, since 1/(1 - y) = prod_i (1 + y^(2^i)).  Each
+# table counts partitions of n <= N, and so does every intermediate table
+# (into fewer part sizes), so no slot exceeds p(N) and no carry crosses a
+# slot boundary.
 # ---------------------------------------------------------------------------
+
+def _slot_bytes(N):
+    """Bytes per slot of a packed table through degree N: p(N) <
+    exp(pi sqrt(2N/3)) (Apostol, Introduction to Analytic Number Theory,
+    Thm 14.5), with a guard bit and a bit for rounding."""
+    return (int(math.pi * math.sqrt(2 * N / 3) / math.log(2)) + 10) // 8
+
+
+def _unpack(C, N, w):
+    """[c[0..N]] of a table packed with w-byte slots, top slot first."""
+    b = C.to_bytes((N + 1) * w, "big")
+    frm = int.from_bytes
+    return [frm(b[i:i + w], "big") for i in range(0, len(b), w)]
+
+
+def _checked_parts(parts):
+    parts = list(parts)
+    if parts and min(parts) < 1:
+        raise ValueError("part sizes must be positive: %r" % (parts,))
+    if len(set(parts)) != len(parts):
+        raise ValueError("part sizes must not repeat: %r" % (parts,))
+    return parts
+
+
+def _packed_product(N, parts, repeated):
+    """[c[0..N]] of prod over the part sizes m of 1/(1 - x^m) (``repeated``)
+    or of (1 + x^m): partitions of 0..N into those sizes, with or without
+    repetition.  Sizes above N are skipped."""
+    w = _slot_bytes(N)
+    bits = 8 * w
+    C = 1 << bits * N
+    for m in parts:
+        s = m
+        while s <= N:
+            C += C >> bits * s
+            if not repeated:
+                break
+            s += s
+    return _unpack(C, N, w)
+
+
+def _packed_nested_sum(N, j0, k_lo, exponent):
+    """[c[0..N]] of sum over k >= k_lo of x^{exponent(k)} / prod_{j=j0..k}
+    (1 - x^j), for an increasing ``exponent``; the sum must count partitions.
+
+    One running denominator serves every term.  It is packed with its top
+    slot at degree N - exponent(k), so that it lines up with the total for
+    the term x^{exponent(k)}: moving to the next k drops its high degrees with
+    one right shift, multiplies in 1/(1 - x^k), and adds it into the total.
+    """
+    w = _slot_bytes(N)
+    bits = 8 * w
+    total, den, shift, new = 0, 1 << bits * N, 0, j0
+    k = k_lo
+    while (e := exponent(k)) <= N:
+        den >>= bits * (e - shift)
+        shift = e
+        for j in range(new, k + 1):  # times 1/(1 - x^j), through degree N - e
+            s = j
+            while s <= N - e:
+                den += den >> bits * s
+                s += s
+        new = max(new, k + 1)
+        total += den
+        k += 1
+    return _unpack(total, N, w)
+
 
 def count_partitions_table(N):
     """[p(0..N)]: unrestricted partition counts."""
-    c = [1] + [0] * N
-    for part in range(1, N + 1):
-        for j in range(part, N + 1):
-            c[j] += c[j - part]
-    return c
+    return _packed_product(N, range(1, N + 1), True)
 
 
 def count_with_parts(N, parts):
-    """Counts of partitions of 0..N with parts drawn (with repetition) from ``parts``."""
-    c = [1] + [0] * N
-    for part in parts:
-        if part > N:
-            continue
-        for j in range(part, N + 1):
-            c[j] += c[j - part]
-    return c
+    """Counts of partitions of 0..N with parts drawn (with repetition) from
+    ``parts``, which must be distinct positive sizes."""
+    return _packed_product(N, _checked_parts(parts), True)
 
 
 def count_distinct_with_parts(N, parts):
-    """Counts of partitions of 0..N into distinct parts drawn from ``parts``."""
-    c = [1] + [0] * N
-    for part in parts:
-        if part > N:
-            continue
-        for j in range(N, part - 1, -1):
-            c[j] += c[j - part]
-    return c
+    """Counts of partitions of 0..N into distinct parts drawn from ``parts``,
+    which must be distinct positive sizes."""
+    return _packed_product(N, _checked_parts(parts), False)
 
 
 def count_strict_table(N):
-    """[q(0..N)]: distinct-part partition counts, by the O(N^2) DP (the
+    """[q(0..N)]: distinct-part partition counts, by the part-by-part DP (the
     oracle of strict_pentagonal_table)."""
     return count_distinct_with_parts(N, range(1, N + 1))
 
@@ -347,14 +414,9 @@ def count_no_ones_table(N):
 def count_no_ones_repeated_top_table(N):
     """Counts of partitions with no part 1 and the largest part occurring at
     least twice (the empty partition counts for n = 0): the coefficients of
-    1 + sum_{j>=2} x^{2j} / prod_{i=2}^{j} (1 - x^i), in O(N^2)."""
-    out = [1] + [0] * N
-    below = [1] + [0] * N  # partitions into parts 2..j, valid through N - 2j
-    for j in range(2, N // 2 + 1):
-        for m in range(j, N - 2 * j + 1):
-            below[m] += below[m - j]
-        for m in range(N - 2 * j + 1):
-            out[2 * j + m] += below[m]
+    1 + sum_{j>=2} x^{2j} / prod_{i=2}^{j} (1 - x^i), one nested sum."""
+    out = _packed_nested_sum(N, 2, 2, lambda j: 2 * j)
+    out[0] += 1
     return out
 
 

@@ -283,3 +283,34 @@ def test_report_that_checked_no_degree_is_not_ok():
     rep = verify_identity("oddge5-butterfly-tail", 9)
     assert rep.checked == 1 and rep.ok
     assert not all(r.ok for r in verify_all(8))
+
+
+def test_verify_all_builds_each_side_once_per_call(monkeypatch, capsys):
+    from collections import Counter
+
+    from butterflyseq import series
+    from butterflyseq.cli import main
+
+    want = [verify_identity(name, 60) for name in VERIFIED_IDENTITIES]
+    built = Counter()
+
+    def counting(name):
+        real = getattr(series, name)
+
+        def counted(*args):
+            built[(name,) + args[:1] + args[2:]] += 1
+            return real(*args)
+        monkeypatch.setattr(series, name, counted)
+
+    for name in ("expand_product", "filtered_series", "_table_series"):
+        counting(name)
+    assert main(["verify", "all", "--order", "60"]) == 0
+    assert capsys.readouterr().out == "\n".join(map(str, want)) + "\n"
+    assert built[("expand_product", "partitions", None)] == 1      # 3 uses
+    assert built[("expand_product", "distinct", None)] == 1        # 6 uses
+    assert set(built.values()) == {1}
+    # the sharing ends with the call
+    assert verify_all(60) == want
+    assert built[("expand_product", "partitions", None)] == 2
+    assert built[("expand_product", "distinct", None)] == 2
+    assert set(built.values()) == {2}

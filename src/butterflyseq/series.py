@@ -4,9 +4,17 @@ coefficient-level verification of the generating-function identities.
 All arithmetic is exact (Python integers); truncation only discards degrees
 above the order.  Infinite products touch just the factors that can affect
 degrees up to the order.
+
+A multiply packs the denser factor into one signed integer, coefficient n
+in a slot of w bytes at bit 8wn, degree 0 lowest, and adds one shifted copy
+per nonzero term of the sparser factor, so a product with a theta series or
+E(x^2) (O(sqrt(N)) terms) costs O(sqrt(N)) big-integer additions.  w comes
+from the factors alone: no product coefficient exceeds min(nonzero terms)
+max|a| max|b| in magnitude, and a slot holds that bound and a sign bit.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import partitions as pt
 from . import sequences as seq
@@ -54,26 +62,19 @@ class TruncSeries:
         N = self._common_order(other)
         return TruncSeries(N, [self.coeffs[i] - other.coeffs[i] for i in range(N + 1)])
 
-    def _nonzero(self, N):
-        """The nonzero (degree, coefficient) pairs through degree N."""
-        return [(i, a) for i, a in enumerate(self.coeffs[:N + 1]) if a]
-
     def __mul__(self, other):
-        """Product truncated at the common order, in O(N * nonzeros of the
-        sparser factor): both factors are walked by their nonzero terms."""
+        """Product truncated at the common order N: the factor with more
+        nonzero terms through degree N is packed once, and one signed copy
+        of it is shifted to each nonzero term of the other (_mul_shifted),
+        so a product with a theta series or E(x^2) costs O(sqrt(N))
+        big-integer additions and one with a difference polynomial a few."""
         if isinstance(other, int):
             return self.scale(other)
         N = self._common_order(other)
-        sparse, dense = self._nonzero(N), other._nonzero(N)
-        if len(sparse) > len(dense):
+        sparse, dense = self.coeffs[:N + 1], other.coeffs[:N + 1]
+        if sparse.count(0) < dense.count(0):
             sparse, dense = dense, sparse
-        out = [0] * (N + 1)
-        for i, a in sparse:
-            for j, b in dense:
-                if i + j > N:
-                    break
-                out[i + j] += a * b
-        return TruncSeries(N, out)
+        return TruncSeries(N, _mul_shifted(sparse, dense))
 
     __rmul__ = __mul__
 
@@ -97,6 +98,59 @@ class TruncSeries:
         """The coefficient list as a JSON array string."""
         import json
         return json.dumps(list(self.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# The series multiply.  A packed series holds coefficient n in a slot of w
+# bytes at bit 8wn, degree 0 in the lowest slot, as the signed sum
+# sum_n c[n] 2^{8wn}; times x^i is a left shift by 8wi.  Reading back adds
+# 2^{8w-1} to every slot, keeps the N + 1 lowest slots and takes the offset
+# off again: every coefficient of degree <= N is then exact if it lies in
+# [-2^{8w-1}, 2^{8w-1}), whatever the degrees above N hold, since those are
+# multiples of 2^{8w(N+1)}.  (A right shift, as in the packed counting DPs,
+# would floor the signed slots below the cut and borrow across them.)
+# ---------------------------------------------------------------------------
+
+def _offset(n, w):
+    """2^{8w-1} in each of n slots of w bytes."""
+    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * n, "little")
+
+
+def _pack(coeffs, w):
+    """The signed packed integer of coeffs, w bytes a slot."""
+    half = 1 << 8 * w - 1
+    raw = b"".join(map(int.to_bytes, [c + half for c in coeffs], repeat(w), repeat("little")))
+    return int.from_bytes(raw, "little") - _offset(len(coeffs), w)
+
+
+def _unpack(P, N, w):
+    """Coefficients 0..N of the packed series P (or of any integer equal to
+    P modulo 2^{8w(N+1)})."""
+    n = N + 1
+    half = 1 << 8 * w - 1
+    b = ((P + _offset(n, w)) & (1 << 8 * w * n) - 1).to_bytes(w * n, "little")
+    frm = int.from_bytes
+    return [frm(b[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _mul_shifted(sparse, dense):
+    """The product through degree N of the coefficient lists sparse and
+    dense, both of length N + 1: dense packed once, plus a * D << 8wi for
+    each nonzero term a x^i of sparse.  Each product coefficient is a sum of at most k
+    products, k the nonzero terms of sparse, so its magnitude is at most
+    k max|sparse| max|dense|; a slot holds that bound and a sign bit, in
+    whole bytes, and so each coefficient of dense when k >= 1."""
+    terms = [(i, a) for i, a in enumerate(sparse) if a]
+    if not terms:
+        return [0] * len(dense)
+    bound = len(terms) * max(map(abs, sparse)) * max(map(abs, dense))
+    w = (bound.bit_length() + 8) // 8
+    D = _pack(dense, w)
+    bits = 8 * w
+    acc = 0
+    for i, a in terms:
+        acc += a * D << bits * i
+    return _unpack(acc, len(dense) - 1, w)
 
 
 def div_exact(a: TruncSeries, divisor) -> TruncSeries:
@@ -142,7 +196,14 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     strict product.  Each is the packed counting DP of its partitions
     (partitions._packed_product: one shift-add per factor 1 + x^m, one per
     doubling of m for 1/(1 - x^m)), except that the strict counts come from
-    the pentagonal kernel.  A verify call builds each expansion once
+    the pentagonal kernel.  "double" is those counts times each factor
+    1 - x^m, m even, one shift-subtract apiece on the signed packed form
+    (never E(x^2) from the pentagonal theorem, which is theta_pentagonal):
+    its coefficient of x^n is, up to sign, at most the number of pairs of a
+    strict partition and one into distinct even parts of total n, the
+    coefficient of prod (1 + x^j)(1 + x^{2j}) = prod (1 + x^j + x^{2j} +
+    x^{3j}), so at most p(n), and the packed counting DPs' slots hold p(N)
+    with two bits to spare.  A verify call builds each expansion once
     (_Sides).
     """
     if kind == "distinct":
@@ -156,10 +217,16 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     elif kind == "even_reciprocal":
         c = pt.count_with_parts(N, range(2, N + 1, 2))
     elif kind == "double":
-        c = pt.strict_pentagonal_table(N)
-        for m in range(2, N + 1, 2):  # times (1 - x^m), in place from the top
-            for i in range(N, m - 1, -1):
-                c[i] -= c[i - m]
+        # C -= C x^m for each even m, right modulo 2^K, which is all _unpack
+        # reads: only the low K - 8wm bits of C are shifted, so C stays
+        # within a few bits of K
+        w = pt._slot_bytes(N)
+        bits = 8 * w
+        K = bits * (N + 1)
+        C = _pack(pt.strict_pentagonal_table(N), w)
+        for m in range(2, N + 1, 2):
+            C -= (C & (1 << K - bits * m) - 1) << bits * m
+        c = _unpack(C, N, w)
     elif kind == "distinct_not_pow2":
         c = pt.count_distinct_with_parts(N, pow2_free_parts(N))
     else:
@@ -280,7 +347,8 @@ def filtered_series(kind, N, k_lo=None) -> TruncSeries:
 
 def _table_series(name, N):
     t = seq.named_sequence(name, N)
-    return TruncSeries(N, [t[n] for n in range(N + 1)])
+    assert t.offset == 0, name
+    return TruncSeries(N, t.values)
 
 
 class _Sides:

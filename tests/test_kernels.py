@@ -1,8 +1,10 @@
 """The packed counting kernels against the per-cell loops they replaced.
 
 The references below are the old DPs, one big-integer addition per table
-cell; the library's DPs and filtration sums hold the whole table as one
-integer and must give the same lists.
+cell, the old "double" product, one subtraction per cell for each factor
+(1 - x^m), and the old series multiply over nonzero pairs; the library's
+DPs, filtration sums and series multiply hold a whole series as one integer
+and must give the same lists.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from butterflyseq import partitions as pt
 from butterflyseq import series
 from butterflyseq.families import pow2_free_parts
+from butterflyseq.series import TruncSeries
 
 
 # -- refusals -------------------------------------------------------------------
@@ -69,6 +72,32 @@ def _sum_filtration_by_cells(kind, N, k_lo):
             total[e + i] += c
         k += 1
     return total
+
+
+def _double_by_cells(N):
+    # prod (1 + x^n)(1 - x^{2n}): the strict counts times each (1 - x^m), m even
+    c = pt.strict_pentagonal_table(N)
+    for m in range(2, N + 1, 2):  # in place from the top
+        for i in range(N, m - 1, -1):
+            c[i] -= c[i - m]
+    return c
+
+
+def _mul_by_pairs(a, b):
+    # TruncSeries.__mul__ as one loop over the nonzero pairs of the factors
+    if isinstance(b, int):
+        return a.scale(b)
+    N = min(a.order, b.order)
+    sparse, dense = ([(i, x) for i, x in enumerate(s.coeffs[:N + 1]) if x] for s in (a, b))
+    if len(sparse) > len(dense):
+        sparse, dense = dense, sparse
+    out = [0] * (N + 1)
+    for i, x in sparse:
+        for j, y in dense:
+            if i + j > N:
+                break
+            out[i + j] += x * y
+    return TruncSeries(N, out)
 
 
 def _part_sets(N):
@@ -150,3 +179,69 @@ def test_packed_kernels_do_not_reach_the_pentagonal_kernel(monkeypatch):
     assert calls == []
     pt.strict_pentagonal_table(10)  # the counter is live
     assert len(calls) == 1
+
+
+# -- "double" and the series multiply ------------------------------------------------
+
+def test_double_product_equals_the_cell_loop():
+    for N in list(range(151)) + [700, 2000]:
+        assert list(series.expand_product("double", N).coeffs) == _double_by_cells(N), N
+
+
+def test_double_product_does_not_read_the_triangular_series(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = series.theta_triangular
+    monkeypatch.setattr(series, "theta_triangular", counted)
+    for N in (0, 1, 40, 300):
+        series.expand_product("double", N)
+    assert calls == []
+    series.theta_triangular(10)  # the counter is live
+    assert len(calls) == 1
+
+
+def test_double_product_multiplies_each_even_factor_itself(monkeypatch):
+    """Given the strict counts, "double" never reads E(x^2) off the
+    pentagonal theorem (that is theta_pentagonal, the factor of
+    strict-checksum-series), so triangular-double-product checks a route of
+    its own."""
+    strict = {N: pt.strict_pentagonal_table(N) for N in (0, 1, 40, 300)}
+    calls = []
+
+    def counted(name):
+        real = getattr(pt, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(pt, name, call)
+
+    monkeypatch.setattr(pt, "strict_pentagonal_table", lambda N: list(strict[N]))
+    for name in ("euler_product", "pentagonal_offsets", "pentagonal_solve"):
+        counted(name)
+    for N in strict:
+        assert list(series.expand_product("double", N).coeffs) == _double_by_cells(N), N
+    assert calls == []
+    series.theta_pentagonal(10)  # the counter is live
+    assert calls == ["euler_product", "pentagonal_offsets"]
+
+
+def test_verify_all_equals_the_pair_loop_and_cell_loop_reports(monkeypatch):
+    orders = list(range(121)) + [700, 2000]
+    packed = [series.verify_all(N) for N in orders]
+    real_expand = series.expand_product
+
+    def expand(kind, N, param=None):
+        if kind == "double":
+            return TruncSeries(N, _double_by_cells(N))
+        return real_expand(kind, N, param)
+
+    monkeypatch.setattr(series, "expand_product", expand)
+    monkeypatch.setattr(TruncSeries, "__mul__", _mul_by_pairs)
+    monkeypatch.setattr(TruncSeries, "__rmul__", _mul_by_pairs)
+    for N, reports in zip(orders, packed):
+        assert series.verify_all(N) == reports, N

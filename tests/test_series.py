@@ -6,7 +6,7 @@ from butterflyseq.sequences import named_sequence
 from butterflyseq.series import (
     IDENTITIES, TruncSeries, VERIFIED_IDENTITIES, _FILTRATION,
     div_exact, expand_product, filtered_series, filtration_term,
-    poly, theta_triangular,
+    poly, theta_pentagonal, theta_triangular,
     verify_all, verify_identity,
 )
 
@@ -198,18 +198,33 @@ def schoolbook(a, b):
     return N, tuple(out)
 
 
+def _root_spots(order):
+    # about sqrt(order) nonzero terms: the shape of a theta series
+    root = int((order + 1) ** 0.5)
+    return st.dictionaries(st.integers(0, order), st.integers(-9, 9),
+                           min_size=root, max_size=4 * root)
+
+
 @st.composite
 def any_series(draw):
-    order = draw(st.integers(min_value=0, max_value=40))
-    shape = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    order = draw(st.integers(min_value=0, max_value=200))
+    shape = draw(st.sampled_from(["zero", "sparse", "root", "dense", "negative", "lone"]))
+    big = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
     coeffs = [0] * (order + 1)
     if shape == "sparse":
         spots = st.dictionaries(st.integers(0, order), st.integers(-9, 9), max_size=4)
         for i, c in draw(spots).items():
             coeffs[i] = c
+    elif shape == "root":
+        for i, c in draw(_root_spots(order)).items():
+            coeffs[i] = c
     elif shape == "dense":
-        big = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
         coeffs = draw(st.lists(big, min_size=order + 1, max_size=order + 1))
+    elif shape == "negative":
+        neg = st.integers(min_value=-10 ** 20, max_value=-1)
+        coeffs = draw(st.lists(neg, min_size=order + 1, max_size=order + 1))
+    elif shape == "lone":  # one nonzero term, at the top degree
+        coeffs[order] = draw(big.filter(bool))
     return TruncSeries(order, coeffs)
 
 
@@ -219,6 +234,112 @@ def test_multiply_matches_schoolbook(a, b):
     assert (product.order, product.coeffs) == schoolbook(a, b)
     swapped = b * a
     assert (swapped.order, swapped.coeffs) == schoolbook(a, b)
+
+
+@pytest.fixture
+def shifted_terms(monkeypatch):
+    """For each multiply since the fixture was set up, the number of shifted
+    copies of the packed denser factor it added."""
+    from butterflyseq import series
+    used = []
+    real = series._mul_shifted
+
+    def recorded(sparse, dense):
+        used.append(len(sparse) - sparse.count(0))
+        return real(sparse, dense)
+    monkeypatch.setattr(series, "_mul_shifted", recorded)
+    return used
+
+
+def _product_shapes():
+    from butterflyseq import partitions as pt
+    out = []
+    for N in (0, 1, 9, 100, 300):
+        p = TruncSeries(N, pt.count_partitions_table(N))
+        q = TruncSeries(N, pt.strict_pentagonal_table(N))
+        theta = theta_pentagonal(N)
+        out += [
+            (p, poly(N, 1, -2, 1)),                 # a table times a difference polynomial
+            (theta, poly(N, 1, -1, 0, -1, 1)),
+            (p, poly(N, *[0] * N + [-7])),          # a lone term at degree N
+            (p, theta),                             # a table times a theta series
+            (q, theta * poly(N, 1, -2, 1)),
+            (p, theta_triangular(N) * poly(N, 1, -1)),
+            (p.scale(-1), q),                       # both dense
+            (TruncSeries.zero(N), q),
+        ]
+    return out
+
+
+def test_multiply_shifts_the_denser_factor_to_each_term_of_the_sparser(shifted_terms):
+    shapes = _product_shapes()
+    shifted_terms.clear()  # the shapes' own products
+    for a, b in shapes:
+        for x, y in ((a, b), (b, a)):
+            got = x * y
+            assert (got.order, got.coeffs) == schoolbook(x, y)
+            nonzero = [len(s.coeffs) - s.coeffs.count(0) for s in (x, y)]
+            assert shifted_terms == [min(nonzero)], (x.order, nonzero)
+            shifted_terms.clear()
+
+
+# -- the slot width of the packed multiply ------------------------------------------
+
+def _reaching(bits, count, other):
+    """m with count * m * other of exactly ``bits`` bits."""
+    return (1 << bits - 1) // (count * other) + 1
+
+
+def _width_cases():
+    """(a, b, bound, signs): the product has a coefficient of degree
+    <= N at +bound or -bound for each sign, and none beyond."""
+    N = 100
+    # shift-adds: 8 terms times a dense factor whose sign flips halfway, so
+    # degrees 7..50 reach +8 m 3 and degrees 58..100 reach -8 m 3
+    m = _reaching(72, 8, 3)
+    halves = TruncSeries(N, [3] * 51 + [-3] * 50)
+    yield poly(N, *[m] * 8), halves, 8 * m * 3, (1, -1)
+    yield poly(N, *[-m] * 8), halves, 8 * m * 3, (1, -1)
+    # a dense factor: all N + 1 pairs of degree N have the same sign
+    m = _reaching(80, N + 1, 1)
+    ones = TruncSeries(N, [1] * (N + 1))
+    signs = TruncSeries(N, [(-1) ** i for i in range(N + 1)])
+    yield ones.scale(m), ones, (N + 1) * m, (1,)
+    yield ones.scale(-m), ones, (N + 1) * m, (-1,)
+    yield signs.scale(m), signs, (N + 1) * m, (1,)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_packed_slots_hold_the_width_bound_exactly(case):
+    """A coefficient reaches min(nonzero terms) max|a| max|b| itself, and
+    that bound has a whole number of bytes, so a slot without the sign bit
+    over it would overflow."""
+    a, b, bound, signs = list(_width_cases())[case]
+    got = a * b
+    assert (got.order, got.coeffs) == schoolbook(a, b)
+    assert bound.bit_length() % 8 == 0
+    assert {c for c in got.coeffs if abs(c) >= bound} == {s * bound for s in signs}
+
+
+def _low_and_high(N, lo, mid, sign):
+    # zero below lo, small terms in lo..mid-1, terms of 10^40 from mid to N
+    return TruncSeries(N, [0] * lo + [sign * (1 + i % 5) for i in range(lo, mid)]
+                       + [-sign * 10 ** 40] * (N + 1 - mid))
+
+
+@pytest.mark.parametrize("a, b", [
+    # 13 terms against 60: every product with a wide term lands at 101 or above
+    (TruncSeries(100, [0] * 41 + [(-1) ** i for i in range(7)] + [0] * 47
+                 + [10 ** 40, -10 ** 40] * 3), _low_and_high(100, 41, 60, 1)),
+    (_low_and_high(200, 81, 120, 1), _low_and_high(200, 81, 120, -1)),
+])
+def test_wide_terms_meeting_above_the_order_keep_their_slots(a, b):
+    """Factors with coefficients of 10^40 whose products all land above
+    degree N: the slots must still hold the factors themselves, and the
+    degrees above N must not spill into those below."""
+    got = a * b
+    assert (got.order, got.coeffs) == schoolbook(a, b)
+    assert max(map(abs, got.coeffs)) < 10 ** 3
 
 
 # the named filtered series as sums of filtration_term, with 1/(1+x) taken as

@@ -21,10 +21,10 @@ from .families import (
     CONSEC_WITH_ONE,
     STRICT,
     Family,
-    _HEAD_TAIL,
     _bar_sets,
     _in_bar_a,
     _in_bar_b,
+    count_table,
     enumerate_family,
     in_family,
 )
@@ -117,23 +117,25 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
 
     The raise and butterfly targets are counted, not listed, by exact counts
     that share no code with the listing of the sources: q(n) - consec(n) and
-    r1'(n) from the head-and-tail counts.  An injective map into the target
-    family, whose size equals the number of sources, is a bijection."""
+    r1'(n), each read from one table per call.  An injective map into the
+    target family, whose size equals the number of sources, is a bijection."""
     failures = []
     checked = 0
     q = pt.strict_pentagonal_table(max(hi, 0)) if kind == "raise" else None
+    if kind in ("raise", "butterfly"):
+        pairs = count_table(max(hi, 0), CONSEC if kind == "raise" else CONSEC_ISOLATED)
     for n in range(lo, hi + 1):
         if kind == "raise":
             source = enumerate_family(n - 1, Family(STRICT))
             source = [p for p in source if len(p) > 0]
             # the strict partitions of n whose two largest parts are not consecutive
-            n_target = q[n] - pt.count_head_tail(n, *_HEAD_TAIL[CONSEC])
+            n_target = q[n] - pairs[n]
             fwd, back = raise_largest, lower_largest
             member = lambda img, src=None: (img.n == n and img.is_strict()
                                             and (len(img) < 2 or img[0] - img[1] >= 2))
         elif kind == "butterfly":
             source = enumerate_family(n - 1, Family(CONSEC_WITH_ONE))
-            n_target = pt.count_head_tail(n, *_HEAD_TAIL[CONSEC_ISOLATED])
+            n_target = pairs[n]
             fwd, back = butterfly_forward, butterfly_backward
             member = lambda img, src=None: (img.n == n
                                             and in_family(img, Family(CONSEC_ISOLATED)))

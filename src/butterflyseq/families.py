@@ -355,6 +355,26 @@ def _bar_sets(n, h):
                  for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
 
 
+# staircase kind -> (the kind of its conjugates, whether conjugation flips the
+# parity of the split key): a staircase's number of parts is its conjugate's
+# largest part, the repeated value of an equal triple and one more than the
+# second part of a butterfly
+_CONJUGATES = {STAIRCASE_33: (EQUAL_TRIPLE, 0), STAIRCASE_321: (BUTTERFLY, 1)}
+
+
+def count_table(N, kind, parity=None):
+    """[count_family(n, Family(kind)) for n in 0..N], read off one packed table and
+    no listing; a parity keeps members whose second part (staircase: length) has it."""
+    if kind == CONSEC_WITH_ONE:
+        # an r1 partition of n - 1 with the part 1 appended (r1 is 0 below 5),
+        # and (2, 1) at n = 3
+        r1 = count_table(max(N - 1, 0), CONSEC_NO_ONE, parity)
+        return ([0, 0, 0, int(parity != 0)] + r1[3:])[:N + 1]
+    kind, flip = _CONJUGATES.get(kind, (kind, 0))
+    shape, fixed = _HEAD_TAIL[kind]
+    return pt.count_head_tail_table(N, shape, fixed if parity is None else parity ^ flip)
+
+
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
     """len(enumerate_family(n, f)), via exact counting where available.
 
@@ -367,12 +387,10 @@ def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
         return pt.strict_pentagonal_table(n)[n]
     if kind == ODD_GE:
         return pt.count_odd_ge_table(n, f.param)[n]
-    if kind == BUTTERFLY:
-        return pt.count_butterfly(n)
-    if kind == BUTTERFLY_EVEN:
-        return pt.count_butterfly(n, second_parity=0)
-    if kind == BUTTERFLY_ODD:
-        return pt.count_butterfly(n, second_parity=1)
+    if kind in (BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD):
+        return pt.count_butterfly(n, _HEAD_TAIL[kind][1])
     if kind == DISTINCT_NOT_POW2:
         return pt.count_distinct_with_parts(n, pow2_free_parts(n))[n]
+    if kind in _HEAD_TAIL or kind in _CONJUGATES or kind == CONSEC_WITH_ONE:
+        return count_table(n, kind)[n]
     return len(enumerate_family(n, f, limit))

@@ -11,7 +11,7 @@ stops at the first part below which the rest no longer fits, then yield from
 that list.  One lister, iter_head_tail_tuples, serves every family shaped as
 a head of consecutive or equal largest parts over a strict tail (consecutive
 pairs, butterflies, equal triples); count_head_tail counts over the same
-heads.
+heads, one n through a memo, and count_head_tail_table every n <= N at once.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
@@ -19,7 +19,9 @@ is checked against, and as the product sides of the series identities.  They
 hold a whole table as one packed integer, so a factor 1 + x^m, and each of
 the doublings m, 2m, 4m, ... that make up a factor 1/(1 - x^m), is one
 big-integer shift-add, in a product (_packed_product) and in a nested sum
-over k (_packed_nested_sum, which also serves the series filtration sums).
+over k (_packed_nested_sum: the series filtration sums and, with factors
+1 + x^j, count_head_tail_table, which counts r1, r2, r1', e, o and the
+staircase tables without listing, so DEFAULT_ENUM_LIMIT does not bound them).
 """
 
 import math
@@ -351,29 +353,33 @@ def _packed_product(N, parts, repeated):
     return _unpack(C, N, w)
 
 
-def _packed_nested_sum(N, j0, k_lo, exponent):
-    """[c[0..N]] of sum over k >= k_lo of x^{exponent(k)} / prod_{j=j0..k}
-    (1 - x^j), for an increasing ``exponent``; the sum must count partitions.
+def _packed_nested_sum(N, j0, k_lo, exponent, repeated=True, keep=None):
+    """[c[0..N]] of sum over the k >= k_lo with keep(k) (all k if keep is None)
+    of x^{exponent(k)} prod_{j=j0..k} 1/(1 - x^j) (``repeated``) or (1 + x^j),
+    for an increasing ``exponent``; the sum must count partitions.
 
-    One running denominator serves every term.  It is packed with its top
-    slot at degree N - exponent(k), so that it lines up with the total for
-    the term x^{exponent(k)}: moving to the next k drops its high degrees with
-    one right shift, multiplies in 1/(1 - x^k), and adds it into the total.
+    One running product serves every term.  It is packed with its top slot at
+    degree N - exponent(k), so that it lines up with the total for the term
+    x^{exponent(k)}: moving to the next k drops its high degrees with one
+    right shift, multiplies in the factor of k, and adds it in if kept.
     """
     w = _slot_bytes(N)
     bits = 8 * w
-    total, den, shift, new = 0, 1 << bits * N, 0, j0
+    total, run, shift, new = 0, 1 << bits * N, 0, j0
     k = k_lo
     while (e := exponent(k)) <= N:
-        den >>= bits * (e - shift)
+        run >>= bits * (e - shift)
         shift = e
-        for j in range(new, k + 1):  # times 1/(1 - x^j), through degree N - e
+        for j in range(new, k + 1):  # times the factor of j, through degree N - e
             s = j
             while s <= N - e:
-                den += den >> bits * s
+                run += run >> bits * s
+                if not repeated:
+                    break
                 s += s
         new = max(new, k + 1)
-        total += den
+        if keep is None or keep(k):
+            total += run
         k += 1
     return _unpack(total, N, w)
 
@@ -445,6 +451,17 @@ def count_head_tail(n, shape, second_parity=None):
     listing: the strict tails of each head are counted, not built."""
     return sum(_strict_bounded_count(rest, top, shape[3])
                for _, rest, top in _shape_heads(n, shape, second_parity))
+
+
+def count_head_tail_table(N, shape, second_parity=None):
+    """[count_head_tail(n, shape, second_parity) for n in 0..N] with no memo:
+    sum over a of x^{|head(a)|} prod_{j=low}^{a-gap} (1 + x^j), over k = a - gap."""
+    offsets, smallest, gap, low = shape
+    # |head(a)| = width a + sum(offsets), with a = k + gap
+    width, lift = len(offsets), len(offsets) * gap + sum(offsets)
+    keep = None if second_parity is None else lambda k: (k + gap + offsets[1]) % 2 == second_parity
+    return _packed_nested_sum(N, low, smallest - gap, lambda k: width * k + lift,
+                              repeated=False, keep=keep)
 
 
 def count_butterfly(n, second_parity=None):

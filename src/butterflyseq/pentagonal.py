@@ -16,9 +16,6 @@ from .families import (
     BUTTERFLY,
     BUTTERFLY_EVEN,
     BUTTERFLY_ODD,
-    EQUAL_TRIPLE,
-    STAIRCASE_321,
-    STAIRCASE_33,
     Family,
     _bar_sets,
     _in_bar_a,
@@ -27,7 +24,7 @@ from .families import (
     in_family,
 )
 from .partitions import Partition
-from .sequences import EXCEPTION_SIGNS, exception_form_of, parity_split_counts
+from .sequences import EXCEPTION_SIGNS, exception_form_of, named_sequence
 
 PENTAGONAL = "pentagonal"
 GEN_PENTAGONAL = "gen_pentagonal"
@@ -167,9 +164,8 @@ def parity_refined_counts(n) -> ParityRefinedCounts:
         raise ValueError("defined for n >= 6")
     s_e = count_family(n, Family(BUTTERFLY_EVEN))
     s_o = count_family(n, Family(BUTTERFLY_ODD))
-    e, o = parity_split_counts(n, EQUAL_TRIPLE)
-    e_p, o_p = parity_split_counts(n, STAIRCASE_321)
-    e_pp, o_pp = parity_split_counts(n, STAIRCASE_33)
+    e, o, e_p, o_p, e_pp, o_pp = (named_sequence(name, n)[n] for name in (
+        "e", "o", "e_prime", "o_prime", "e_dprime", "o_dprime"))
 
     w = parity_relation(n)
     delta = EXCEPTION_SIGNS.get(w.form, 0)

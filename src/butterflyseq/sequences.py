@@ -22,7 +22,7 @@ from .families import (
     STAIRCASE_33,
     Family,
     count_family,
-    enumerate_family,
+    count_table,
 )
 
 ENUMERATED = "enumerated"
@@ -36,6 +36,18 @@ DIFF_WEIGHTS = {"q": (1,), "r": (1, -1), "s": (1, -2, 1), "t": (1, -1, 0, -1, 1)
 # partition of 1 or 2 is free of 1s with a repeated largest part, where the
 # second difference of p reads -1 and +1
 _P_WEIGHTS = {"p": (1,), "dp": (1, -1), "d2p": (1, -2, 1)}
+
+# the tables counted from one packed head-and-tail table (families.count_table):
+# name -> (family, parity of its split key).  e, o split the equal triples by
+# their repeated value, the primed tables the staircases by their number of
+# parts, so by conjugation e'' = e, o'' = o, e' = s_o and o' = s_e
+_COUNTED = {
+    "r1": (CONSEC_NO_ONE, None), "r2": (CONSEC_WITH_ONE, None),
+    "r1_prime": (CONSEC_ISOLATED, None),
+    "e": (EQUAL_TRIPLE, 0), "o": (EQUAL_TRIPLE, 1),
+    "e_prime": (STAIRCASE_321, 0), "o_prime": (STAIRCASE_321, 1),
+    "e_dprime": (STAIRCASE_33, 0), "o_dprime": (STAIRCASE_33, 1),
+}
 
 # p, dp and d2p -> the part-by-part counting DP in partitions that checks
 # them, by name, so that a rebound partitions function is the one called
@@ -99,8 +111,9 @@ def named_sequence(name, N) -> SequenceTable:
     difference polynomials (DIFF_WEIGHTS) to q, and dp and d2p theirs
     (_P_WEIGHTS) to p, by construction here.  The O(N^2) counting DPs and the
     family enumerations they are cross-checked against live in
-    crosscheck_table, counting_dp and the test suite.  The remaining tables
-    come from family counts.
+    crosscheck_table, counting_dp and the test suite.  The _COUNTED tables are
+    one packed head-and-tail table each, not listings, so the listing limit
+    spares them; r1'', s_e and s_o come n by n from count_butterfly.
     """
     if name not in _OFFSETS:
         raise ValueError("unknown sequence %r" % name)
@@ -116,22 +129,13 @@ def named_sequence(name, N) -> SequenceTable:
             vals[1:3] = [v + c for v, c in zip(vals[1:3], (1, -1))]
         return SequenceTable(name, 0, vals)
 
-    family = {
-        "r1": Family(CONSEC_NO_ONE),
-        "r2": Family(CONSEC_WITH_ONE),
-        "r1_prime": Family(CONSEC_ISOLATED),
-        "r1_dprime": Family(BUTTERFLY),
-        "s_e": Family(BUTTERFLY_EVEN),
-        "s_o": Family(BUTTERFLY_ODD),
-    }.get(name)
-    if family is not None:
-        count = lambda n: count_family(n, family)
-    else:
-        kind, parity = _PARITY_REFINED[name]
-        count = lambda n: parity_split_counts(n, kind)[parity]
-    # largest n first, so that the listing limit refuses a table before any
-    # listing is done
-    vals = [count(n) for n in range(N, offset - 1, -1)]
+    if name in _COUNTED:
+        return SequenceTable(name, offset, count_table(N, *_COUNTED[name])[offset:])
+    family = Family({"r1_dprime": BUTTERFLY, "s_e": BUTTERFLY_EVEN, "s_o": BUTTERFLY_ODD}[name])
+    # n by n through count_butterfly's memo, largest n first.  The order in
+    # which the memo fills sets how deep its recursion goes: from a fresh
+    # process this one passes Python's limit above n = 1500 or so
+    vals = [count_family(n, family) for n in range(N, offset - 1, -1)]
     return SequenceTable(name, offset, vals[::-1])
 
 
@@ -146,25 +150,6 @@ def counting_dp(name, N):
     """[name(0..N)] for p, dp or d2p from its O(N^2) part-by-part counting DP
     in partitions: the oracle of the pentagonal route of named_sequence."""
     return getattr(pt, _COUNTING_DPS[name])(N)
-
-
-# parity-refined count families: name -> (family, parity of its split key)
-_PARITY_REFINED = {
-    "e": (EQUAL_TRIPLE, 0), "o": (EQUAL_TRIPLE, 1),
-    "e_prime": (STAIRCASE_321, 0), "o_prime": (STAIRCASE_321, 1),
-    "e_dprime": (STAIRCASE_33, 0), "o_dprime": (STAIRCASE_33, 1),
-}
-
-# the key whose parity splits each family: the repeated value of an equal
-# triple, the number of parts of a staircase
-_PARITY_KEYS = {EQUAL_TRIPLE: lambda p: p[0], STAIRCASE_321: len, STAIRCASE_33: len}
-
-
-def parity_split_counts(n, kind):
-    """(even, odd) counts of the family's partitions of n, by listing them."""
-    listed = enumerate_family(n, Family(kind))
-    even = sum(1 for p in listed if _PARITY_KEYS[kind](p) % 2 == 0)
-    return even, len(listed) - even
 
 
 def mod3_slices(s: SequenceTable, residue, m0) -> SequenceTable:

@@ -173,3 +173,24 @@ def test_counted_targets_agree_with_listed_targets(kind, lo, hi, h):
 def test_bar_round_trip_over_generated_a_sets(n, h, kind):
     for p in enumerate_family(n, Family(kind, h)):
         assert bar_backward(bar_forward(p, h), h) == p
+
+
+def test_target_counts_come_from_one_table_per_call(monkeypatch):
+    """The raise and butterfly targets are read from one head-and-tail table
+    per call, never from the memoised per-n count_head_tail."""
+    from butterflyseq import bijections
+    from butterflyseq.families import CONSEC
+    real, tables = bijections.count_table, []
+
+    def counted(N, kind, parity=None):
+        tables.append((N, kind))
+        return real(N, kind, parity)
+
+    def refuse(*args):
+        raise AssertionError("reached count_head_tail")
+
+    monkeypatch.setattr(bijections, "count_table", counted)
+    monkeypatch.setattr(bijections.pt, "count_head_tail", refuse)
+    assert verify_bijection("raise", 2, 24).passed
+    assert verify_bijection("butterfly", 6, 30).passed
+    assert tables == [(24, CONSEC), (30, CONSEC_ISOLATED)]

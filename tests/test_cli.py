@@ -224,11 +224,19 @@ def test_negative_bound_is_usage_error(capsys):
 
 def test_listing_limit_does_not_block_a_count(capsys):
     from butterflyseq.partitions import count_butterfly
+    from butterflyseq.sequences import named_sequence
     code, out, _ = run(capsys, "seq", "s_e", "--to", "250")
     assert code == 0
     assert out.splitlines()[-1] == "250 %d" % count_butterfly(250, 0)
-    # r1 is counted by listing, which the limit still guards
-    code, out, err = run(capsys, "seq", "r1", "--to", "250")
+    # r1 is counted from its head-and-tail table, which lists nothing: its
+    # last row obeys r1 + r2 = r, with r2(n) = r1(n - 1) and r from the
+    # pentagonal q
+    code, out, _ = run(capsys, "seq", "r1", "--to", "250")
+    rows = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert code == 0 and rows[-1][0] == 250
+    assert rows[-1][1] + rows[-2][1] == named_sequence("r", 250)[250]
+    # listing r1 at the same n is still refused
+    code, out, err = run(capsys, "enum", "r1", "250")
     assert code == 2 and out == "" and "limit" in err
 
 

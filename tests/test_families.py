@@ -126,7 +126,7 @@ def test_enumeration_limit_guard():
         enumerate_family(201, Family(BUTTERFLY))
     # the limit guards listing, so it reaches a count only through a listing
     with pytest.raises(EnumerationLimitError):
-        count_family(201, Family(CONSEC_NO_ONE))
+        count_family(201, Family(ODD_STEP1))
     assert count_family(500, Family(STRICT)) == count_family(500, Family(STRICT), limit=None) > 0
     assert count_family(250, Family(BUTTERFLY_EVEN)) == count_butterfly(250, 0)
 

@@ -11,7 +11,7 @@ import pytest
 
 from butterflyseq import partitions as pt
 from butterflyseq import series
-from butterflyseq.families import pow2_free_parts
+from butterflyseq.families import _HEAD_TAIL, pow2_free_parts
 from butterflyseq.series import TruncSeries
 
 
@@ -145,6 +145,19 @@ def test_packed_filtration_sum_equals_the_terms(kind, k_lo):
         assert list(got.coeffs) == _sum_filtration_by_cells(kind, N, k_lo), (kind, k_lo, N)
 
 
+@pytest.mark.parametrize("kind", sorted(_HEAD_TAIL))
+def test_head_tail_table_equals_the_per_n_count(kind):
+    """The nested sum with factors 1 + x^j and a parity filter on its term
+    index equals count_head_tail, which counts each n apart through its memo,
+    for n <= 300, at every order N <= 30 and at N = 300, for each kind's
+    parity or, on a kind without one, for none and both."""
+    shape, fixed = _HEAD_TAIL[kind]
+    for parity in (None, 0, 1) if fixed is None else (fixed,):
+        want = [pt.count_head_tail(n, shape, parity) for n in range(301)]
+        for N in list(range(31)) + [300]:
+            assert pt.count_head_tail_table(N, shape, parity) == want[:N + 1], (parity, N)
+
+
 # -- slot width and independence ------------------------------------------------------
 
 def test_slot_width_holds_every_partition_count():
@@ -174,6 +187,7 @@ def test_packed_kernels_do_not_reach_the_pentagonal_kernel(monkeypatch):
     pt.count_no_ones_repeated_top_table(N)
     pt.count_with_parts(N, range(2, N + 1, 2))
     pt.count_distinct_with_parts(N, pow2_free_parts(N))
+    pt.count_head_tail_table(N, pt.BUTTERFLY_SHAPE, 0)
     for kind, k_lo in FILTRATION_SUMS:
         series._sum_filtration(kind, N, k_lo)
     assert calls == []

@@ -168,3 +168,18 @@ def test_parity_counts_equal_the_enumerated_families():
         for kind in (BUTTERFLY_EVEN, BUTTERFLY_ODD):
             f = Family(kind)
             assert count_family(n, f) == len(enumerate_family(n, f)), (n, kind)
+
+
+def test_parity_refined_counts_list_nothing(monkeypatch):
+    """The equal-triple and staircase counts come from their counted tables:
+    with the listers refused, the relations still hold, also at n = 500,
+    above the listing limit."""
+    from butterflyseq import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a lister")
+
+    for name in ("iter_head_tail_tuples", "_iter_staircase", "enumerate_family"):
+        monkeypatch.setattr(families, name, refuse)
+    for n in (6, 9, 26, 40, 61, 500):
+        assert parity_refined_counts(n).relations_hold, n

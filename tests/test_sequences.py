@@ -1,9 +1,23 @@
+import collections
 import json
 
 import pytest
 
 import golden
-from butterflyseq import sequences
+from butterflyseq import families, sequences
+from butterflyseq import partitions as pt
+from butterflyseq.families import (
+    BUTTERFLY,
+    CONSEC_ISOLATED,
+    CONSEC_NO_ONE,
+    CONSEC_WITH_ONE,
+    EQUAL_TRIPLE,
+    STAIRCASE_321,
+    STAIRCASE_33,
+    Family,
+    count_table,
+    enumerate_family,
+)
 from butterflyseq.sequences import (
     SequenceTable,
     crosscheck_table,
@@ -284,3 +298,79 @@ def test_table_indexing():
     assert t[2] == 0  # below offset reads as zero
     with pytest.raises(IndexError):
         t[11]
+
+
+# -- the tables counted from the head-and-tail kernel ---------------------------------
+
+# name -> (family listed, parity of its split key) for the tables counted from
+# a head-and-tail table: e, o split the equal triples by the repeated value,
+# the primed tables the staircases by their number of parts
+COUNTED = {
+    "r1": (CONSEC_NO_ONE, None), "r2": (CONSEC_WITH_ONE, None),
+    "r1_prime": (CONSEC_ISOLATED, None),
+    "e": (EQUAL_TRIPLE, 0), "o": (EQUAL_TRIPLE, 1),
+    "e_prime": (STAIRCASE_321, 0), "o_prime": (STAIRCASE_321, 1),
+    "e_dprime": (STAIRCASE_33, 0), "o_dprime": (STAIRCASE_33, 1),
+}
+SPLIT_KEYS = {EQUAL_TRIPLE: lambda p: p[0], STAIRCASE_321: len, STAIRCASE_33: len}
+
+
+def test_counted_tables_equal_their_listings():
+    """Each of the nine counted tables equals the length of its family's
+    listing, split by the parity of its key, for n <= 90; each family is
+    listed once per n."""
+    N = 90
+    tables = {name: named_sequence(name, N) for name in COUNTED}
+    for n in range(N + 1):
+        listed = {kind: enumerate_family(n, Family(kind)) for kind, _ in COUNTED.values()}
+        for name, (kind, parity) in COUNTED.items():
+            members = listed[kind]
+            want = len(members) if parity is None else sum(
+                1 for p in members if SPLIT_KEYS[kind](p) % 2 == parity)
+            assert tables[name][n] == want, (name, n)
+
+
+def test_counted_tables_obey_the_relations_with_the_pentagonal_tables():
+    """r1 + r2 = r, r1 - r1' = s and e + o = s against the r and s of the
+    pentagonal q, to N = 2000 (s from n = 6, where it counts butterflies)."""
+    N = 2000
+    r, s = named_sequence("r", N), named_sequence("s", N)
+    r1, r2, r1p, e, o = (named_sequence(name, N) for name in ("r1", "r2", "r1_prime", "e", "o"))
+    assert all(r1[n] + r2[n] == r[n] for n in range(1, N + 1))
+    assert all(r1[n] - r1p[n] == s[n] == e[n] + o[n] for n in range(6, N + 1))
+
+
+def test_butterfly_shape_tables_equal_count_butterfly():
+    """e' = s_o and o' = s_e, counted from the butterfly shape's table, equal
+    the memoised count_butterfly for n <= 1000, and so does the whole table."""
+    N = 1000
+    want = {parity: [pt.count_butterfly(n, parity) for n in range(N + 1)]
+            for parity in (None, 0, 1)}
+    assert count_table(N, BUTTERFLY) == want[None]
+    assert list(named_sequence("e_prime", N).values) == want[1][6:]
+    assert list(named_sequence("o_prime", N).values) == want[0][6:]
+
+
+def test_counted_tables_list_nothing(monkeypatch):
+    """named_sequence reaches no lister and not the memoised counts for the
+    nine counted tables; the counters are live (s_e reaches count_butterfly)."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (families, pt):
+        for name in ("enumerate_family", "iter_head_tail_tuples", "iter_strict_tuples",
+                     "iter_partition_tuples", "iter_butterfly_tuples", "_fill_strict",
+                     "_iter_staircase", "_iter_consec_with_one", "count_head_tail",
+                     "count_butterfly"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in COUNTED:
+        named_sequence(name, 120)
+    assert calls == {}
+    named_sequence("s_e", 20)
+    assert calls["count_butterfly"] == 15

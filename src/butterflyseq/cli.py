@@ -282,6 +282,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         # violated merging caps are a domain failure, not a usage error
         return 1 if isinstance(exc, splitmerge.CapsError) else 2
+    except OverflowError as exc:  # a size no list or packed integer can hold
+        print("error: size out of range (%s)" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

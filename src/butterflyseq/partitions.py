@@ -27,6 +27,7 @@ staircase tables without listing, so DEFAULT_ENUM_LIMIT does not bound them).
 import math
 import operator
 from functools import lru_cache
+from itertools import chain, islice
 
 # Desk-scale guard: enumeration is refused above this n unless the caller
 # overrides it explicitly.
@@ -131,7 +132,7 @@ class Partition:
 
 def is_strict_tuple(parts):
     """True when all parts are distinct."""
-    return all(a > b for a, b in zip(parts, parts[1:]))
+    return all(map(operator.gt, parts, parts[1:]))
 
 
 def initial_run(parts):
@@ -271,20 +272,31 @@ def pentagonal_solve(rhs, step):
     """v with v * prod_{j>=1} (1 - x^{step j}) = rhs through degree len(rhs) - 1.
 
     v[m] is rhs[m] less the signed v[m - o] over the offsets o <= m, which
-    costs O(N^{3/2}) additions for N + 1 coefficients.
+    costs O(N^{3/2}) additions for N + 1 coefficients.  Between two offsets
+    the terms to gather stay the same, so each sign has one itemgetter,
+    rebuilt only when an offset comes into range.
     """
-    offsets = pentagonal_offsets(len(rhs) - 1, step)
-    pending = next(offsets, None)
-    # -o for the offsets whose product term is +x^o, -x^o: v holds v[0..m-1]
-    # when v[m] is due, so v[m - o] is v[-o]
-    plus, minus = [], []
-    v = []
-    at = v.__getitem__
-    for m, r in enumerate(rhs):
-        while pending is not None and pending[0] <= m:
-            (plus if pending[1] > 0 else minus).append(-pending[0])
-            pending = next(offsets, None)
-        v.append(r - sum(map(at, plus)) + sum(map(at, minus)))
+    N = len(rhs) - 1
+    # v[0] is a zero sentinel: with v[1..m] holding v[0..m-1] when v[m] is
+    # due, v[m - o] is v[-o], and index 0 makes each getter name at least
+    # two items, so that it always returns a tuple
+    v = [0]
+    append = v.append
+    plus, minus = [0], [0]  # 0, then -o for the product terms +x^o and -x^o
+    gather_plus = gather_minus = operator.itemgetter(0, 0)
+    start = 0
+    # (N + 1, 0) closes the last stretch and adds no term
+    for o, sign in chain(pentagonal_offsets(N, step), ((N + 1, 0),)):
+        for r in islice(rhs, start, o):
+            append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
+        start = o
+        if sign > 0:
+            plus.append(-o)
+            gather_plus = operator.itemgetter(*plus)
+        elif sign:
+            minus.append(-o)
+            gather_minus = operator.itemgetter(*minus)
+    del v[0]
     return v
 
 

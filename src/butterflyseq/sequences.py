@@ -8,6 +8,7 @@ at n = 6.
 
 import json
 from dataclasses import dataclass
+from operator import add, sub
 
 from . import partitions as pt
 from .families import (
@@ -83,8 +84,7 @@ class SequenceTable:
 
 def difference(t: SequenceTable) -> SequenceTable:
     """First difference, with values below the offset treated as 0."""
-    vals = [t[n] - t[n - 1] for n in range(t.offset, t.last_n + 1)]
-    return SequenceTable("d" + t.name, t.offset, vals, t.provenance)
+    return SequenceTable("d" + t.name, t.offset, _weighted((1, -1), t.values), t.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,15 @@ def named_sequence(name, N) -> SequenceTable:
 
 def _weighted(weights, series):
     """series times the polynomial with coefficients weights, through the
-    length of series."""
-    return [sum(w * series[n - d] for d, w in enumerate(weights) if d <= n)
-            for n in range(len(series))]
+    length of series: one whole-list pass per nonzero weight after the
+    first, adding series shifted by d times weights[d] into out[d:]."""
+    w0 = weights[0]
+    out = list(series) if w0 == 1 else [w0 * x for x in series]
+    for d, w in enumerate(weights[1:], 1):
+        if w:
+            out[d:] = map(add if w > 0 else sub, out[d:],
+                          series if abs(w) == 1 else map(abs(w).__mul__, series))
+    return out
 
 
 def counting_dp(name, N):
@@ -277,7 +283,8 @@ def crosscheck_table(name, N) -> list:
 
 def to_bfile(table: SequenceTable) -> str:
     """OEIS b-file format: one "n value" pair per line."""
-    return "".join("%d %d\n" % (n, table[n]) for n in range(table.offset, table.last_n + 1))
+    return "".join(map("%d %d\n".__mod__,
+                       zip(range(table.offset, table.last_n + 1), table.values)))
 
 
 def to_json(table: SequenceTable) -> dict:

@@ -222,6 +222,16 @@ def test_negative_bound_is_usage_error(capsys):
         assert code == 2 and out == "" and "error" in err, verb
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "p", "--to"), ("seq", "r1", "--to"), ("solve", "q", "--to"),
+    ("checksum", "q"), ("verify", "all", "--order")])
+def test_size_beyond_any_table_is_usage_error(capsys, argv):
+    # 10^20 coefficients fit no list or packed integer: refused, not a traceback
+    code, out, err = run(capsys, *argv, str(10 ** 20))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_listing_limit_does_not_block_a_count(capsys):
     from butterflyseq.partitions import count_butterfly
     from butterflyseq.sequences import named_sequence

@@ -1,17 +1,25 @@
-"""The packed counting kernels against the per-cell loops they replaced.
+"""The packed counting kernels and the whole-list passes against the
+per-cell loops they replaced.
 
 The references below are the old DPs, one big-integer addition per table
 cell, the old "double" product, one subtraction per cell for each factor
 (1 - x^m), and the old series multiply over nonzero pairs; the library's
 DPs, filtration sums and series multiply hold a whole series as one integer
-and must give the same lists.
+and must give the same lists.  The old difference polynomials, pentagonal
+sums and b-file rows, one Python expression per coefficient, are the
+references of _weighted, pentagonal_solve and to_bfile, which work on whole
+lists.
 """
+
+import random
 
 import pytest
 
 from butterflyseq import partitions as pt
 from butterflyseq import series
 from butterflyseq.families import _HEAD_TAIL, pow2_free_parts
+from butterflyseq.sequences import (
+    _P_WEIGHTS, DIFF_WEIGHTS, SequenceTable, _weighted, difference, named_sequence, to_bfile)
 from butterflyseq.series import TruncSeries
 
 
@@ -259,3 +267,87 @@ def test_verify_all_equals_the_pair_loop_and_cell_loop_reports(monkeypatch):
     monkeypatch.setattr(TruncSeries, "__rmul__", _mul_by_pairs)
     for N, reports in zip(orders, packed):
         assert series.verify_all(N) == reports, N
+
+
+# -- difference polynomials, the pentagonal kernel and b-file rows -------------------
+
+def _weighted_by_cells(weights, values):
+    return [sum(w * values[n - d] for d, w in enumerate(weights) if d <= n)
+            for n in range(len(values))]
+
+
+def _pentagonal_solve_by_sums(rhs, step):
+    offsets = pt.pentagonal_offsets(len(rhs) - 1, step)
+    pending = next(offsets, None)
+    plus, minus = [], []
+    v = []
+    at = v.__getitem__
+    for m, r in enumerate(rhs):
+        while pending is not None and pending[0] <= m:
+            (plus if pending[1] > 0 else minus).append(-pending[0])
+            pending = next(offsets, None)
+        v.append(r - sum(map(at, plus)) + sum(map(at, minus)))
+    return v
+
+
+def _bfile_by_rows(table):
+    return "".join("%d %d\n" % (n, table[n]) for n in range(table.offset, table.last_n + 1))
+
+
+def _signed(rng, length, bits):
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
+
+
+def test_weighted_equals_the_per_coefficient_sum():
+    """Every difference polynomial of the library, and random signed weights
+    with zero entries (leading, inner and trailing), on series of every
+    length 0..300, shorter than the weights too.  The product through the
+    length of a series is a prefix of the product through a longer one, so
+    one reference at length 300 serves every length."""
+    rng = random.Random(13)
+    weight_sets = list(DIFF_WEIGHTS.values()) + list(_P_WEIGHTS.values()) + [
+        (0,), (-1,), (3,), (0, 1), (1, 0, 0, -1), (2, 0, -3, 0, 0), (0, 0, 0, 0, 0, 0, 5)]
+    weight_sets += [tuple(rng.choice((0, 0, 1, -1, 2, -2, 7, -40)) for _ in range(rng.randint(1, 9)))
+                    for _ in range(12)]
+    values = _signed(rng, 300, 80)
+    for weights in weight_sets:
+        want = _weighted_by_cells(weights, values)
+        for n in range(301):
+            got = _weighted(weights, values[:n])
+            assert got == want[:n], (weights, n)
+            assert _weighted(weights, tuple(values[:n])) == got, (weights, n)
+    assert _weighted((1,), values) is not values  # a copy, not the caller's list
+
+
+def test_difference_equals_the_per_input_loop():
+    rng = random.Random(7)
+    tables = [named_sequence(name, 40) for name in ("q", "r1", "s_e", "e_prime")]
+    tables += [SequenceTable("x", rng.randint(0, 9), _signed(rng, n, 40)) for n in (0, 1, 2, 50)]
+    for t in tables:
+        d = difference(t)
+        assert list(d.values) == [t[n] - t[n - 1] for n in range(t.offset, t.last_n + 1)], t
+        assert (d.name, d.offset, d.provenance) == ("d" + t.name, t.offset, t.provenance)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_pentagonal_solve_equals_the_per_coefficient_sums(step):
+    """Unit, sparse and random signed right-hand sides of every length
+    0..400: the solution through a prefix is the prefix of the solution."""
+    rng = random.Random(step)
+    sides = [[1] + [0] * 400, pt.euler_product(400, 2), _signed(rng, 401, 8),
+             _signed(rng, 401, 200), [rng.choice((0, 0, 0, 1, -1)) for _ in range(401)]]
+    for rhs in sides:
+        want = _pentagonal_solve_by_sums(rhs, step)
+        for n in range(402):
+            assert pt.pentagonal_solve(rhs[:n], step) == want[:n], (step, n)
+
+
+def test_bfile_equals_the_row_loop():
+    rng = random.Random(5)
+    tables = [named_sequence("q", 30), named_sequence("r1", 20), named_sequence("o_prime", 6),
+              SequenceTable("one", 4, (17,)), SequenceTable("none", 3, ()),
+              SequenceTable("neg", 2, (-3, 0, -(10 ** 30), 5)),
+              SequenceTable("wide", 1000, _signed(rng, 200, 300))]
+    for t in tables:
+        assert to_bfile(t) == _bfile_by_rows(t), t.name
+    assert to_bfile(SequenceTable("one", 4, (17,))) == "4 17\n"

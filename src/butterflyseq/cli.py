@@ -282,8 +282,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         # violated merging caps are a domain failure, not a usage error
         return 1 if isinstance(exc, splitmerge.CapsError) else 2
-    except OverflowError as exc:  # a size no list or packed integer can hold
-        print("error: size out of range (%s)" % exc, file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # a size no list, integer or memory can hold
+        print("error: size out of range (%s)" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,19 @@
 """The closed catalogue of partition families.
 
 Each family has a decidable membership predicate and a deterministic
-enumerator returning partitions in lexicographically decreasing order.  The
-consecutive-pair, butterfly and equal-triple families are listed from their
-head-and-tail shapes (_HEAD_TAIL) by one lister in partitions, while their
-predicates stay independent of it.  The horizontal- and vertical-bar sets
-are generated from their shapes by the same lister (_iter_bar_tuples), the
-consecutive pairs ending in 1 from the r1 shape with the part 1 appended
-(_iter_consec_with_one), and the capped odd-step forms by
-splitmerge.iter_form_tuples, so none lists a larger family to filter it.
+enumerator returning partitions in lexicographically decreasing order.
+Every listing but the two staircases (_iter_staircase) comes from one
+filler, partitions.pool_tuples, over a pool of the parts a family may use:
+the strict partitions from 1..n, the odd-part ones from each odd x >= b
+repeated as often as it fits in n, the pow2-free ones from pow2_free_parts(n)
+once each.  The consecutive-pair, butterfly and equal-triple families are
+listed from their head-and-tail shapes (_HEAD_TAIL) by
+partitions.iter_head_tail_tuples, while their predicates stay independent
+of it.  The horizontal- and vertical-bar sets are generated from their
+shapes by the same lister (_iter_bar_tuples), the consecutive pairs ending
+in 1 from the r1 shape with the part 1 appended (_iter_consec_with_one), and
+the capped odd-step forms by splitmerge.iter_form_tuples, so none lists a
+larger family to filter it.
 Every partition those generators produce is checked against its predicate
 (_in_bar_a, _in_bar_b, in_family, splitmerge.matches_form), which stays the
 oracle.  Counting goes through a fast exact path where one
@@ -255,7 +260,7 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     elif kind == BUTTERFLY_PLUS_ONES:
         tuples = _iter_prop21(n)
     elif kind == DISTINCT_NOT_POW2:
-        tuples = _iter_distinct_from(n, pow2_free_parts(n))
+        tuples = pt.pool_tuples(pow2_free_parts(n), [(n, None, ())])
     else:
         raise ValueError("unknown family %r" % (f,))
     result = list(map(Partition._of, sorted(tuples, reverse=True)))
@@ -267,57 +272,11 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     return result
 
 
-def _iter_odd_parts(n, bound, max_part=None):
-    """The partitions of n into odd parts in [bound, max_part], largest first
-    part first."""
-    out = []
-    _fill_odd(out, n, n if max_part is None else max_part, bound, ())
-    yield from out
-
-
-def _fill_odd(out, n, top, bound, prefix):
-    # append prefix + t for each partition t of n into odd parts in
-    # [bound, top]; a rest in (0, bound) has no such partition
-    if not n:
-        out.append(prefix)
-        return
-    top = min(n, top)
-    for first in range(top if top % 2 else top - 1, bound - 1, -2):
-        rest = n - first
-        if rest >= bound:
-            _fill_odd(out, rest, first, bound, prefix + (first,))
-        elif not rest:
-            out.append(prefix + (first,))
-
-
-def _iter_distinct_from(n, allowed):
-    """The partitions of n into distinct parts drawn from ``allowed``
-    (ascending), largest first part first."""
-    below = [0]  # below[i] = sum(allowed[:i])
-    for x in allowed:
-        below.append(below[-1] + x)
-    out = []
-    _fill_distinct(out, n, allowed, below, len(allowed), ())
-    return out
-
-
-def _fill_distinct(out, n, allowed, below, idx, prefix):
-    # append prefix + t for each partition t of n into distinct parts from
-    # allowed[:idx]; once the parts below allowed[i] cannot make up the rest,
-    # neither can those below a smaller one
-    if not n:
-        out.append(prefix)
-        return
-    for i in range(idx - 1, -1, -1):
-        x = allowed[i]
-        if x > n:
-            continue
-        if below[i] < n - x:
-            break
-        if x < n:
-            _fill_distinct(out, n - x, allowed, below, i, prefix + (x,))
-        else:
-            out.append(prefix + (x,))
+def _iter_odd_parts(n, bound):
+    """The partitions of n into odd parts >= bound, largest first part first:
+    the pool holds each odd x as often as it fits in n."""
+    yield from pt.pool_tuples((x for x in range(bound | 1, n + 1, 2) for _ in range(n // x)),
+                              [(n, None, ())])
 
 
 def _iter_bar_tuples(n, h, vertical, second_parity):

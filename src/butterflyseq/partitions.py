@@ -5,13 +5,18 @@ Everything downstream (families, sequences, bijections, splitting/merging)
 works on the Partition type defined here.  The unrestricted lister
 iter_partition_tuples is a plain backtracking generator, the brute-force
 oracle the other listers, the counting routines and the series algebra are
-tested against.  The strict listers fill one list of tuples through one
-recursive helper (_fill_strict) that carries the prefix built so far and
-stops at the first part below which the rest no longer fits, then yield from
-that list.  One lister, iter_head_tail_tuples, serves every family shaped as
-a head of consecutive or equal largest parts over a strict tail (consecutive
-pairs, butterflies, equal triples); count_head_tail counts over the same
-heads, one n through a memo, and count_head_tail_table every n <= N at once.
+tested against.  Every other lister but the staircases' draws on one filler,
+pool_tuples, over a pool: the ascending parts a family may use, each value
+repeated as often as it may occur (a strict range once each; odd parts, the
+pow2-free parts and the capped tails of splitmerge as the families module
+and splitmerge build them).  It fills one list with the partitions of n into
+a sub-multiset of the pool, a prefix put before each, and stops at the first
+part below which the rest no longer fits.  iter_strict_tuples lists from the
+pool low..top, and iter_head_tail_tuples, from one pool per call, every
+family shaped as a head of consecutive or equal largest parts over a strict
+tail (consecutive pairs, butterflies, equal triples); count_head_tail counts
+over the same heads, one n through a memo, and count_head_tail_table every
+n <= N at once.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
@@ -26,8 +31,9 @@ staircase tables without listing, so DEFAULT_ENUM_LIMIT does not bound them).
 
 import math
 import operator
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 # Desk-scale guard: enumeration is refused above this n unless the caller
 # overrides it explicitly.
@@ -176,30 +182,47 @@ def iter_partition_tuples(n, max_part=None, min_part=1):
             yield (first,) + rest
 
 
+def pool_tuples(pool, jobs):
+    """One list of prefix + t, for each (n, stop, prefix) of ``jobs`` in turn
+    and each partition t of n into a sub-multiset of pool[:stop], largest
+    first part first.
+
+    The pool is ascending, each value repeated as often as a part may take
+    it.  A value is taken at its top remaining copy, with the rest drawn from
+    the pool below that copy (so further copies come first); then the filler
+    jumps below the value's first copy, so no partition comes out twice.  The
+    parts below index i sum to below[i], so once they cannot make up the
+    rest, neither can those below a smaller index.
+    """
+    pool = list(pool)
+    least = pool[0] if pool else 0  # a rest below it has no partition
+    below = list(accumulate(pool, initial=0))  # below[i]: sum(pool[:i])
+    first = dict(zip(reversed(pool), range(len(pool) - 1, -1, -1)))  # x: its first copy
+    out = []
+    append = out.append
+
+    def fill(n, stop, prefix):
+        i = bisect_right(pool, n, 0, stop)
+        while i and below[i] >= n:
+            x = pool[i - 1]
+            if x == n:
+                append(prefix + (x,))
+            elif n - x >= least:
+                fill(n - x, i - 1, prefix + (x,))
+            i = first[x]
+
+    for n, stop, prefix in jobs:
+        if n:
+            fill(n, len(pool) if stop is None else stop, prefix)
+        else:
+            append(prefix)
+    return out
+
+
 def iter_strict_tuples(n, max_part=None, min_part=1):
     """All strict (distinct-part) partitions of n, parts in [min_part, max_part]."""
-    out = []
-    _fill_strict(out, n, n if max_part is None else max_part, min_part, ())
-    yield from out
-
-
-def _fill_strict(out, n, top, low, prefix):
-    # append prefix + t for each strict partition t of n with parts in
-    # [low, top], largest first part first
-    if not n:
-        out.append(prefix)
-        return
-    for first in range(n if n < top else top, low - 1, -1):
-        rest = n - first
-        # the rest must fit below 'first' with distinct parts (sum of
-        # low..first-1); that room shrinks as 'first' does, so no smaller
-        # 'first' fits once one does not
-        if rest > (first - 1 + low) * (first - low) // 2:
-            break
-        if not rest:
-            out.append(prefix + (first,))
-        elif rest >= low:
-            _fill_strict(out, rest, first - 1, low, prefix + (first,))
+    top = n if max_part is None else min(n, max_part)
+    yield from pool_tuples(range(min_part, top + 1), [(n, None, ())])
 
 
 # A head-and-tail shape (offsets, smallest a, gap, low) lists the partitions
@@ -224,10 +247,11 @@ def _shape_heads(n, shape, second_parity):
 
 def iter_head_tail_tuples(n, shape, second_parity=None):
     """The partitions of n of a head-and-tail shape, largest head first."""
-    out = []
-    for head, rest, top in _shape_heads(n, shape, second_parity):
-        _fill_strict(out, rest, top, shape[3], head)
-    yield from out
+    low = shape[3]  # each tail is strict within [low, top]
+    jobs = [(rest, max(top - low + 1, 0), head)
+            for head, rest, top in _shape_heads(n, shape, second_parity)]
+    if jobs:  # the first head has the largest top, so its pool serves all
+        yield from pool_tuples(range(low, low + jobs[0][1]), jobs)
 
 
 def iter_butterfly_tuples(n, second_parity=None):

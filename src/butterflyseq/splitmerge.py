@@ -20,10 +20,9 @@ one, which keeps the correspondence total.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
-from .partitions import Partition, is_butterfly_tuple
+from .partitions import Partition, is_butterfly_tuple, pool_tuples
 
 STANDARD = "standard"
 SWITCHED = "switched"
@@ -306,23 +305,6 @@ def matches_form(q: Partition, form) -> bool:
         return False
 
 
-def _iter_capped_tail(r, top, bound):
-    """The partitions of r into odd parts in [3, top] whose every value x
-    occurs u times with x * pow2floor(u) <= bound (the tail caps)."""
-    values = [(x, 2 * _pow2_floor(bound // x) - 1) for x in range(3, min(top, bound) + 1, 2)]
-    reach = list(accumulate(x * most for x, most in values))  # largest sum of values[:i+1]
-
-    def rec(r, i):
-        if r == 0:
-            yield ()
-        elif i >= 0 and r <= reach[i]:
-            x, most = values[i]
-            for u in range(min(most, r // x), -1, -1):
-                for rest in rec(r - u * x, i - 1):
-                    yield (x,) * u + rest
-    return rec(r, len(values) - 1)
-
-
 def iter_form_tuples(n, form):
     """The odd-part partitions of n that match ``form`` with every cap
     satisfied (the partitions matches_form accepts), in no particular order.
@@ -331,8 +313,10 @@ def iter_form_tuples(n, form):
     out of every odd partition: q3 odd >= 3 and q2 = q3 + the form's head
     gap; q1 = q2 + gap + 2t with pow2floor(2t) <= the bound; the sentinel 3
     where the form carries one; and a tail of odd parts below q2 in which
-    each value x occurs u times with x * pow2floor(u) <= the bound.  The
-    partitions the form takes outright come last.
+    each value x occurs u times with x * pow2floor(u) <= the bound, that is
+    at most 2 pow2floor(bound // x) - 1 times: one pool per q2 holds that
+    many copies of each x, and partitions.pool_tuples lists the tails of
+    every 2t from it.  The partitions the form takes outright come last.
     """
     if form not in _FORMS:
         raise ValueError("unknown form %r" % form)
@@ -342,11 +326,16 @@ def iter_form_tuples(n, form):
     # q1 + q2 + q3 = 3 * q2 + 2t, and the tail parts stay below q2
     for q2 in range(3 + gap, rest // 3 + 1, 2):
         q3, bound = q2 - gap, q2 - gap + shape.offset
+        heads = []
         for two_t in range(0, rest - 3 * q2 + 1, 2):
             if two_t and _pow2_floor(two_t) > bound:
                 break
-            for tail in _iter_capped_tail(rest - 3 * q2 - two_t, q2 - 2, bound):
-                yield (q2 + gap + two_t, q2, q3) + tail + sentinel
+            heads.append((rest - 3 * q2 - two_t, None, (q2 + gap + two_t, q2, q3)))
+        # the tail pool: each odd x in [3, q2 - 2] as often as its cap allows
+        pool = [x for x in range(3, min(q2 - 2, bound) + 1, 2)
+                for _ in range(2 * _pow2_floor(bound // x) - 1)]
+        for t in pool_tuples(pool, heads):
+            yield t + sentinel
     for parts in shape.outright:
         if sum(parts) == n:
             yield parts

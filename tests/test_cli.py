@@ -232,6 +232,25 @@ def test_size_beyond_any_table_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "p", "--to", "10000000000"), ("solve", "q", "--to", "10000000000"),
+    ("verify", "all", "--order", "100000000000")])
+def test_size_beyond_memory_is_usage_error(argv):
+    # sizes that fit an index but not memory: under a 1 GB address-space
+    # limit, set in the child only, the table allocation fails at once and
+    # the request is refused like a size no list can hold
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "butterflyseq.cli"] + list(argv),
+                          capture_output=True, text=True, env=env, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
+
+
 def test_listing_limit_does_not_block_a_count(capsys):
     from butterflyseq.partitions import count_butterfly
     from butterflyseq.sequences import named_sequence

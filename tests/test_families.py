@@ -200,11 +200,12 @@ def test_odd_step_forms_generated_from_head_and_tail_equal_the_filtered_odd_part
 
 def test_odd_and_pow2_free_listers_equal_the_filtered_partitions():
     """The odd-part lister equals the all-odd members of the unrestricted
-    lister iter_partition_tuples (bounds 1, 3, 5, n <= 45), and the distinct
-    pow2-free lister its strict members without a power of two (n <= 50;
-    1 and 2 are powers of two, so the parts start at 3), in its order."""
-    from butterflyseq.families import _iter_distinct_from, _iter_odd_parts, pow2_free_parts
-    from butterflyseq.partitions import is_strict_tuple, iter_partition_tuples
+    lister iter_partition_tuples (bounds 1, 3, 5, n <= 45), and the pool
+    lister over pow2_free_parts(n) its strict members without a power of two
+    (n <= 50; 1 and 2 are powers of two, so the parts start at 3), in its
+    order."""
+    from butterflyseq.families import _iter_odd_parts, pow2_free_parts
+    from butterflyseq.partitions import is_strict_tuple, iter_partition_tuples, pool_tuples
     for n in range(46):
         for bound in (1, 3, 5):
             want = [t for t in iter_partition_tuples(n, None, bound) if all(x % 2 for x in t)]
@@ -213,7 +214,7 @@ def test_odd_and_pow2_free_listers_equal_the_filtered_partitions():
         allowed = pow2_free_parts(n)
         want = [t for t in iter_partition_tuples(n, None, 3)
                 if is_strict_tuple(t) and set(t) <= set(allowed)]
-        assert list(_iter_distinct_from(n, allowed)) == want, n
+        assert pool_tuples(allowed, [(n, None, ())]) == want, n
 
 
 def test_every_listed_member_is_a_partition_of_ints():
@@ -225,6 +226,35 @@ def test_every_listed_member_is_a_partition_of_ints():
             for p in enumerate_family(n, fam):
                 assert type(p) is Partition and all(type(x) is int for x in p.parts)
                 assert p == Partition(p.parts) and str(p) == str(Partition(p.parts))
+
+
+def test_every_listing_but_the_staircases_goes_through_the_pool_lister(monkeypatch):
+    """partitions.pool_tuples is the one filler of the catalogue listings:
+    wrapped in a call counter wherever the package holds it, it is reached
+    by listing every family at n = 62 and 67, where each has members, except
+    the two staircases, which _iter_staircase lists."""
+    import sys
+    from butterflyseq import partitions
+    calls = []
+    original = partitions.pool_tuples
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    holders = [m for name, m in sys.modules.items() if name.startswith("butterflyseq")
+               and getattr(m, "pool_tuples", None) is original]
+    assert partitions in holders
+    for module in holders:
+        monkeypatch.setattr(module, "pool_tuples", counted)
+    missed = []
+    for fam in ALL_FAMILIES:
+        for n in (62, 67):
+            del calls[:]
+            assert enumerate_family(n, fam), (fam, n)
+            if not calls:
+                missed.append(fam.kind)
+    assert set(missed) == {STAIRCASE_321, STAIRCASE_33}
 
 
 def test_consec_with_one_generated_equals_the_filtered_consecutive_pairs():

@@ -1,4 +1,6 @@
 import os
+import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -23,6 +25,7 @@ from butterflyseq.partitions import (
     iter_strict_tuples,
     pentagonal_offsets,
     pentagonal_solve,
+    pool_tuples,
     strict_pentagonal_table,
 )
 
@@ -112,6 +115,34 @@ def test_strict_lister_equals_the_strict_partitions():
                 got = list(iter_strict_tuples(n, top, low))
                 assert got == want, (n, top, low)
                 assert len(set(got)) == len(got)
+
+
+def test_pool_lister_equals_the_filtered_partitions():
+    """pool_tuples lists, for each job (n, stop, prefix) in turn, prefix + each
+    partition of n whose parts form a sub-multiset of pool[:stop], in the
+    order of the unrestricted lister iter_partition_tuples, for n <= 30.  The
+    pools are the strict-tail, odd-part, pow2-free and capped-tail shapes
+    and seeded random values with random caps; each is listed whole, and cut
+    at stops below its length under a prefix."""
+    N = 30
+    pools = [list(range(low, top + 1)) for low, top in ((1, N), (2, 17), (4, 9))]
+    pools += [[x for x in range(b, N + 1, 2) for _ in range(N // x)] for b in (1, 3, 5)]
+    pools.append([x for x in range(1, N + 1) if x & (x - 1)])
+    pools += [[x for x in range(3, min(top, bound) + 1, 2)
+               for _ in range(2 * (1 << (bound // x).bit_length() - 1) - 1)]
+              for top, bound in ((13, 13), (21, 9), (9, 20))]
+    rng = random.Random(14)
+    for _ in range(12):
+        values = sorted(rng.sample(range(1, 13), rng.randint(1, 8)))
+        pools.append([x for x in values for _ in range(rng.randint(1, 4))])
+    listed = [[(t, Counter(t).items()) for t in iter_partition_tuples(n)] for n in range(N + 1)]
+    for pool in pools:
+        for stop, prefix in ((None, ()), (len(pool) // 2, (40, 35)), (1, (31,))):
+            avail = Counter(pool[:stop])
+            want = [prefix + t for n in range(N + 1) for t, counts in listed[n]
+                    if all(c <= avail[x] for x, c in counts)]
+            got = pool_tuples(pool, [(n, stop, prefix) for n in range(N + 1)])
+            assert got == want, (pool, stop)
 
 
 def test_consecutive_run():

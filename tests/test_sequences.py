@@ -4,7 +4,7 @@ import json
 import pytest
 
 import golden
-from butterflyseq import families, sequences
+from butterflyseq import families, sequences, splitmerge
 from butterflyseq import partitions as pt
 from butterflyseq.families import (
     BUTTERFLY,
@@ -353,7 +353,8 @@ def test_butterfly_shape_tables_equal_count_butterfly():
 
 def test_counted_tables_list_nothing(monkeypatch):
     """named_sequence reaches no lister and not the memoised counts for the
-    nine counted tables; the counters are live (s_e reaches count_butterfly)."""
+    nine counted tables; every watched name exists in families or
+    partitions, and the counters are live (s_e reaches count_butterfly)."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -362,11 +363,12 @@ def test_counted_tables_list_nothing(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (families, pt):
-        for name in ("enumerate_family", "iter_head_tail_tuples", "iter_strict_tuples",
-                     "iter_partition_tuples", "iter_butterfly_tuples", "_fill_strict",
-                     "_iter_staircase", "_iter_consec_with_one", "count_head_tail",
-                     "count_butterfly"):
+    for name in ("enumerate_family", "iter_head_tail_tuples", "iter_strict_tuples",
+                 "iter_partition_tuples", "iter_butterfly_tuples", "pool_tuples",
+                 "_iter_staircase", "_iter_consec_with_one", "count_head_tail",
+                 "count_butterfly"):
+        assert hasattr(families, name) or hasattr(pt, name), name
+        for module in (families, pt, splitmerge):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in COUNTED:

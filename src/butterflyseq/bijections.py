@@ -28,43 +28,51 @@ from .families import (
     enumerate_family,
     in_family,
 )
-from .partitions import Partition
+from .partitions import Partition, is_strict_tuple
 
 
 class BijectionError(ValueError):
     pass
 
 
+# the maps and checks below read p.parts, a plain tuple, once per partition
+_WITH_ONE = Family(CONSEC_WITH_ONE)
+_ISOLATED = Family(CONSEC_ISOLATED)
+
+
 def raise_largest(p: Partition) -> Partition:
-    if len(p) == 0:
+    parts = p.parts
+    if not parts:
         raise BijectionError("empty partition has no largest part")
-    if not p.is_strict():
+    if not is_strict_tuple(parts):
         raise BijectionError("input must be strict: %s" % p)
-    return Partition._of((p[0] + 1,) + p.parts[1:])
+    return Partition._of((parts[0] + 1,) + parts[1:])
 
 
 def lower_largest(p: Partition) -> Partition:
-    if len(p) == 0 or p[0] == 1:
+    parts = p.parts
+    if not parts or parts[0] == 1:
         raise BijectionError("no unit to remove from the largest part: %s" % p)
-    if not p.is_strict() or (len(p) >= 2 and p[0] - p[1] < 2):
+    if not is_strict_tuple(parts) or (len(parts) >= 2 and parts[0] - parts[1] < 2):
         raise BijectionError("two largest parts must differ by at least 2: %s" % p)
-    return Partition._of((p[0] - 1,) + p.parts[1:])
+    return Partition._of((parts[0] - 1,) + parts[1:])
 
 
 def butterfly_forward(p: Partition) -> Partition:
     """Drop the smallest part 1, then add one unit to each of the two largest."""
-    if len(p) < 3 or not in_family(p, Family(CONSEC_WITH_ONE)):
+    parts = p.parts
+    if len(parts) < 3 or not in_family(p, _WITH_ONE):
         raise BijectionError(
             "input must have >= 3 parts, two largest consecutive, smallest 1: %s" % p)
-    rest = p.parts[:-1]
-    return Partition._of((rest[0] + 1, rest[1] + 1) + rest[2:])
+    return Partition._of((parts[0] + 1, parts[1] + 1) + parts[2:-1])
 
 
 def butterfly_backward(p: Partition) -> Partition:
-    if not in_family(p, Family(CONSEC_ISOLATED)) or len(p) < 2:
+    parts = p.parts
+    if not in_family(p, _ISOLATED) or len(parts) < 2:
         raise BijectionError("input must be a consecutive-pair partition with the "
                              "pair isolated and no part 1: %s" % p)
-    return Partition._of((p[0] - 1, p[1] - 1) + p.parts[2:] + (1,))
+    return Partition._of((parts[0] - 1, parts[1] - 1) + parts[2:] + (1,))
 
 
 def bar_forward(p: Partition, h: int) -> Partition:
@@ -127,28 +135,30 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
     for n in range(lo, hi + 1):
         if kind == "raise":
             source = enumerate_family(n - 1, Family(STRICT))
-            source = [p for p in source if len(p) > 0]
+            source = [p for p in source if p.parts]
             # the strict partitions of n whose two largest parts are not consecutive
             n_target = q[n] - pairs[n]
             fwd, back = raise_largest, lower_largest
-            member = lambda img, src=None: (img.n == n and img.is_strict()
-                                            and (len(img) < 2 or img[0] - img[1] >= 2))
+
+            def member(img, src=None):
+                parts = img.parts
+                return (sum(parts) == n and is_strict_tuple(parts)
+                        and (len(parts) < 2 or parts[0] - parts[1] >= 2))
         elif kind == "butterfly":
             source = enumerate_family(n - 1, Family(CONSEC_WITH_ONE))
             n_target = pairs[n]
             fwd, back = butterfly_forward, butterfly_backward
-            member = lambda img, src=None: (img.n == n
-                                            and in_family(img, Family(CONSEC_ISOLATED)))
+            member = lambda img, src=None: sum(img.parts) == n and in_family(img, _ISOLATED)
         elif kind == "bar":
             ae, ao, be, bo = _bar_sets(n, h)
             source = ae + ao
             n_target = len(be) + len(bo)
             fwd = lambda p: bar_forward(p, h)
             back = lambda p: bar_backward(p, h)
-            ae_set = set(ae)
+            ae_set = {p.parts for p in ae}
             # the image family swaps the parity of the second-largest part
-            member = lambda img, src=None: img.n == n and in_family(
-                img, Family(BAR_BO if src in ae_set else BAR_BE, h))
+            member = lambda img, src=None: sum(img.parts) == n and in_family(
+                img, Family(BAR_BO if src.parts in ae_set else BAR_BE, h))
             if len(ae) != len(bo) or len(ao) != len(be):
                 failures.append((n, "parity-swapped cardinalities differ"))
         else:
@@ -164,9 +174,9 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
             checked += 1
             if not member(img, p):
                 failures.append((n, "image %s of %s outside the target family" % (img, p)))
-            if back(img) != p:
+            if back(img).parts != p.parts:
                 failures.append((n, "backward did not recover %s" % p))
-            images.append(img)
+            images.append(img.parts)
         if len(set(images)) != len(images):
             failures.append((n, "forward map is not injective"))
         if len(source) != n_target:

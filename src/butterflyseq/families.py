@@ -210,20 +210,28 @@ def _iter_staircase(n, threes, tail):
     # [3, v] present and the value 3 at least ``threes`` times (once more for
     # v = 3, whose 3s include the top pair)
     out = []
+    append = out.append
     core = n - sum(tail)
 
-    def rec(j, remaining, acc, v):
-        if j == 3:
-            if remaining % 3 == 0 and remaining // 3 >= threes + (v == 3):
-                out.append(tuple(acc + [3] * (remaining // 3)) + tail)
+    def rec(j, remaining, prefix, lo):
+        # below prefix: j at least lo times, then each value j - 1, ..., 3
+        if j == 4:
+            # m 4s and (remaining - 4m)/3 >= threes 3s: m = remaining (mod 3)
+            m = lo + (remaining - lo) % 3
+            while 4 * m + 3 * threes <= remaining:
+                append(prefix + (4,) * m + (3,) * ((remaining - 4 * m) // 3) + tail)
+                m += 3
             return
         min_below = sum(range(4, j)) + 3 * threes  # one of each value below
-        lo = 2 if j == v else 1
         for m in range(lo, (remaining - min_below) // j + 1):
-            rec(j - 1, remaining - m * j, acc + [j] * m, v)
+            rec(j - 1, remaining - m * j, prefix + (j,) * m, 1)
 
-    for v in range(3, core + 1):
-        rec(v, core, [], v)
+    if core % 3 == 0 and core // 3 >= threes + 1:  # v = 3
+        append((3,) * (core // 3) + tail)
+    v = 4
+    while 2 * v + sum(range(4, v)) + 3 * threes <= core:  # v twice, one of each below
+        rec(v, core, (), 2)
+        v += 1
     return out
 
 

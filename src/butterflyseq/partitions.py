@@ -27,6 +27,13 @@ big-integer shift-add, in a product (_packed_product) and in a nested sum
 over k (_packed_nested_sum: the series filtration sums and, with factors
 1 + x^j, count_head_tail_table, which counts r1, r2, r1', e, o and the
 staircase tables without listing, so DEFAULT_ENUM_LIMIT does not bound them).
+Each kernel sizes its slots from its own arguments (_slot_bytes): every
+table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
+ones (distinct, odd or even parts; the filtration sums and head-and-tail
+tables) at most q(n) < exp(pi sqrt(n/3)) or p(n/2), so their slots are about
+30 % narrower.  Both bounds follow from c(n) x^n <= C(x) at x = e^-t, with
+log C(e^-t) below pi^2/(6t) for p and pi^2/(12t) for q (a sum below its
+integral), at the best t.
 """
 
 import math
@@ -343,16 +350,35 @@ def strict_pentagonal_table(N):
 # at bit 8w(N - n), so degree 0 is the top slot.  Times (1 + x^s) is then
 # C += C >> 8ws: the right shift adds c[n - s] into c[n] for every n at once
 # and drops the terms above degree N.  Times 1/(1 - x^m) is the same step for
-# s = m, 2m, 4m, ... <= N, since 1/(1 - y) = prod_i (1 + y^(2^i)).  Each
-# table counts partitions of n <= N, and so does every intermediate table
-# (into fewer part sizes), so no slot exceeds p(N) and no carry crosses a
-# slot boundary.
+# s = m, 2m, 4m, ... <= N, since 1/(1 - y) = prod_i (1 + y^(2^i)).  Every
+# factor has nonnegative coefficients and constant term 1, so each
+# intermediate table (fewer factors) is at most the final one, cell by cell:
+# a width that holds the final table's bound holds every step, and no carry
+# crosses a slot boundary.  Each kernel sizes its slots from its own
+# arguments (_slot_bytes).
 # ---------------------------------------------------------------------------
 
 def _slot_bytes(N):
-    """Bytes per slot of a packed table through degree N: p(N) <
-    exp(pi sqrt(2N/3)) (Apostol, Introduction to Analytic Number Theory,
-    Thm 14.5), with a guard bit and a bit for rounding."""
+    """Bytes per slot of a packed table through degree N that counts at most
+    p(n) at each n <= N, from p(N) < exp(pi sqrt(2N/3)) (Apostol,
+    Introduction to Analytic Number Theory, Thm 14.5), with a guard bit and a
+    bit for rounding.  Proof: p(n) x^n <= prod 1/(1 - x^j) at x = e^-t, and
+    sum_j -log(1 - e^-jt) < integral_0^inf -log(1 - e^-ut) du = pi^2/(6t),
+    so log p(n) < nt + pi^2/(6t), which is pi sqrt(2n/3) at t = pi/sqrt(6n).
+
+    A table of at most q(n) or p(n/2) at each n, q the strict partition
+    counts, takes _slot_bytes((N + 1) // 2), about 30 % narrower.  p(n/2) <=
+    p(ceil(N/2)) is the bound above at ceil(N/2), and q(n) < exp(pi sqrt(n/3))
+    <= exp(pi sqrt(2 ceil(N/2)/3)) by the same proof: q(n) x^n <= prod
+    (1 + x^j), sum_j log(1 + e^-jt) < pi^2/(12t), and t = pi/sqrt(12n).
+    _packed_product takes the narrow width for distinct parts, odd parts
+    (the odd-part partitions number q(n)) and even parts (p(n/2));
+    _packed_nested_sum for the strict-type sums (see there).  So the strict,
+    odd-part, even-part and pow2-free products, the five filtration sums and
+    the head-and-tail tables are narrow; p, the tables without 1s, the
+    repeated-top sum and mixed-parity part sets keep the p width, and so do
+    the signed tables of series, whose widths are their own.
+    """
     return (int(math.pi * math.sqrt(2 * N / 3) / math.log(2)) + 10) // 8
 
 
@@ -372,13 +398,27 @@ def _checked_parts(parts):
     return parts
 
 
+def _packed_one(N, narrow):
+    """(w, 1 packed through degree N in w-byte slots): w is the narrow width
+    of _slot_bytes if narrow() holds, else the p width.  The narrow table is
+    made before narrow() is asked, so that an order no table can hold fails
+    at once, not after a scan of the parts or terms."""
+    w = _slot_bytes((N + 1) // 2)
+    one = 1 << 8 * w * N
+    if not narrow():
+        w = _slot_bytes(N)
+        one = 1 << 8 * w * N
+    return w, one
+
+
 def _packed_product(N, parts, repeated):
     """[c[0..N]] of prod over the part sizes m of 1/(1 - x^m) (``repeated``)
     or of (1 + x^m): partitions of 0..N into those sizes, with or without
-    repetition.  Sizes above N are skipped."""
-    w = _slot_bytes(N)
+    repetition.  Sizes above N are skipped.  The sizes must not repeat; the
+    slots are narrow (_slot_bytes) when the parts are distinct, all odd or
+    all even."""
+    w, C = _packed_one(N, lambda: not repeated or len({m & 1 for m in parts}) < 2)
     bits = 8 * w
-    C = 1 << bits * N
     for m in parts:
         s = m
         while s <= N:
@@ -387,6 +427,14 @@ def _packed_product(N, parts, repeated):
                 break
             s += s
     return _unpack(C, N, w)
+
+
+def _exponents(N, k_lo, exponent):
+    """(k, exponent(k)) for k = k_lo, k_lo + 1, ... while exponent(k) <= N."""
+    k = k_lo
+    while (e := exponent(k)) <= N:
+        yield k, e
+        k += 1
 
 
 def _packed_nested_sum(N, j0, k_lo, exponent, repeated=True, keep=None):
@@ -398,12 +446,22 @@ def _packed_nested_sum(N, j0, k_lo, exponent, repeated=True, keep=None):
     degree N - exponent(k), so that it lines up with the total for the term
     x^{exponent(k)}: moving to the next k drops its high degrees with one
     right shift, multiplies in the factor of k, and adds it in if kept.
+
+    The slots are narrow (_slot_bytes) when j0 >= 1 and every term, kept or
+    not, maps its partitions of degree n one-to-one into the strict
+    partitions of n, apart from the other terms, so that no slot exceeds
+    q(N).  For 1/(1 - x^j) that needs exponent(k) >= k(k+1)/2: conjugate a
+    partition of n - exponent(k) into parts <= k, add k, k-1, ..., 1 to its k
+    (possibly zero) parts and the rest of exponent(k) to the largest, and it
+    is strict with exactly k parts.  For 1 + x^j it needs exponent(k) > k: the
+    part exponent(k) over a strict tail of parts <= k is strict and gives k
+    back.
     """
-    w = _slot_bytes(N)
+    w, run = _packed_one(N, lambda: j0 >= 1 and all(
+        e >= k * (k + 1) // 2 if repeated else e > k for k, e in _exponents(N, k_lo, exponent)))
     bits = 8 * w
-    total, run, shift, new = 0, 1 << bits * N, 0, j0
-    k = k_lo
-    while (e := exponent(k)) <= N:
+    total, shift, new = 0, 0, j0
+    for k, e in _exponents(N, k_lo, exponent):
         run >>= bits * (e - shift)
         shift = e
         for j in range(new, k + 1):  # times the factor of j, through degree N - e
@@ -416,7 +474,6 @@ def _packed_nested_sum(N, j0, k_lo, exponent, repeated=True, keep=None):
         new = max(new, k + 1)
         if keep is None or keep(k):
             total += run
-        k += 1
     return _unpack(total, N, w)
 
 

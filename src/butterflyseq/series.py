@@ -195,19 +195,20 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     prod (1+x^n)(1-x^{2n}); "distinct_not_pow2" for the power-of-two-free
     strict product.  Each is the packed counting DP of its partitions
     (partitions._packed_product: one shift-add per factor 1 + x^m, one per
-    doubling of m for 1/(1 - x^m)), except that the strict counts come from
-    the pentagonal kernel.  "double" is those counts times each factor
+    doubling of m for 1/(1 - x^m)), except that the strict counts are the q
+    table of sequences.named_sequence, from the pentagonal kernel.  "double" is those counts times each factor
     1 - x^m, m even, one shift-subtract apiece on the signed packed form
     (never E(x^2) from the pentagonal theorem, which is theta_pentagonal):
     its coefficient of x^n is, up to sign, at most the number of pairs of a
     strict partition and one into distinct even parts of total n, the
     coefficient of prod (1 + x^j)(1 + x^{2j}) = prod (1 + x^j + x^{2j} +
     x^{3j}), so at most p(n), and the packed counting DPs' slots hold p(N)
-    with two bits to spare.  A verify call builds each expansion once
-    (_Sides).
+    with two bits to spare.  A verify call builds each expansion once, and
+    "double" from the strict counts of its "distinct" (_Sides).
     """
-    if kind == "distinct":
-        c = pt.strict_pentagonal_table(N)
+    if kind in ("distinct", "double"):
+        q = seq.named_sequence("q", N).values
+        c = q if kind == "distinct" else _double_product(q)
     elif kind == "partitions":
         c = pt.count_partitions_table(N)
     elif kind == "odd_reciprocal":
@@ -216,22 +217,26 @@ def expand_product(kind, N, param=None) -> TruncSeries:
         c = pt.count_odd_ge_table(N, param)
     elif kind == "even_reciprocal":
         c = pt.count_with_parts(N, range(2, N + 1, 2))
-    elif kind == "double":
-        # C -= C x^m for each even m, right modulo 2^K, which is all _unpack
-        # reads: only the low K - 8wm bits of C are shifted, so C stays
-        # within a few bits of K
-        w = pt._slot_bytes(N)
-        bits = 8 * w
-        K = bits * (N + 1)
-        C = _pack(pt.strict_pentagonal_table(N), w)
-        for m in range(2, N + 1, 2):
-            C -= (C & (1 << K - bits * m) - 1) << bits * m
-        c = _unpack(C, N, w)
     elif kind == "distinct_not_pow2":
         c = pt.count_distinct_with_parts(N, pow2_free_parts(N))
     else:
         raise ValueError("unknown product kind %r" % kind)
     return TruncSeries(N, c)
+
+
+def _double_product(q):
+    """Coefficients 0..N of prod (1 + x^n)(1 - x^{2n}), from the strict
+    counts q[0..N]: C -= C x^m for each even m on the signed packed form,
+    right modulo 2^K, which is all _unpack reads; only the low K - 8wm bits
+    of C are shifted, so C stays within a few bits of K."""
+    N = len(q) - 1
+    w = pt._slot_bytes(N)
+    bits = 8 * w
+    K = bits * (N + 1)
+    C = _pack(q, w)
+    for m in range(2, N + 1, 2):
+        C -= (C & (1 << K - bits * m) - 1) << bits * m
+    return _unpack(C, N, w)
 
 
 def theta_pentagonal(N) -> TruncSeries:
@@ -323,20 +328,26 @@ def filtered_series(kind, N, k_lo=None) -> TruncSeries:
     ``k_lo`` overrides the lower index of the sum, which lets the identity
     checker compare the two printed readings of the last three kinds.
     """
+    return _filtered(kind, N, k_lo, lambda fkind, k: _sum_filtration(fkind, N, k))
+
+
+def _filtered(kind, N, k_lo, sum_terms):
+    """filtered_series(kind, N, k_lo), with each sum over k >= k_lo of the
+    terms of a filtration kind read from sum_terms(filtration kind, k_lo)."""
     if kind == "strict":
-        return TruncSeries.one(N) + _sum_filtration("strict", N, k_lo or 1)
+        return TruncSeries.one(N) + sum_terms("strict", k_lo or 1)
     if kind == "consec":
-        return TruncSeries.one(N) + _sum_filtration("consec", N, k_lo or 2)
+        return TruncSeries.one(N) + sum_terms("consec", k_lo or 2)
     if kind == "butterfly_parts":
-        return _sum_filtration("butterfly", N, k_lo or 3)
+        return sum_terms("butterfly", k_lo or 3)
     if kind == "odd_ge5_full":
-        tail = _sum_filtration("tail", N, k_lo or 3)
+        tail = sum_terms("tail", k_lo or 3)
         return poly(N, 1, 0, 0, 0, 0, 1, 0, 1) + poly(N, 1, 1, 1) * tail
     if kind == "butterfly_full":
-        tail = _sum_filtration("tail", N, k_lo or 3)
+        tail = sum_terms("tail", k_lo or 3)
         return poly(N, 1, -1, 0, 1, -1, 1) + tail
     if kind == "butterfly_alt":
-        tail = _sum_filtration("alt_tail", N, k_lo or 2)
+        tail = sum_terms("alt_tail", k_lo or 2)
         return poly(N, 1, -1) + div_exact(tail, (1, 1))
     raise ValueError("unknown filtered series %r" % kind)
 
@@ -353,27 +364,44 @@ def _table_series(name, N):
 
 class _Sides:
     """The series one verify call builds at order N, each once: the product
-    expansions, filtered series and sequence tables its identities name.  It
-    lives as long as the call, so nothing is kept from one call to the next."""
+    expansions, filtered series and sequence tables its identities name.  The
+    strict counts of "distinct" also give "double" and the tables q, r, s and
+    t, and "butterfly" and "tail" share their terms, so one filtration sum
+    serves both.  It lives as long as the call, so nothing is kept from one
+    call to the next."""
 
     def __init__(self, N):
         self.N = N
         self._built = {}
 
-    def _get(self, build, *args):
-        key = (build,) + args
+    def _get(self, key, build):
         if key not in self._built:
-            self._built[key] = build(*args)
+            self._built[key] = build()
         return self._built[key]
 
     def product(self, kind, param=None):
-        return self._get(expand_product, kind, self.N, param)
+        if kind == "double":
+            return self._get(("product", kind), lambda: TruncSeries(
+                self.N, _double_product(self.product("distinct").coeffs)))
+        return self._get(("product", kind, param),
+                         lambda: expand_product(kind, self.N, param))
 
     def filtered(self, kind, k_lo=None):
-        return self._get(filtered_series, kind, self.N, k_lo)
+        return self._get(("filtered", kind, k_lo),
+                         lambda: _filtered(kind, self.N, k_lo, self._sum_terms))
+
+    def _sum_terms(self, kind, k_lo):
+        _term_shape(kind, k_lo)  # refuses k_lo below the kind's smallest k
+        _, c, j0 = _FILTRATION[kind]
+        return self._get(("sum", c, j0, k_lo), lambda: _sum_filtration(kind, self.N, k_lo))
 
     def table(self, name):
-        return self._get(_table_series, name, self.N)
+        if name in seq.DIFF_WEIGHTS:
+            build = lambda: TruncSeries(self.N, seq._strict_difference_table(
+                name, self.product("distinct").coeffs).values)
+        else:
+            build = lambda: _table_series(name, self.N)
+        return self._get(("table", name), build)
 
 
 def _identity_registry():

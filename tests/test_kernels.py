@@ -12,6 +12,7 @@ lists.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,8 @@ from butterflyseq import partitions as pt
 from butterflyseq import series
 from butterflyseq.families import _HEAD_TAIL, pow2_free_parts
 from butterflyseq.sequences import (
-    _P_WEIGHTS, DIFF_WEIGHTS, SequenceTable, _weighted, difference, named_sequence, to_bfile)
+    _P_WEIGHTS, DIFF_WEIGHTS, SequenceTable, _weighted, counting_dp, difference, named_sequence,
+    to_bfile)
 from butterflyseq.series import TruncSeries
 
 
@@ -80,6 +82,41 @@ def _sum_filtration_by_cells(kind, N, k_lo):
             total[e + i] += c
         k += 1
     return total
+
+
+def _nested_sum_by_cells(N, j0, k_lo, exponent, repeated=True):
+    # the terms x^{exponent(k)} prod_{j=j0..k} of 1/(1 - x^j) (repeated) or
+    # 1 + x^j, summed apart for even and odd k: one running table, cell by
+    # cell, valid through degree N - exponent(k) at term k
+    totals = ([0] * (N + 1), [0] * (N + 1))
+    run = [1] + [0] * N
+    k, new = k_lo, j0
+    while (e := exponent(k)) <= N:
+        for j in range(new, k + 1):
+            if repeated:
+                for n in range(j, N - e + 1):
+                    run[n] += run[n - j]
+            else:
+                for n in range(N - e, j - 1, -1):
+                    run[n] += run[n - j]
+        new = max(new, k + 1)
+        total = totals[k % 2]
+        total[e:] = map(int.__add__, total[e:], run[:N - e + 1])
+        k += 1
+    return totals
+
+
+def _head_tail_by_cells(N, shape):
+    # count_head_tail_table's sum over k = a - gap, cell by cell: the table of
+    # each second-part parity (None for both)
+    offsets, smallest, gap, low = shape
+    width, lift = len(offsets), len(offsets) * gap + sum(offsets)
+    by_k = _nested_sum_by_cells(N, low, smallest - gap, lambda k: width * k + lift,
+                                repeated=False)
+    # the second part a + offsets[1] has the parity of k + gap + offsets[1]
+    tables = {parity: by_k[(parity + gap + offsets[1]) % 2] for parity in (0, 1)}
+    tables[None] = list(map(int.__add__, *by_k))
+    return tables
 
 
 def _double_by_cells(N):
@@ -178,6 +215,76 @@ def test_slot_width_holds_every_partition_count():
         assert widest < 8 * pt._slot_bytes(N), N
 
 
+def test_narrow_slot_width_holds_every_strict_and_half_partition_count():
+    """The strict-type tables count at most q(n) or p(n/2) at each n <= N, so
+    the narrow slots, _slot_bytes((N + 1) // 2), must hold q(0..N) and
+    p(0..N // 2) with a bit to spare."""
+    q = pt.strict_pentagonal_table(3000)
+    p = pt.pentagonal_solve([1] + [0] * 1500, 1)
+    widest = 0
+    for N, value in enumerate(q):
+        widest = max(widest, value.bit_length(), p[N // 2].bit_length())
+        assert widest < 8 * pt._slot_bytes((N + 1) // 2), N
+
+
+NARROW_ORDERS = list(range(151)) + [400, 700, 2000]
+
+
+def _narrowed_sites():
+    # (label, the library call at order N, its cell-loop reference through
+    # the largest order): a table through N is the prefix of the table
+    # through any larger order, so one reference serves every order
+    sites = [("odd_reciprocal %d" % b, lambda N, b=b: series.expand_product(
+                  "odd_reciprocal", N, b).coeffs,
+              lambda N, b=b: _with_parts_by_cells(N, range(b, N + 1, 2))) for b in (1, 3, 5)]
+    sites += [
+        ("even_reciprocal", lambda N: series.expand_product("even_reciprocal", N).coeffs,
+         lambda N: _with_parts_by_cells(N, range(2, N + 1, 2))),
+        ("distinct_not_pow2", lambda N: series.expand_product("distinct_not_pow2", N).coeffs,
+         lambda N: _distinct_with_parts_by_cells(N, pow2_free_parts(N))),
+        ("count_strict_table", pt.count_strict_table,
+         lambda N: _distinct_with_parts_by_cells(N, range(1, N + 1))),
+    ]
+    for kind, k_lo in dict.fromkeys(FILTRATION_SUMS):
+        _, c, j0 = series._FILTRATION[kind]
+        sites.append(("%s sum from k=%d" % (kind, k_lo),
+                      lambda N, kind=kind, k_lo=k_lo: series._sum_filtration(kind, N, k_lo).coeffs,
+                      lambda N, c=c, j0=j0, k_lo=k_lo: list(map(int.__add__, *_nested_sum_by_cells(
+                          N, j0, k_lo, lambda k: k * (k + c) // 2)))))
+    return sites
+
+
+@pytest.mark.parametrize("label, packed, by_cells", _narrowed_sites(),
+                         ids=[site[0] for site in _narrowed_sites()])
+def test_narrowed_kernels_equal_the_cell_loops(label, packed, by_cells):
+    want = by_cells(NARROW_ORDERS[-1])
+    for N in NARROW_ORDERS:
+        assert list(packed(N)) == want[:N + 1], (label, N)
+
+
+@pytest.mark.parametrize("kind", sorted(_HEAD_TAIL))
+def test_narrowed_head_tail_tables_equal_the_cell_loops(kind):
+    """Every shape and parity through N = 700, and at N = 2000 the
+    consecutive pairs, the head-and-tail table with the largest counts."""
+    shape, fixed = _HEAD_TAIL[kind]
+    top = 2000 if kind == "consec" else 700
+    tables = _head_tail_by_cells(top, shape)
+    for parity in (None, 0, 1) if fixed is None else (fixed,):
+        want = tables[parity]
+        for N in [N for N in NARROW_ORDERS if N <= top]:
+            assert pt.count_head_tail_table(N, shape, parity) == want[:N + 1], (parity, N)
+
+
+def test_wide_tables_keep_the_partition_width():
+    """p, dp and d2p exceed the narrow slots from N = 2000 on (p(2000) has
+    152 bits, a narrow slot 120), so they must keep the p width: the
+    counting DPs equal the pentagonal kernel's tables there."""
+    N = 2000
+    assert pt.pentagonal_solve([1] + [0] * N, 1)[N].bit_length() > 8 * pt._slot_bytes((N + 1) // 2)
+    for name in ("p", "dp", "d2p"):
+        assert counting_dp(name, N) == list(named_sequence(name, N).values), name
+
+
 def test_packed_kernels_do_not_reach_the_pentagonal_kernel(monkeypatch):
     calls = []
 
@@ -255,18 +362,49 @@ def test_double_product_multiplies_each_even_factor_itself(monkeypatch):
 def test_verify_all_equals_the_pair_loop_and_cell_loop_reports(monkeypatch):
     orders = list(range(121)) + [700, 2000]
     packed = [series.verify_all(N) for N in orders]
-    real_expand = series.expand_product
-
-    def expand(kind, N, param=None):
-        if kind == "double":
-            return TruncSeries(N, _double_by_cells(N))
-        return real_expand(kind, N, param)
-
-    monkeypatch.setattr(series, "expand_product", expand)
+    # verify_all builds "double" from its own strict counts
+    monkeypatch.setattr(series, "_double_product", lambda q: _double_by_cells(len(q) - 1))
     monkeypatch.setattr(TruncSeries, "__mul__", _mul_by_pairs)
     monkeypatch.setattr(TruncSeries, "__rmul__", _mul_by_pairs)
     for N, reports in zip(orders, packed):
         assert series.verify_all(N) == reports, N
+
+
+def test_verify_all_solves_q_once_and_builds_each_nested_sum_once(monkeypatch):
+    """One pentagonal solve per call serves "distinct", "double" and the
+    tables q, r, s and t, and each nested sum, keyed by its first factor,
+    lower index and exponents, is built once: the k >= 3 sum of the
+    butterfly and tail kinds serves three filtered series."""
+    solves, sums = [], Counter()
+
+    def solve(rhs, step):
+        solves.append(len(rhs))
+        return real_solve(rhs, step)
+
+    def nested(N, j0, k_lo, exponent, *rest):
+        sums[(N, j0, k_lo, tuple(map(exponent, range(k_lo, k_lo + 50))))] += 1
+        return real_sum(N, j0, k_lo, exponent, *rest)
+
+    real_solve, real_sum = pt.pentagonal_solve, pt._packed_nested_sum
+    monkeypatch.setattr(pt, "pentagonal_solve", solve)
+    monkeypatch.setattr(pt, "_packed_nested_sum", nested)
+    for N in (0, 9, 300):
+        series.verify_all(N)
+        assert solves == [N + 1], N
+        assert len(sums) == 4 and set(sums.values()) == {1}, (N, sums)
+        solves.clear()
+        sums.clear()
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 60, 700])
+def test_verify_sides_from_one_q_equal_their_own_builds(N):
+    """The sides verify builds from its one q table are what named_sequence
+    and expand_product return."""
+    built = series._Sides(N)
+    for name in DIFF_WEIGHTS:
+        assert built.table(name).coeffs == named_sequence(name, N).values, name
+    for kind in ("distinct", "double"):
+        assert built.product(kind) == series.expand_product(kind, N), kind
 
 
 # -- difference polynomials, the pentagonal kernel and b-file rows -------------------

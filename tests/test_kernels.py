@@ -276,9 +276,9 @@ def test_narrowed_head_tail_tables_equal_the_cell_loops(kind):
 
 
 def test_wide_tables_keep_the_partition_width():
-    """p, dp and d2p exceed the narrow slots from N = 2000 on (p(2000) has
-    152 bits, a narrow slot 120), so they must keep the p width: the
-    counting DPs equal the pentagonal kernel's tables there."""
+    """At N = 2000, p, dp and d2p exceed the narrow slots (p(2000) has 152
+    bits, a narrow slot 120), so their counting DPs equal the pentagonal
+    kernel's tables only if they keep the p width."""
     N = 2000
     assert pt.pentagonal_solve([1] + [0] * N, 1)[N].bit_length() > 8 * pt._slot_bytes((N + 1) // 2)
     for name in ("p", "dp", "d2p"):

@@ -282,7 +282,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         # violated merging caps are a domain failure, not a usage error
         return 1 if isinstance(exc, splitmerge.CapsError) else 2
-    except (OverflowError, MemoryError) as exc:  # a size no list, integer or memory can hold
+    except (OverflowError, MemoryError, RecursionError) as exc:
+        # a size no list, integer, memory or stack of recursive counts can hold
         print("error: size out of range (%s)" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 

@@ -23,10 +23,12 @@ the checksum solver; the part-by-part DPs stay as the independent oracles it
 is checked against, and as the product sides of the series identities.  They
 hold a whole table as one packed integer, so a factor 1 + x^m, and each of
 the doublings m, 2m, 4m, ... that make up a factor 1/(1 - x^m), is one
-big-integer shift-add, in a product (_packed_product) and in a nested sum
-over k (_packed_nested_sum: the series filtration sums and, with factors
-1 + x^j, count_head_tail_table, which counts r1, r2, r1', e, o and the
-staircase tables without listing, so DEFAULT_ENUM_LIMIT does not bound them).
+big-integer shift-add, in a product (_packed_product, which adds the
+factors above degree N/2 of each octave of a range as one prefix sum) and
+in a nested sum over k (_packed_nested_sum: the series filtration sums
+and, with factors 1 + x^j, count_head_tail_table, which counts r1, r2, r1',
+e, o and the staircase tables without listing, so DEFAULT_ENUM_LIMIT does
+not bound them).
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -350,12 +352,26 @@ def strict_pentagonal_table(N):
 # at bit 8w(N - n), so degree 0 is the top slot.  Times (1 + x^s) is then
 # C += C >> 8ws: the right shift adds c[n - s] into c[n] for every n at once
 # and drops the terms above degree N.  Times 1/(1 - x^m) is the same step for
-# s = m, 2m, 4m, ... <= N, since 1/(1 - y) = prod_i (1 + y^(2^i)).  Every
-# factor has nonnegative coefficients and constant term 1, so each
-# intermediate table (fewer factors) is at most the final one, cell by cell:
-# a width that holds the final table's bound holds every step, and no carry
-# crosses a slot boundary.  Each kernel sizes its slots from its own
-# arguments (_slot_bytes).
+# s = m, 2m, 4m, ... <= N, since 1/(1 - y) = prod_i (1 + y^(2^i)).
+#
+# A product defers each part's last factor.  Part m is in octave j when
+# N/2^(j+1) < m <= N/2^j; its last factor is then 1 + x^(m 2^j), of degree
+# above N/2 (for 1 + x^m, only octave 0 has one).  Any two such factors
+# multiply past degree N, so through degree N their product is 1 + the sum
+# of their x^(m 2^j): the table of the other factors, base, plus base shifted
+# by each of those degrees.  When an octave's parts are a range of step t
+# that runs to the octave's top, those degrees are s0, s0 + t 2^j, ... up to
+# N, and the shifted copies sum as base x^s0 / (1 - x^(t 2^j)): log2 of the
+# octave's size in doublings, not one shift-add per part.  So p makes about
+# N shift-adds, not 2N, and the odd-part, even-part and strict products
+# about half as many as one per factor.
+#
+# Every step adds a nonnegative shifted copy of a partial product (base, the
+# runs and every factor have nonnegative coefficients and constant term 1),
+# so each intermediate table is at most the final one, cell by cell: a width
+# that holds the final table's bound holds every step, and no carry crosses
+# a slot boundary.  Each kernel sizes its slots from its own arguments
+# (_slot_bytes).
 # ---------------------------------------------------------------------------
 
 def _slot_bytes(N):
@@ -390,6 +406,13 @@ def _unpack(C, N, w):
 
 
 def _checked_parts(parts):
+    """The part sizes, checked: a range stays a range (its sizes never
+    repeat), so that _packed_product can read its octaves; anything else
+    becomes a list."""
+    if isinstance(parts, range):
+        if parts and min(parts[0], parts[-1]) < 1:
+            raise ValueError("part sizes must be positive: %r" % (parts,))
+        return parts
     parts = list(parts)
     if parts and min(parts) < 1:
         raise ValueError("part sizes must be positive: %r" % (parts,))
@@ -411,21 +434,91 @@ def _packed_one(N, narrow):
     return w, one
 
 
+# An octave's last factors are added as one run only when it holds at least
+# this many parts: below that, the run's set-up costs more than the per-part
+# shift-adds it saves.
+_RUN_PARTS = 24
+
+
+def _octave_runs(N, parts, repeated):
+    """(segments, runs) for _packed_product: the range ``parts`` cut into
+    pieces, each with the largest factor degree the per-part loop applies
+    to it, and the runs that add the last factors the loop leaves out, each
+    as (s0, stride), the degree of its first last factor and the step.
+
+    An octave makes a run when it holds at least _RUN_PARTS parts of the
+    range, of step t, and the range goes on past the octave's top N/2^j:
+    its last factors are then x^(m 2^j) for every m of the range from the
+    first one above N/2^(j+1) until the degree passes N, which through
+    degree N is x^s0 / (1 - x^(t 2^j)).  The octaves are read off the
+    range's ends, with no pass over its parts, and one unbroken band of
+    them is taken; the per-part loop stops its parts at degree N/2."""
+    runs = []
+    if not (N >= 2 * _RUN_PARTS and parts.step > 0 and parts[0] <= N):
+        return ((N, parts),), runs
+    a, t = parts.start, parts.step
+    after = parts[-1] + t  # the next size the range would hold
+    j = (N // min(parts[-1], N)).bit_length() - 1  # the octave of the largest part <= N
+    while repeated or j == 0:
+        top, bottom = N >> j, N >> j + 1
+        if top - bottom < _RUN_PARTS * t:  # too few parts here or below
+            break
+        first = a if a > bottom else a + ((bottom - a) // t + 1) * t
+        if after > top and (top - first) // t + 1 >= _RUN_PARTS:
+            if not runs:
+                hi = top
+            lo = bottom
+            runs.append((first << j, t << j))
+        elif runs:
+            break
+        j += 1
+    if not runs:
+        return ((N, parts),), runs
+    i, k = max((lo - a) // t + 1, 0), (hi - a) // t + 1  # the parts <= lo and <= hi
+    return ((N, parts[:i]), (N >> 1, parts[i:k]), (N, parts[k:])), runs
+
+
+def _one_parity(parts):
+    """True when the sizes are all odd or all even; read off a range's step."""
+    if isinstance(parts, range):
+        return len(parts) < 2 or parts.step % 2 == 0
+    return len({m & 1 for m in parts}) < 2
+
+
 def _packed_product(N, parts, repeated):
     """[c[0..N]] of prod over the part sizes m of 1/(1 - x^m) (``repeated``)
     or of (1 + x^m): partitions of 0..N into those sizes, with or without
     repetition.  Sizes above N are skipped.  The sizes must not repeat; the
     slots are narrow (_slot_bytes) when the parts are distinct, all odd or
-    all even."""
-    w, C = _packed_one(N, lambda: not repeated or len({m & 1 for m in parts}) < 2)
+    all even.
+
+    The last factors of the octaves that _octave_runs finds are deferred
+    (see the comment above _slot_bytes): their parts stop at degree N/2,
+    and the table then, base, gains base x^s0 / (1 - x^stride) for each run,
+    by doublings of the run's own copy.  The parts of any other octave, and
+    any parts not given as a range, keep one shift-add per factor, applied
+    in place, which multiplies the same factors in."""
+    w, C = _packed_one(N, lambda: not repeated or _one_parity(parts))
     bits = 8 * w
-    for m in parts:
-        s = m
-        while s <= N:
-            C += C >> bits * s
-            if not repeated:
-                break
+    segments, runs = ((N, parts),), ()
+    if isinstance(parts, range) and len(parts) >= _RUN_PARTS:
+        segments, runs = _octave_runs(N, parts, repeated)
+    for top, piece in segments:
+        for m in piece:
+            s = m
+            while s <= top:
+                C += C >> bits * s
+                if not repeated:
+                    break
+                s += s
+    base = C
+    for s0, stride in runs:
+        run = base >> bits * s0
+        s = stride
+        while s <= N - s0:
+            run += run >> bits * s
             s += s
+        C += run
     return _unpack(C, N, w)
 
 

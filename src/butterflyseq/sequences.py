@@ -7,6 +7,7 @@ at n = 6.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -213,13 +214,36 @@ def exception_form_of(n):
     return hits[0]
 
 
+# parity_exception_inputs lists at most this many inputs.  About 4 sqrt(2N/3)
+# of them lie below N, so every N up to about 9 * 10^10 is answered.
+EXCEPTION_LIST_BUDGET = 10 ** 6
+
+
+def _exception_count(N):
+    """len(parity_exception_inputs(N)), without listing: each form exceeds
+    3t^2/2 at t, so its largest t with a value <= N is at most isqrt(2N/3),
+    and a step or two down finds it."""
+    total = 0
+    for f in EXCEPTION_FORMS.values():
+        t = math.isqrt(2 * max(N, 0) // 3)
+        while t >= 2 and f(t) > N:
+            t -= 1
+        total += max(t - 1, 0)  # t = 2, ..., t
+    return total
+
+
 def parity_exception_inputs(N):
     """All inputs <= N of the four closed forms with t >= 2, ascending.
+    Refused (ValueError) when there are more than EXCEPTION_LIST_BUDGET.
 
     Note: the published list of these inputs up to 51 omits two entries (26
     and 40); see DEVIATIONS.md.  The computed list is the authoritative one
     and agrees with enumeration of the even/odd butterfly counts.
     """
+    count = _exception_count(N)
+    if count > EXCEPTION_LIST_BUDGET:
+        raise ValueError("%d exceptional inputs lie below %d, above the listing budget of %d"
+                         % (count, N, EXCEPTION_LIST_BUDGET))
     return sorted({v for v, _, _ in _exception_values(N)})
 
 

@@ -195,8 +195,12 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     prod (1+x^n)(1-x^{2n}); "distinct_not_pow2" for the power-of-two-free
     strict product.  Each is the packed counting DP of its partitions
     (partitions._packed_product: one shift-add per factor 1 + x^m, one per
-    doubling of m for 1/(1 - x^m)), except that the strict counts are the q
-    table of sequences.named_sequence, from the pentagonal kernel.  "double" is those counts times each factor
+    doubling of m for 1/(1 - x^m), except that the factors above degree N/2
+    of each octave of a range of parts are one prefix sum of about log2 N
+    shift-adds: about N shift-adds for "partitions", N/2 for the odd and
+    even parts; the pow2-free parts, a list, take one per part), except
+    that the strict counts are the q table of sequences.named_sequence,
+    from the pentagonal kernel.  "double" is those counts times each factor
     1 - x^m, m even, one shift-subtract apiece on the signed packed form
     (never E(x^2) from the pentagonal theorem, which is theta_pentagonal):
     its coefficient of x^n is, up to sign, at most the number of pairs of a

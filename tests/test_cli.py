@@ -232,21 +232,48 @@ def test_size_beyond_any_table_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("seq", "p", "--to", "10000000000"), ("solve", "q", "--to", "10000000000"),
-    ("verify", "all", "--order", "100000000000")])
-def test_size_beyond_memory_is_usage_error(argv):
-    # sizes that fit an index but not memory: under a 1 GB address-space
-    # limit, set in the child only, the table allocation fails at once and
-    # the request is refused like a size no list can hold
+def _fresh_cli(argv, timeout):
+    # a fresh process, under a 1 GB address-space limit set in the child
+    # only, so that a request that grows without bound fails fast
     import resource
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-m", "butterflyseq.cli"] + list(argv),
-                          capture_output=True, text=True, env=env, preexec_fn=limit_memory)
+    return subprocess.run([sys.executable, "-m", "butterflyseq.cli"] + list(argv),
+                          capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "p", "--to", "10000000000"), ("solve", "q", "--to", "10000000000"),
+    ("verify", "all", "--order", "100000000000")])
+def test_size_beyond_memory_is_usage_error(argv):
+    # sizes that fit an index but not memory: under the 1 GB limit the
+    # table allocation fails at once and the request is refused like a
+    # size no list can hold
+    done = _fresh_cli(argv, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
+
+
+def test_exception_list_beyond_its_budget_is_usage_error():
+    # about 4 sqrt(2N/3) inputs lie below N: at 10^20 that is some 3 * 10^10,
+    # which no list holds; the count is known in closed form, so the
+    # refusal comes at once, before any memory runs out
+    done = _fresh_cli(["parity", "--exceptions", "--to", str(10 ** 20)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "budget" in done.stderr and "out of memory" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "s_e", "--to", "1600"), ("seq", "r1_dprime", "--to", "2000"), ("parity", "1600")])
+def test_recursion_too_deep_is_usage_error(argv):
+    # these counts recurse one part size per frame: refused with one line,
+    # not a traceback, like a size no list or memory can hold
+    done = _fresh_cli(argv, timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
 

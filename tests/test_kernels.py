@@ -146,6 +146,12 @@ def _mul_by_pairs(a, b):
 
 
 def _part_sets(N):
+    # ranges and lists of every shape _packed_product tells apart: ranges
+    # whose octaves run to their top (an octave's last factors then add as
+    # one run), ranges that stop short of an octave's top (a run summed on
+    # to degree N would count parts the range lacks) or start at an octave's
+    # bottom (which belongs to the octave below), strides, and lists,
+    # which always take one shift-add per factor
     return {
         "all": range(1, N + 1),
         "odd>=1": range(1, N + 1, 2),
@@ -156,21 +162,46 @@ def _part_sets(N):
         "unsorted": [7, 2, 11, 3, 5, 1, 13],
         "above N": [N + 2, N // 2 + 1, N + 9],
         "empty": [],
+        "short of N/2": range(1, N // 3),
+        "to N/2": range(4, N // 2 + 1),
+        "from N/4": range(max(N // 4, 1), N + 1),
+        "small": range(3, 9),
+        "stride 5": range(1, N + 1, 5),
+        "stride 5 from 7": range(7, 2 * N, 5),
+        "reversed": list(range(N, 0, -1)),
     }
+
+
+def _check_part_sets(N):
+    for label, parts in _part_sets(N).items():
+        assert pt.count_with_parts(N, parts) == _with_parts_by_cells(N, parts), (label, N)
+        assert (pt.count_distinct_with_parts(N, parts)
+                == _distinct_with_parts_by_cells(N, parts)), (label, N)
 
 
 def test_packed_dps_equal_the_cell_loops():
     for N in range(151):
-        for label, parts in _part_sets(N).items():
-            assert pt.count_with_parts(N, parts) == _with_parts_by_cells(N, parts), (label, N)
-            assert (pt.count_distinct_with_parts(N, parts)
-                    == _distinct_with_parts_by_cells(N, parts)), (label, N)
+        _check_part_sets(N)
         assert pt.count_partitions_table(N) == _with_parts_by_cells(N, range(1, N + 1)), N
         assert pt.count_strict_table(N) == _distinct_with_parts_by_cells(N, range(1, N + 1))
         for bound in (1, 3, 5):
             assert (pt.count_odd_ge_table(N, bound)
                     == _with_parts_by_cells(N, range(bound, N + 1, 2))), (bound, N)
         assert pt.count_no_ones_table(N) == _with_parts_by_cells(N, range(2, N + 1)), N
+
+
+def test_packed_dps_equal_the_cell_loops_where_octaves_run():
+    # most ranges above need orders past 150 before an octave holds enough
+    # parts to run (1..N from N = 48, stride 5 from N = 240): at these the
+    # top octaves of every range run, or stop just short of their top
+    for N in (300, 389):
+        _check_part_sets(N)
+
+
+@pytest.mark.parametrize("N", [300, 700, 2000])
+def test_packed_p_and_q_equal_the_pentagonal_kernel(N):
+    assert pt.count_partitions_table(N) == pt.pentagonal_solve([1] + [0] * N, 1)
+    assert pt.count_strict_table(N) == pt.strict_pentagonal_table(N)
 
 
 def test_repeated_top_table_equals_the_cell_loop():

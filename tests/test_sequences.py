@@ -134,6 +134,23 @@ def test_mod3_slices():
     assert r2[3] == 0  # s(11)
 
 
+def test_exception_count_is_the_listed_length():
+    # the closed-form count that guards the listing, against the listing
+    from butterflyseq.sequences import _exception_count
+    for N in list(range(-1, 3001)) + [10 ** 5, 123457]:
+        assert _exception_count(N) == len(parity_exception_inputs(N)), N
+
+
+def test_exception_listing_refused_just_above_its_budget(monkeypatch):
+    from butterflyseq import sequences
+    listed = parity_exception_inputs(500)
+    monkeypatch.setattr(sequences, "EXCEPTION_LIST_BUDGET", len(listed))
+    assert parity_exception_inputs(500) == listed
+    nxt = next(N for N in range(501, 1000) if sequences._exception_count(N) > len(listed))
+    with pytest.raises(ValueError, match="budget"):
+        parity_exception_inputs(nxt)
+
+
 def test_parity_exception_inputs():
     got = parity_exception_inputs(51)
     assert got == sorted(golden.EXCEPTIONS_PRINTED + golden.EXCEPTIONS_MISSING)

@@ -10,7 +10,7 @@
   the parity of the second-largest part flips.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import partitions as pt
 from .families import (
@@ -101,8 +101,7 @@ def bar_backward(p: Partition, h: int) -> Partition:
     return Partition._of(tuple(parts))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     kind: str
     n_range: tuple
     checked: int

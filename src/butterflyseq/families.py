@@ -20,7 +20,7 @@ oracle.  Counting goes through a fast exact path where one
 exists (the predicates and listers remain the oracle it is checked against).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import partitions as pt
 from . import splitmerge
@@ -60,8 +60,7 @@ BUTTERFLY_PLUS_ONES = "butterfly_plus_ones"  # butterfly core plus zero, one or 
 DISTINCT_NOT_POW2 = "distinct_not_pow2"      # distinct parts, none a power of two
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     kind: str
     param: int | None = None
 
@@ -181,7 +180,7 @@ def in_family(p: Partition, f: Family) -> bool:
     if kind == BUTTERFLY_PLUS_ONES:
         return _in_butterfly_plus_ones(parts)
     if kind == DISTINCT_NOT_POW2:
-        return is_strict_tuple(parts) and set(parts) <= set(pow2_free_parts(p.max_part()))
+        return is_strict_tuple(parts) and all(x & (x - 1) for x in parts)
     raise ValueError("unknown family %r" % (f,))
 
 

@@ -10,7 +10,7 @@ across the parity of the second-largest part, which is what forces the
 even/odd butterfly counts to agree away from the four closed-form inputs.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import (
     BUTTERFLY,
@@ -36,8 +36,7 @@ NONPENT_VBAR = "nonpent_vbar"
 _PENT_KINDS = (PENTAGONAL, GEN_PENTAGONAL, PENTAGONAL_DOMINO, GEN_PENTAGONAL_DOMINO)
 
 
-@dataclass(frozen=True)
-class PentClass:
+class PentClass(NamedTuple):
     kind: str
     h: int
 
@@ -104,8 +103,7 @@ EVEN_MINUS_ONE = "even_minus_one"   # even-second-part count trails by one
 EVEN_PLUS_ONE = "even_plus_one"     # even-second-part count leads by one
 
 
-@dataclass(frozen=True)
-class ParityWitness:
+class ParityWitness(NamedTuple):
     relation: str
     form: str | None   # which closed form matched, if any
     t: int | None
@@ -136,8 +134,7 @@ def parity_relation_holds(n) -> bool:
     return se - count_family(n, Family(BUTTERFLY_ODD)) == delta
 
 
-@dataclass(frozen=True)
-class ParityRefinedCounts:
+class ParityRefinedCounts(NamedTuple):
     n: int
     s: int
     s_e: int

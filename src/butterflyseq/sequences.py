@@ -8,7 +8,6 @@ at n = 6.
 
 import json
 import math
-from dataclasses import dataclass
 from operator import add, sub
 
 from . import partitions as pt
@@ -57,15 +56,36 @@ _COUNTING_DPS = {"p": "count_partitions_table", "dp": "count_no_ones_table",
                  "d2p": "count_no_ones_repeated_top_table"}
 
 
-@dataclass(frozen=True)
 class SequenceTable:
-    name: str
-    offset: int
-    values: tuple
-    provenance: str = ENUMERATED
+    """Values of sequence ``name`` for inputs offset, offset + 1, ...
+    Immutable, compared and hashed by all four fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    __slots__ = ("name", "offset", "values", "provenance")
+
+    def __init__(self, name, offset, values, provenance=ENUMERATED):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SequenceTable is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.offset, self.values, self.provenance)
+                == (other.name, other.offset, other.values, other.provenance))
+
+    def __hash__(self):
+        return hash((self.name, self.offset, self.values, self.provenance))
+
+    def __repr__(self):
+        return "SequenceTable(name=%r, offset=%r, values=%r, provenance=%r)" % (
+            self.name, self.offset, self.values, self.provenance)
+
+    def __reduce__(self):
+        return SequenceTable, (self.name, self.offset, self.values, self.provenance)
 
     @property
     def last_n(self):

@@ -13,24 +13,44 @@ from the factors alone: no product coefficient exceeds min(nonzero terms)
 max|a| max|b| in magnitude, and a slot holds that bound and a sign bit.
 """
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import partitions as pt
 from . import sequences as seq
 from .families import pow2_free_parts
 
 
-@dataclass(frozen=True)
 class TruncSeries:
-    order: int
-    coeffs: tuple  # length order + 1
+    """A series truncated at degree ``order``: ``coeffs`` holds the
+    coefficients of degrees 0..order.  Immutable, compared and hashed by
+    (order, coeffs)."""
 
-    def __post_init__(self):
-        c = tuple(self.coeffs)
-        if len(c) != self.order + 1:
-            raise ValueError("need %d coefficients, got %d" % (self.order + 1, len(c)))
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order, coeffs):
+        c = tuple(coeffs)
+        if len(c) != order + 1:
+            raise ValueError("need %d coefficients, got %d" % (order + 1, len(c)))
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncSeries is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self):
+        return "TruncSeries(order=%r, coeffs=%r)" % (self.order, self.coeffs)
+
+    def __reduce__(self):
+        return TruncSeries, (self.order, self.coeffs)
 
     @classmethod
     def zero(cls, order):
@@ -513,8 +533,7 @@ IDENTITIES = _identity_registry()
 VERIFIED_IDENTITIES = tuple(name for name in IDENTITIES if not name.endswith("-printed"))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     order: int
     lo: int

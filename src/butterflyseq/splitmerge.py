@@ -19,7 +19,6 @@ heads (second part 4) the switched even route coincides with the standard
 one, which keeps the correspondence total.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .partitions import Partition, is_butterfly_tuple, pool_tuples
@@ -76,8 +75,7 @@ def _pow2_floor(x):
     return 1 << (x.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class MergeCaps:
+class MergeCaps(NamedTuple):
     """Cap report for an odd-part partition routed to one of the four forms.
 
     ``two_t`` is the head gap (sum of power-of-two parts to recreate),
@@ -93,8 +91,8 @@ class MergeCaps:
     two_t: int
     u_by_q: dict
     v: int
-    largest_pows: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    largest_pows: dict
+    checks: dict
 
     @property
     def satisfied(self):

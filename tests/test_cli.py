@@ -278,6 +278,21 @@ def test_recursion_too_deep_is_usage_error(argv):
     assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
 
 
+def test_cli_import_loads_no_introspection_modules():
+    # every call starts a fresh interpreter, so what importing the CLI loads
+    # is paid per call: dataclasses alone pulls in inspect, ast, dis and
+    # tokenize, none of which a request uses
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys; before = set(sys.modules); import butterflyseq.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "butterflyseq.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def test_listing_limit_does_not_block_a_count(capsys):
     from butterflyseq.partitions import count_butterfly
     from butterflyseq.sequences import named_sequence

@@ -71,6 +71,26 @@ def test_consecutive_family_equals_power_free_strict(n):
             == count_family(n, Family(DISTINCT_NOT_POW2)))
 
 
+def test_pow2_free_membership_equals_the_part_set_definition():
+    """in_family for distinct_not_pow2 tests each part for a power of two; on
+    every strict partition with n <= 30 it agrees with the definition by part
+    sets, every part among pow2_free_parts(largest part)."""
+    from butterflyseq.families import pow2_free_parts
+    fam = Family(DISTINCT_NOT_POW2)
+    members = 0
+    for n in range(31):
+        for p in enumerate_family(n, Family(STRICT)):
+            want = set(p.parts) <= set(pow2_free_parts(p.max_part()))
+            assert in_family(p, fam) == want, p
+            members += want
+    assert members == sum(count_family(n, fam) for n in range(31))
+
+
+def test_family_str():
+    assert str(Family(ODD_GE, 3)) == "odd_ge(3)"
+    assert str(Family(BUTTERFLY)) == "butterfly"
+
+
 @pytest.mark.parametrize("kind,param", [
     (STRICT, None), (CONSEC, None), (CONSEC_NO_ONE, None),
     (CONSEC_WITH_ONE, None), (CONSEC_ISOLATED, None), (BUTTERFLY, None),

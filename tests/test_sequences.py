@@ -315,6 +315,12 @@ def test_table_indexing():
     assert t[2] == 0  # below offset reads as zero
     with pytest.raises(IndexError):
         t[11]
+    # values are kept as a tuple; iteration runs through __getitem__ from
+    # input 0, so the inputs below the offset come first as zeros
+    t = SequenceTable("x", 2, iter([5, 6, 7]))
+    assert t.values == (5, 6, 7) and t.last_n == 4
+    assert t[0] == t[1] == 0 and t[2] == 5
+    assert list(t) == [0, 0, 5, 6, 7]
 
 
 # -- the tables counted from the head-and-tail kernel ---------------------------------

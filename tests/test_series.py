@@ -28,6 +28,15 @@ def test_ring_op_examples():
     assert (geo * a).coeffs == (1,) + (0,) * N              # geometric * (1-x) = 1
 
 
+def test_series_coefficients_are_a_tuple_of_order_plus_one():
+    s = TruncSeries(3, iter([1, 0, -2, 5]))
+    assert s.coeffs == (1, 0, -2, 5) and list(s) == [1, 0, -2, 5]
+    with pytest.raises(ValueError, match="need 4 coefficients, got 3"):
+        TruncSeries(3, [1, 0, -2])
+    with pytest.raises(ValueError):
+        TruncSeries(1, [1, 0, 0])
+
+
 @given(small_series, small_series)
 def test_addition_commutes(a, b):
     assert (a + b).coeffs == (b + a).coeffs

@@ -17,7 +17,7 @@ from .families import (
     BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE, CONSEC_WITH_ONE,
     DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1, ODD_STEP1_SWITCHED,
     ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321, STAIRCASE_33, STRICT,
-    Family, enumerate_family,
+    Family, family_tuples,
 )
 from .partitions import Partition
 
@@ -78,10 +78,9 @@ def _cmd_enum(args):
     else:
         raise UsageError("unknown family %r (choose from %s)"
                           % (args.family, ", ".join(sorted(FAMILY_ALIASES) + sorted(BAR_ALIASES))))
-    parts = enumerate_family(args.n, fam)
     # each part value is formatted once per call, not once per occurrence
     digits = [str(x) for x in range(args.n + 1)]
-    result = ["+".join([digits[x] for x in p.parts]) for p in parts]
+    result = ["+".join([digits[x] for x in t]) for t in family_tuples(args.n, fam)]
     _emit(args, "enum", result, "\n".join(result))
     return 0
 

@@ -16,8 +16,10 @@ the capped odd-step forms by splitmerge.iter_form_tuples, so none lists a
 larger family to filter it.
 Every partition those generators produce is checked against its predicate
 (_in_bar_a, _in_bar_b, in_family, splitmerge.matches_form), which stays the
-oracle.  Counting goes through a fast exact path where one
-exists (the predicates and listers remain the oracle it is checked against).
+oracle.  family_tuples returns a listing as checked part tuples, which the
+CLI prints; enumerate_family wraps them as Partitions.  Counting goes through
+a fast exact path where one exists (the predicates and listers remain the
+oracle it is checked against).
 """
 
 from typing import NamedTuple
@@ -231,6 +233,7 @@ def _iter_staircase(n, threes, tail):
     while 2 * v + sum(range(4, v)) + 3 * threes <= core:  # v twice, one of each below
         rec(v, core, (), 2)
         v += 1
+    del rec  # rec's cell refers to rec: clear it, or the cycle keeps ``out`` alive
     return out
 
 
@@ -242,8 +245,10 @@ def _iter_prop21(n):
             yield core + (1,) * ones
 
 
-def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
-    """All partitions of n in the family, lexicographically decreasing."""
+def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
+    """The part tuples of enumerate_family(n, f, limit), in its order.  Each
+    passes Partition's check once (partitions.checked_tuples), and each member
+    of a kind generated from its shape also its predicate."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_limit(n, limit)
@@ -270,13 +275,19 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         tuples = pt.pool_tuples(pow2_free_parts(n), [(n, None, ())])
     else:
         raise ValueError("unknown family %r" % (f,))
-    result = list(map(Partition._of, sorted(tuples, reverse=True)))
+    result = pt.checked_tuples(sorted(tuples, reverse=True))
     if kind == CONSEC_WITH_ONE or kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
         # generated from shape: the predicate stays the oracle of every member
-        for p in result:
+        for p in map(Partition._wrap, result):
             if not in_family(p, f):
                 raise AssertionError("generated %s outside %s" % (p, f))
     return result
+
+
+def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
+    """All partitions of n in the family, lexicographically decreasing: the
+    Partitions of family_tuples(n, f, limit)."""
+    return list(map(Partition._wrap, family_tuples(n, f, limit)))
 
 
 def _iter_odd_parts(n, bound):
@@ -342,7 +353,7 @@ def count_table(N, kind, parity=None):
 
 
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
-    """len(enumerate_family(n, f)), via exact counting where available.
+    """len(family_tuples(n, f)), via exact counting where available.
 
     The limit guards listing only, so it applies to families counted by
     enumeration."""
@@ -359,4 +370,4 @@ def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
         return pt.count_distinct_with_parts(n, pow2_free_parts(n))[n]
     if kind in _HEAD_TAIL or kind in _CONJUGATES or kind == CONSEC_WITH_ONE:
         return count_table(n, kind)[n]
-    return len(enumerate_family(n, f, limit))
+    return len(family_tuples(n, f, limit))

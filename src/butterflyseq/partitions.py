@@ -82,12 +82,21 @@ class Partition:
         so the error is the same."""
         if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
             return cls(parts)
+        return cls._wrap(parts)
+
+    @classmethod
+    def _wrap(cls, parts):
+        """The Partition of a tuple of ints that already passed _of's check
+        (checked_tuples), with no check."""
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     @property
     def n(self):
@@ -166,6 +175,17 @@ def is_butterfly_tuple(parts):
             and parts[0] == parts[1] + 1 == parts[2] + 2)
 
 
+def checked_tuples(tuples):
+    """The list ``tuples``, each passed through Partition._of's check once
+    (parts >= 1, non-increasing); at the first that fails, __init__'s own
+    ValueError."""
+    ge = operator.ge
+    for parts in tuples:
+        if parts and not (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
+            Partition(parts)
+    return tuples
+
+
 def check_limit(n, limit=DEFAULT_ENUM_LIMIT):
     if limit is not None and n > limit:
         raise EnumerationLimitError(
@@ -201,10 +221,16 @@ def pool_tuples(pool, jobs):
     the pool below that copy (so further copies come first); then the filler
     jumps below the value's first copy, so no partition comes out twice.  The
     parts below index i sum to below[i], so once they cannot make up the
-    rest, neither can those below a smaller index.
+    rest, neither can those below a smaller index.  A rest below the sum of
+    the two smallest parts can only be one part, so it is placed at once,
+    with no further call: when a copy of it lies below the value's copy.
+
+    The filler calls itself through its closure cell, and holds the list it
+    fills, so the cell is cleared before returning: the cycle would
+    otherwise keep the whole listing alive until a full collection.
     """
     pool = list(pool)
-    least = pool[0] if pool else 0  # a rest below it has no partition
+    pair = pool[0] + pool[1] if len(pool) > 1 else math.inf  # a rest below it: one part
     below = list(accumulate(pool, initial=0))  # below[i]: sum(pool[:i])
     first = dict(zip(reversed(pool), range(len(pool) - 1, -1, -1)))  # x: its first copy
     out = []
@@ -214,10 +240,13 @@ def pool_tuples(pool, jobs):
         i = bisect_right(pool, n, 0, stop)
         while i and below[i] >= n:
             x = pool[i - 1]
-            if x == n:
+            r = n - x
+            if r >= pair:
+                fill(r, i - 1, prefix + (x,))
+            elif not r:
                 append(prefix + (x,))
-            elif n - x >= least:
-                fill(n - x, i - 1, prefix + (x,))
+            elif first.get(r, i) < i - 1:
+                append(prefix + (x, r))
             i = first[x]
 
     for n, stop, prefix in jobs:
@@ -225,6 +254,7 @@ def pool_tuples(pool, jobs):
             fill(n, len(pool) if stop is None else stop, prefix)
         else:
             append(prefix)
+    del fill
     return out
 
 

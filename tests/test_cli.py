@@ -76,6 +76,49 @@ def test_enum_text_and_json_round_trip(alias, fam, extra, n):
     assert [Partition.parse(text) for text in blob["result"]] == members
 
 
+@pytest.mark.parametrize("alias,fam,extra", ENUM_ALIASES,
+                         ids=["%s%s" % (a, "".join(e)) for a, _, e in ENUM_ALIASES])
+def test_enum_prints_the_listed_members(alias, fam, extra):
+    """enum's stdout is "+".join of each member's parts, one a line, at sizes
+    up to those the benchmark lists."""
+    for n in (12, 27, 44):
+        code, out = _stdout("enum", alias, str(n), *extra)
+        assert code == 0
+        assert out == "\n".join("+".join(map(str, p.parts)) for p in enumerate_family(n, fam)) + "\n"
+
+
+def test_enum_makes_no_partition_per_member(monkeypatch):
+    """enum prints the lister's checked tuples: no Partition is built."""
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Partition, "__init__", counted("__init__", Partition.__init__))
+    for name in ("_of", "_wrap"):
+        monkeypatch.setattr(Partition, name, staticmethod(counted(name, getattr(Partition, name))))
+    code, out = _stdout("enum", "strict", "30")
+    assert code == 0 and len(out.splitlines()) == 296
+    assert built == []
+
+
+@pytest.mark.parametrize("bad,line", [
+    ((3, 4), "error: parts must be non-increasing: (3, 4)"),
+    ((3, 0), "error: parts must be positive integers: (3, 0)"),
+])
+def test_enum_refuses_a_listed_tuple_that_is_no_partition(monkeypatch, capsys, bad, line):
+    """Each listed tuple still gets Partition's test: a lister that returns
+    a tuple no partition has makes enum exit 2 with __init__'s own message."""
+    from butterflyseq import families
+    monkeypatch.setattr(families, "_iter_staircase", lambda n, threes, tail: [bad])
+    code, out, err = run(capsys, "enum", "staircase-33", "33")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [line]
+
+
 def test_enum_unknown_family(capsys):
     code, _, err = run(capsys, "enum", "nope", "9")
     assert code == 2

@@ -6,7 +6,7 @@ from butterflyseq.families import (
     CONSEC_WITH_ONE, DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1,
     ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321,
     STAIRCASE_33, STRICT,
-    Family, count_family, enumerate_family, in_family,
+    Family, count_family, enumerate_family, family_tuples, in_family,
 )
 from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
 from butterflyseq.sequences import named_sequence
@@ -238,14 +238,42 @@ def test_odd_and_pow2_free_listers_equal_the_filtered_partitions():
 
 
 def test_every_listed_member_is_a_partition_of_ints():
-    """enumerate_family wraps its tuples through Partition._of: every member
-    of every family for n <= 30 is a Partition of int parts, equal to the
-    Partition that __init__ builds from the same parts."""
+    """enumerate_family wraps the tuples of family_tuples, each checked there
+    once: every member of every family for n <= 30 is a Partition of int
+    parts, equal to the Partition that __init__ builds from the same parts,
+    and its parts are the family's tuple in the same place."""
     for n in range(31):
         for fam in ALL_FAMILIES:
-            for p in enumerate_family(n, fam):
+            members = enumerate_family(n, fam)
+            assert [p.parts for p in members] == family_tuples(n, fam)
+            for p in members:
                 assert type(p) is Partition and all(type(x) is int for x in p.parts)
                 assert p == Partition(p.parts) and str(p) == str(Partition(p.parts))
+
+
+def test_no_listing_outlives_its_call():
+    """A listing leaves no reference cycle behind: with the cyclic collector
+    off, nothing is left for gc.collect() after listing every CLI family
+    and every bar kind at n = 30..40, after one bijection range of each
+    kind, and after counting the capped odd forms."""
+    import gc
+
+    from butterflyseq import bijections, cli, splitmerge
+    families = list(cli.FAMILY_ALIASES.values()) + [
+        Family(kind, 3) for kind in cli.BAR_ALIASES.values()]
+    calls = [(lister, n, fam) for fam in families for n in range(30, 41)
+             for lister in (enumerate_family, family_tuples)]
+    calls += [(bijections.verify_bijection, kind, 6, 30) for kind in ("raise", "butterfly", "bar")]
+    calls += [(splitmerge.count_capped, n, variant) for n in (30, 40)
+              for variant in (splitmerge.STANDARD, splitmerge.SWITCHED)]
+    gc.collect()
+    gc.disable()
+    try:
+        for fn, *args in calls:
+            fn(*args)
+            assert gc.collect() == 0, (fn.__name__, args)
+    finally:
+        gc.enable()
 
 
 def test_every_listing_but_the_staircases_goes_through_the_pool_lister(monkeypatch):

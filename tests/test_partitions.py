@@ -121,9 +121,10 @@ def test_pool_lister_equals_the_filtered_partitions():
     """pool_tuples lists, for each job (n, stop, prefix) in turn, prefix + each
     partition of n whose parts form a sub-multiset of pool[:stop], in the
     order of the unrestricted lister iter_partition_tuples, for n <= 30.  The
-    pools are the strict-tail, odd-part, pow2-free and capped-tail shapes
-    and seeded random values with random caps; each is listed whole, and cut
-    at stops below its length under a prefix."""
+    pools are the strict-tail, odd-part, pow2-free and capped-tail shapes,
+    pools whose two smallest parts sum high (the last-part step), and seeded
+    random values with random caps; each is listed whole, and cut at stops
+    below its length under a prefix."""
     N = 30
     pools = [list(range(low, top + 1)) for low, top in ((1, N), (2, 17), (4, 9))]
     pools += [[x for x in range(b, N + 1, 2) for _ in range(N // x)] for b in (1, 3, 5)]
@@ -131,6 +132,10 @@ def test_pool_lister_equals_the_filtered_partitions():
     pools += [[x for x in range(3, min(top, bound) + 1, 2)
                for _ in range(2 * (1 << (bound // x).bit_length() - 1) - 1)]
               for top, bound in ((13, 13), (21, 9), (9, 20))]
+    # the two smallest parts sum high, so a rest below their sum is one part
+    # or none: a rest above the part, equal to it with and without a second
+    # copy below, below it, and in the pool or not
+    pools += [[7, 9, 9, 11, 13], [5, 5, 8], [4, 6, 6, 6, 15], [9, 10], [12]]
     rng = random.Random(14)
     for _ in range(12):
         values = sorted(rng.sample(range(1, 13), rng.randint(1, 8)))

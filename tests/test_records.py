@@ -74,3 +74,11 @@ def test_slotted_records_equal_no_other_class():
     assert SequenceTable("p", 0, (1, 1)) != ("p", 0, (1, 1), "enumerated")
     assert TruncSeries(1, (1, 1)) != (1, (1, 1))
     assert TruncSeries(1, (1, 1)) != SequenceTable("p", 1, (1, 1))
+
+
+def test_partition_copies_and_pickles():
+    """Partition is immutable through a raising __setattr__, so copy and
+    pickle must rebuild it from its parts, not restore its slot."""
+    for p in (Partition([]), Partition([3, 1]), Partition([7, 6, 5, 2, 2])):
+        for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(other) is Partition and other == p and other.parts == p.parts

@@ -2,7 +2,8 @@
 pentagonal-recurrence kernel and the counting DPs.
 
 Everything downstream (families, sequences, bijections, splitting/merging)
-works on the Partition type defined here.  The unrestricted lister
+works on the Partition type defined here; its base Record is the immutable
+record of SequenceTable and TruncSeries too.  The unrestricted lister
 iter_partition_tuples is a plain backtracking generator, the brute-force
 oracle the other listers, the counting routines and the series algebra are
 tested against.  Every other lister but the staircases' draws on one filler,
@@ -53,7 +54,38 @@ class EnumerationLimitError(ValueError):
     """Raised when an enumeration request exceeds the configured size limit."""
 
 
-class Partition:
+class Record:
+    """An immutable record of the fields its class names in ``__slots__``,
+    set once through object.__setattr__: equal to a record of its own class
+    with equal fields, hashed by them, shown as Name(field=value, ...), and
+    rebuilt by copy and pickle from the class called on its fields in slot
+    order."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            map("%s=%r".__mod__, zip(self.__slots__, self._fields()))))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Partition(Record):
     """A partition of a nonnegative integer: a non-increasing tuple of positive parts.
 
     The empty partition (of 0) is valid.  Instances are immutable by
@@ -91,12 +123,6 @@ class Partition:
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
 
     @property
     def n(self):
@@ -307,7 +333,9 @@ def iter_butterfly_tuples(n, second_parity=None):
 # Euler's pentagonal number theorem:
 #   prod_{j>=1} (1 - x^j) = 1 + sum_{k>=1} (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}),
 # so dividing a series by such a product needs only the O(sqrt(N)) offsets
-# below each degree.
+# below each degree (sparse_solve, which divides by any sparse polynomial
+# with constant term 1).  The triangular theta series sum x^{k(k+1)/2} is as
+# sparse (triangular_series).
 # ---------------------------------------------------------------------------
 
 def pentagonal_offsets(N, step):
@@ -331,13 +359,33 @@ def euler_product(N, step):
     return c
 
 
-def pentagonal_solve(rhs, step):
-    """v with v * prod_{j>=1} (1 - x^{step j}) = rhs through degree len(rhs) - 1.
+def triangular_series(N, weights):
+    """Coefficients 0..N of sum_{k>=0} x^{k(k+1)/2} times the polynomial with
+    coefficients ``weights``: weight d lands at T + d for each triangular
+    number T <= N, so the series costs O(sqrt(N)) writes."""
+    out = [0] * (N + 1)
+    T, k = 0, 0
+    while T <= N:
+        for d, w in enumerate(weights):
+            if T + d <= N:
+                out[T + d] += w
+        k += 1
+        T += k
+    return out
+
+
+def sparse_solve(rhs, terms):
+    """v with v * (1 + sum of sign x^o over the terms (o, sign)) = rhs through
+    degree len(rhs) - 1: ascending division by a sparse polynomial with
+    constant term 1.  The terms come in ascending order of their offsets
+    1 <= o < len(rhs), each sign +-1; an offset repeats once per unit of its
+    coefficient.
 
     v[m] is rhs[m] less the signed v[m - o] over the offsets o <= m, which
-    costs O(N^{3/2}) additions for N + 1 coefficients.  Between two offsets
-    the terms to gather stay the same, so each sign has one itemgetter,
-    rebuilt only when an offset comes into range.
+    costs one addition per term and coefficient.  Between two offsets the
+    terms to gather stay the same, so each sign has one itemgetter, rebuilt
+    once per stretch of coefficients in which new terms of its sign came
+    into range, however many.
     """
     N = len(rhs) - 1
     # v[0] is a zero sentinel: with v[1..m] holding v[0..m-1] when v[m] is
@@ -345,22 +393,34 @@ def pentagonal_solve(rhs, step):
     # two items, so that it always returns a tuple
     v = [0]
     append = v.append
-    plus, minus = [0], [0]  # 0, then -o for the product terms +x^o and -x^o
+    plus, minus = [0], [0]  # 0, then -o for the terms +x^o and -x^o
     gather_plus = gather_minus = operator.itemgetter(0, 0)
     start = 0
     # (N + 1, 0) closes the last stretch and adds no term
-    for o, sign in chain(pentagonal_offsets(N, step), ((N + 1, 0),)):
-        for r in islice(rhs, start, o):
-            append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
-        start = o
-        if sign > 0:
+    for o, sign in chain(terms, ((N + 1, 0),)):
+        if o > start:  # the coefficients before o share the terms so far
+            if gather_plus is None:
+                gather_plus = operator.itemgetter(*plus)
+            if gather_minus is None:
+                gather_minus = operator.itemgetter(*minus)
+            for r in islice(rhs, start, o):
+                append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
+            start = o
+        if sign > 0:  # None: rebuilt once before the next stretch
             plus.append(-o)
-            gather_plus = operator.itemgetter(*plus)
+            gather_plus = None
         elif sign:
             minus.append(-o)
-            gather_minus = operator.itemgetter(*minus)
+            gather_minus = None
     del v[0]
     return v
+
+
+def pentagonal_solve(rhs, step):
+    """v with v * prod_{j>=1} (1 - x^{step j}) = rhs through degree len(rhs) - 1:
+    sparse_solve over the product's pentagonal terms, O(N^{3/2}) additions
+    for N + 1 coefficients."""
+    return sparse_solve(rhs, pentagonal_offsets(len(rhs) - 1, step))
 
 
 def strict_pentagonal_table(N):

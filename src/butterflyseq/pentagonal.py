@@ -12,17 +12,7 @@ even/odd butterfly counts to agree away from the four closed-form inputs.
 
 from typing import NamedTuple
 
-from .families import (
-    BUTTERFLY,
-    BUTTERFLY_EVEN,
-    BUTTERFLY_ODD,
-    Family,
-    _bar_sets,
-    _in_bar_a,
-    _in_bar_b,
-    count_family,
-    in_family,
-)
+from .families import BUTTERFLY, Family, _bar_sets, _in_bar_a, _in_bar_b, count_table, in_family
 from .partitions import Partition
 from .sequences import EXCEPTION_SIGNS, exception_form_of, named_sequence
 
@@ -32,9 +22,6 @@ PENTAGONAL_DOMINO = "pentagonal_domino"
 GEN_PENTAGONAL_DOMINO = "gen_pentagonal_domino"
 NONPENT_HBAR = "nonpent_hbar"
 NONPENT_VBAR = "nonpent_vbar"
-
-_PENT_KINDS = (PENTAGONAL, GEN_PENTAGONAL, PENTAGONAL_DOMINO, GEN_PENTAGONAL_DOMINO)
-
 
 class PentClass(NamedTuple):
     kind: str
@@ -122,16 +109,23 @@ def parity_relation(n) -> ParityWitness:
     return ParityWitness(relation, form, t)
 
 
+def _butterfly_counts(n):
+    """(s_e(n), s_o(n)), each one packed head-and-tail table through n: they
+    count the shapes, not the parity theorem they check, and no recursion
+    bounds n."""
+    return tuple(count_table(n, BUTTERFLY, parity)[n] for parity in (0, 1))
+
+
 def parity_relation_holds(n) -> bool:
     """Does the predicted relation hold at n?  It predicts s_e - s_o: 0, or
-    the sign of the closed form n matches.  s_e and s_o are the butterfly
-    counts of ``count_family`` (the ``count_butterfly`` DP); no partition is
-    listed.  ``parity --json`` reports the result under the key
-    ``agrees_with_enumeration``, kept for its callers: the DP counts equal
-    the lengths of the enumerated families, which the tests check."""
+    the sign of the closed form n matches.  s_e and s_o are counted
+    (_butterfly_counts); no partition is listed.  ``parity --json`` reports
+    the result under the key ``agrees_with_enumeration``, kept for its
+    callers: the counts equal the lengths of the enumerated families, which
+    the tests check."""
     delta = EXCEPTION_SIGNS.get(parity_relation(n).form, 0)
-    se = count_family(n, Family(BUTTERFLY_EVEN))
-    return se - count_family(n, Family(BUTTERFLY_ODD)) == delta
+    s_e, s_o = _butterfly_counts(n)
+    return s_e - s_o == delta
 
 
 class ParityRefinedCounts(NamedTuple):
@@ -159,8 +153,7 @@ def parity_refined_counts(n) -> ParityRefinedCounts:
     """
     if n < 6:
         raise ValueError("defined for n >= 6")
-    s_e = count_family(n, Family(BUTTERFLY_EVEN))
-    s_o = count_family(n, Family(BUTTERFLY_ODD))
+    s_e, s_o = _butterfly_counts(n)
     e, o, e_p, o_p, e_pp, o_pp = (named_sequence(name, n)[n] for name in (
         "e", "o", "e_prime", "o_prime", "e_dprime", "o_dprime"))
 

@@ -14,7 +14,7 @@ them; solving that relation for name(m) rebuilds the whole table.
 
 from math import isqrt
 
-from .partitions import pentagonal_offsets, pentagonal_solve
+from .partitions import pentagonal_offsets, pentagonal_solve, triangular_series
 from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, counting_dp, named_sequence
 
 PENT_BASES = {"q": "p", "r": "dp", "s": "d2p"}
@@ -145,20 +145,12 @@ def expected_checksum(name, m):
 
 
 def expected_checksum_series(name, N):
-    """[expected_checksum(name, m) for m in 0..N], written only at the
-    triangular numbers T <= N: the difference polynomial's weight d lands
-    at T + d, so the series costs O(sqrt(N)) writes."""
+    """[expected_checksum(name, m) for m in 0..N]: the triangular theta
+    series times the difference polynomial, written only at the triangular
+    numbers and their small shifts (partitions.triangular_series)."""
     if name not in DIFF_WEIGHTS:
         raise ValueError("unknown checksum sequence %r" % name)
-    out = [0] * (N + 1)
-    T, k = 0, 0
-    while T <= N:
-        for d, w in enumerate(DIFF_WEIGHTS[name]):
-            if T + d <= N:
-                out[T + d] += w
-        k += 1
-        T += k
-    return out
+    return triangular_series(N, DIFF_WEIGHTS[name])
 
 
 def recursive_solve(name, N) -> SequenceTable:

@@ -56,7 +56,7 @@ _COUNTING_DPS = {"p": "count_partitions_table", "dp": "count_no_ones_table",
                  "d2p": "count_no_ones_repeated_top_table"}
 
 
-class SequenceTable:
+class SequenceTable(pt.Record):
     """Values of sequence ``name`` for inputs offset, offset + 1, ...
     Immutable, compared and hashed by all four fields."""
 
@@ -67,25 +67,6 @@ class SequenceTable:
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SequenceTable is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.offset, self.values, self.provenance)
-                == (other.name, other.offset, other.values, other.provenance))
-
-    def __hash__(self):
-        return hash((self.name, self.offset, self.values, self.provenance))
-
-    def __repr__(self):
-        return "SequenceTable(name=%r, offset=%r, values=%r, provenance=%r)" % (
-            self.name, self.offset, self.values, self.provenance)
-
-    def __reduce__(self):
-        return SequenceTable, (self.name, self.offset, self.values, self.provenance)
 
     @property
     def last_n(self):
@@ -271,62 +252,56 @@ def parity_exception_inputs(N):
 # Cross-checks and exports
 # ---------------------------------------------------------------------------
 
+def _strict_dp_difference(name, N):
+    """r or s at 0..N from the strict counting DP, not the pentagonal q."""
+    return _weighted(DIFF_WEIGHTS[name], pt.count_strict_table(N))
+
+
+def _butterfly_parity(sign, N):
+    """(s + sign delta)/2 at 0..N, with s from the strict DP and delta the
+    parity theorem's sign (EXCEPTION_SIGNS at the closed-form inputs, 0
+    elsewhere); None where s + sign delta is odd, which no count can match."""
+    delta = {v: EXCEPTION_SIGNS[form] for v, form, _ in _exception_values(N)}
+    twice = [v + sign * delta.get(n, 0) for n, v in enumerate(_strict_dp_difference("s", N))]
+    return [t // 2 if t % 2 == 0 else None for t in twice]
+
+
+# name -> its cross-check routes, each (route, first n checked, the route's
+# values at 0..N from N), none of them the route of named_sequence: q against
+# strict enumeration (through n = 45), the odd-parts counts and the strict DP;
+# r and s against the differences of the DP's q, r against the odd-parts >= 3
+# counts and s against the packed butterfly table (not the memo); t against
+# the odd-parts >= 5 counts; s_e and s_o against (s +- delta)/2; p, dp and
+# d2p against their counting DPs
+_CROSSCHECKS = {
+    "q": (("listing", 0, lambda N: [len(list(pt.iter_strict_tuples(n)))
+                                    for n in range(min(N, 45) + 1)]),
+          ("odd-parts", 0, lambda N: pt.count_odd_ge_table(N, 1)),
+          ("strict-dp", 0, lambda N: pt.count_strict_table(N))),
+    "r": (("difference", 0, lambda N: _strict_dp_difference("r", N)),
+          ("odd-ge-3", 0, lambda N: pt.count_odd_ge_table(N, 3))),
+    "s": (("difference", 0, lambda N: _strict_dp_difference("s", N)),
+          ("butterfly", 6, lambda N: count_table(N, BUTTERFLY))),
+    "t": (("odd-ge-5", 0, lambda N: pt.count_odd_ge_table(N, 5)),),
+    "s_e": (("butterfly-parity", 6, lambda N: _butterfly_parity(1, N)),),
+    "s_o": (("butterfly-parity", 6, lambda N: _butterfly_parity(-1, N)),),
+    **{name: (("counting-dp", 0, lambda N, name=name: counting_dp(name, N)),)
+       for name in _COUNTING_DPS},
+}
+
+
 def crosscheck_table(name, N) -> list:
-    """Independent recomputation of a named table; returns mismatches.
-
-    q is checked against explicit strict enumeration, the odd-parts counts
-    and the distinct-part DP, r against both the difference of the DP's q and
-    the odd-parts>=3 counts, s against the second difference of the DP's q
-    and butterfly enumeration (n >= 6), t against odd-parts>=5 counts, p,
-    dp and d2p against their counting DPs, and s_e and s_o (n >= 6) against
-    (s + delta)/2 and (s - delta)/2, with s the second difference of the DP's
-    q and delta the parity theorem's sign (EXCEPTION_SIGNS at the closed-form
-    inputs, 0 elsewhere); an odd s +- delta is a mismatch (expected None).
-    """
+    """Independent recomputation of a named table by each of its routes in
+    _CROSSCHECKS; returns the mismatches (name, n, route, expected, got),
+    route by route.  An odd s +- delta is a mismatch (expected None)."""
     table = named_sequence(name, N)
-    mismatches = []
-
-    def check(n, expected, got, route):
-        if expected != got:
-            mismatches.append((name, n, route, expected, got))
-
-    if name == "q":
-        for n in range(min(N, 45) + 1):
-            check(n, len(list(pt.iter_strict_tuples(n))), table[n], "listing")
-        odd1 = pt.count_odd_ge_table(N, 1)
-        strict = pt.count_strict_table(N)
-        for n in range(N + 1):
-            check(n, odd1[n], table[n], "odd-parts")
-            check(n, strict[n], table[n], "strict-dp")
-    elif name in ("r", "s"):
-        diff = _weighted(DIFF_WEIGHTS[name], pt.count_strict_table(N))
-        for n in range(N + 1):
-            check(n, diff[n], table[n], "difference")
-        if name == "r":
-            odd3 = pt.count_odd_ge_table(N, 3)
-            for n in range(N + 1):
-                check(n, odd3[n], table[n], "odd-ge-3")
-        else:
-            for n in range(6, N + 1):
-                check(n, pt.count_butterfly(n), table[n], "butterfly")
-    elif name == "t":
-        odd5 = pt.count_odd_ge_table(N, 5)
-        for n in range(N + 1):
-            check(n, odd5[n], table[n], "odd-ge-5")
-    elif name in ("s_e", "s_o"):
-        # s_e - s_o = delta, the sign at the closed-form inputs and 0 elsewhere
-        s = _weighted(DIFF_WEIGHTS["s"], pt.count_strict_table(N))
-        delta = {v: EXCEPTION_SIGNS[form] for v, form, _ in _exception_values(N)}
-        sign = 1 if name == "s_e" else -1
-        for n in range(6, N + 1):
-            twice = s[n] + sign * delta.get(n, 0)
-            check(n, twice // 2 if twice % 2 == 0 else None, table[n], "butterfly-parity")
-    elif name in _COUNTING_DPS:
-        counted = counting_dp(name, N)
-        for n in range(N + 1):
-            check(n, counted[n], table[n], "counting-dp")
-    else:
+    if name not in _CROSSCHECKS:
         raise ValueError("no cross-check route for %r" % name)
+    mismatches = []
+    for route, lo, build in _CROSSCHECKS[name]:
+        values = build(N)
+        mismatches += [(name, n, route, values[n], table[n])
+                       for n in range(lo, len(values)) if values[n] != table[n]]
     return mismatches
 
 

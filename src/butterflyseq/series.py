@@ -21,7 +21,7 @@ from . import sequences as seq
 from .families import pow2_free_parts
 
 
-class TruncSeries:
+class TruncSeries(pt.Record):
     """A series truncated at degree ``order``: ``coeffs`` holds the
     coefficients of degrees 0..order.  Immutable, compared and hashed by
     (order, coeffs)."""
@@ -34,23 +34,6 @@ class TruncSeries:
             raise ValueError("need %d coefficients, got %d" % (order + 1, len(c)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return "TruncSeries(order=%r, coeffs=%r)" % (self.order, self.coeffs)
-
-    def __reduce__(self):
-        return TruncSeries, (self.order, self.coeffs)
 
     @classmethod
     def zero(cls, order):
@@ -180,7 +163,9 @@ def div_exact(a: TruncSeries, divisor) -> TruncSeries:
     coefficients 0..i of the input, so with a unit constant term the quotient
     is exact through the full order and multiplying back reproduces the input
     coefficient for coefficient.  A non-unit constant term would force
-    non-integer quotient coefficients and raises instead.
+    non-integer quotient coefficients and raises instead.  The division is
+    partitions.sparse_solve over the divisor's terms, a coefficient c as |c|
+    copies of its term; a constant term of -1 negates both sides.
     """
     d = list(divisor)
     while d and d[-1] == 0:
@@ -190,16 +175,11 @@ def div_exact(a: TruncSeries, divisor) -> TruncSeries:
     if d[0] not in (1, -1):
         raise ValueError("constant term must be a unit for exact integer division")
     N = a.order
-    out = [0] * (N + 1)
-    rem = list(a.coeffs)
-    for i in range(N + 1):
-        coef = rem[i] * d[0]  # d[0] is +-1
-        out[i] = coef
-        for j, dj in enumerate(d):
-            if i + j <= N:
-                rem[i + j] -= coef * dj
-    assert not any(rem)
-    return TruncSeries(N, out)
+    rhs = a.coeffs
+    if d[0] < 0:
+        d, rhs = [-c for c in d], [-c for c in rhs]
+    terms = [(j, 1 if c > 0 else -1) for j, c in enumerate(d[1:N + 1], 1) for _ in range(abs(c))]
+    return TruncSeries(N, pt.sparse_solve(rhs, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +250,7 @@ def theta_pentagonal(N) -> TruncSeries:
 
 def theta_triangular(N) -> TruncSeries:
     """sum over k >= 0 of x^{k(k+1)/2}."""
-    c = [0] * (N + 1)
-    k = 0
-    while k * (k + 1) // 2 <= N:
-        c[k * (k + 1) // 2] += 1
-        k += 1
-    return TruncSeries(N, c)
+    return TruncSeries(N, pt.triangular_series(N, (1,)))
 
 
 def poly(N, *coeffs) -> TruncSeries:
@@ -380,12 +355,6 @@ def _filtered(kind, N, k_lo, sum_terms):
 # Identity verification
 # ---------------------------------------------------------------------------
 
-def _table_series(name, N):
-    t = seq.named_sequence(name, N)
-    assert t.offset == 0, name
-    return TruncSeries(N, t.values)
-
-
 class _Sides:
     """The series one verify call builds at order N, each once: the product
     expansions, filtered series and sequence tables its identities name.  The
@@ -420,12 +389,9 @@ class _Sides:
         return self._get(("sum", c, j0, k_lo), lambda: _sum_filtration(kind, self.N, k_lo))
 
     def table(self, name):
-        if name in seq.DIFF_WEIGHTS:
-            build = lambda: TruncSeries(self.N, seq._strict_difference_table(
-                name, self.product("distinct").coeffs).values)
-        else:
-            build = lambda: _table_series(name, self.N)
-        return self._get(("table", name), build)
+        """q, r, s or t, from the strict counts of "distinct"."""
+        return self._get(("table", name), lambda: TruncSeries(
+            self.N, seq._strict_difference_table(name, self.product("distinct").coeffs).values))
 
 
 def _identity_registry():

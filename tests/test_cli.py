@@ -312,13 +312,21 @@ def test_exception_list_beyond_its_budget_is_usage_error():
 
 
 @pytest.mark.parametrize("argv", [
-    ("seq", "s_e", "--to", "1600"), ("seq", "r1_dprime", "--to", "2000"), ("parity", "1600")])
+    ("seq", "s_e", "--to", "1600"), ("seq", "r1_dprime", "--to", "2000")])
 def test_recursion_too_deep_is_usage_error(argv):
     # these counts recurse one part size per frame: refused with one line,
     # not a traceback, like a size no list or memory can hold
     done = _fresh_cli(argv, timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [1600, 5000])
+def test_parity_answers_above_the_recursion_limit(n):
+    # s_e and s_o of one n are each one packed head-and-tail table, with no
+    # recursion, so parity answers where the memo of seq s_e cannot
+    done = _fresh_cli(["parity", str(n)], timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "%d equal ok\n" % n, "")
 
 
 def test_cli_import_loads_no_introspection_modules():

@@ -253,25 +253,29 @@ def test_every_listed_member_is_a_partition_of_ints():
 
 def test_no_listing_outlives_its_call():
     """A listing leaves no reference cycle behind: with the cyclic collector
-    off, nothing is left for gc.collect() after listing every CLI family
-    and every bar kind at n = 30..40, after one bijection range of each
-    kind, and after counting the capped odd forms."""
+    off, nothing is left for gc.collect() after listing each CLI family and
+    each bar kind at n = 30..40 through both listers, after one bijection
+    range of each kind, and after each count of the capped odd forms.  One
+    collection per group of calls finds what any call of the group left."""
     import gc
 
     from butterflyseq import bijections, cli, splitmerge
     families = list(cli.FAMILY_ALIASES.values()) + [
         Family(kind, 3) for kind in cli.BAR_ALIASES.values()]
-    calls = [(lister, n, fam) for fam in families for n in range(30, 41)
-             for lister in (enumerate_family, family_tuples)]
-    calls += [(bijections.verify_bijection, kind, 6, 30) for kind in ("raise", "butterfly", "bar")]
-    calls += [(splitmerge.count_capped, n, variant) for n in (30, 40)
-              for variant in (splitmerge.STANDARD, splitmerge.SWITCHED)]
+    groups = [(("listing", fam), [(lister, n, fam) for n in range(30, 41)
+                                  for lister in (enumerate_family, family_tuples)])
+              for fam in families]
+    groups += [(("bij", kind), [(bijections.verify_bijection, kind, 6, 30)])
+               for kind in ("raise", "butterfly", "bar")]
+    groups += [(("count_capped", n, variant), [(splitmerge.count_capped, n, variant)])
+               for n in (30, 40) for variant in (splitmerge.STANDARD, splitmerge.SWITCHED)]
     gc.collect()
     gc.disable()
     try:
-        for fn, *args in calls:
-            fn(*args)
-            assert gc.collect() == 0, (fn.__name__, args)
+        for group, calls in groups:
+            for fn, *args in calls:
+                fn(*args)
+            assert gc.collect() == 0, group
     finally:
         gc.enable()
 

@@ -8,7 +8,8 @@ DPs, filtration sums and series multiply hold a whole series as one integer
 and must give the same lists.  The old difference polynomials, pentagonal
 sums and b-file rows, one Python expression per coefficient, are the
 references of _weighted, pentagonal_solve and to_bfile, which work on whole
-lists.
+lists, and the old per-cell ascending division that of series.div_exact,
+which divides through partitions.sparse_solve.
 """
 
 import random
@@ -459,6 +460,23 @@ def _pentagonal_solve_by_sums(rhs, step):
     return v
 
 
+def _div_exact_by_cells(coeffs, divisor):
+    d = list(divisor)
+    while d and d[-1] == 0:
+        d.pop()
+    N = len(coeffs) - 1
+    out = [0] * (N + 1)
+    rem = list(coeffs)
+    for i in range(N + 1):
+        coef = rem[i] * d[0]  # d[0] is +-1
+        out[i] = coef
+        for j, dj in enumerate(d):
+            if i + j <= N:
+                rem[i + j] -= coef * dj
+    assert not any(rem)
+    return out
+
+
 def _bfile_by_rows(table):
     return "".join("%d %d\n" % (n, table[n]) for n in range(table.offset, table.last_n + 1))
 
@@ -509,6 +527,33 @@ def test_pentagonal_solve_equals_the_per_coefficient_sums(step):
         want = _pentagonal_solve_by_sums(rhs, step)
         for n in range(402):
             assert pt.pentagonal_solve(rhs[:n], step) == want[:n], (step, n)
+
+
+def test_div_exact_equals_the_per_cell_loop():
+    """The divisors verify uses, divisors with a -1 constant term, inner and
+    trailing zeros and coefficients +-2 and +-3, and random ones, on random
+    signed series of every order 0..300: the quotient through a prefix is
+    the prefix of the quotient.  Coefficients in the thousands, each that
+    many copies of its term, at order 40.  A non-unit or zero constant term
+    is still refused."""
+    rng = random.Random(19)
+    divisors = [(1, 1), (1, 1, 1), (1, -1), (1, -2, 1), (1,), (-1,), (-1, 1), (1, 0, 0, 1),
+                (-1, 0, 2, 0, 0), (1, 0, -3, 0, 2, 0), (-1, -3, 0, 2), (1, 2, 3, 0, 0, -2, -3)]
+    divisors += [(rng.choice((1, -1)),) + tuple(rng.choice((0, 0, 1, -1, 2, -2, 3, -3))
+                                                for _ in range(rng.randint(1, 12)))
+                 for _ in range(8)]
+    values = _signed(rng, 301, 60)
+    for divisor in divisors:
+        want = _div_exact_by_cells(values, divisor)
+        for n in range(301):
+            got = series.div_exact(TruncSeries(n, values[:n + 1]), divisor)
+            assert list(got.coeffs) == want[:n + 1], (divisor, n)
+    for divisor in ((1, 10 ** 4), (-1, 0, -5000, 7)):  # many copies of one term
+        got = series.div_exact(TruncSeries(40, values[:41]), divisor)
+        assert list(got.coeffs) == _div_exact_by_cells(values[:41], divisor), divisor
+    for divisor in ((2, 1), (-3, 1), (0, 1), (0,), ()):
+        with pytest.raises(ValueError, match="constant term"):
+            series.div_exact(TruncSeries(3, values[:4]), divisor)
 
 
 def test_bfile_equals_the_row_loop():

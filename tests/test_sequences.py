@@ -300,6 +300,19 @@ def test_butterfly_parity_route_reads_the_strict_dp_not_the_butterfly_counts(mon
         (20, True), (21, False), (22, True)]
 
 
+def test_s_crosscheck_never_reaches_the_memo(monkeypatch):
+    """The butterfly route of s is one packed head-and-tail table: the n by n
+    memo of count_butterfly, which recurses one part size per frame, is
+    never reached, so the check answers at any N."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the memo")
+
+    for fn in ("count_butterfly", "count_head_tail", "_strict_bounded_count"):
+        monkeypatch.setattr(sequences.pt, fn, refuse)
+    for N in (50, 2000):
+        assert crosscheck_table("s", N) == []
+
+
 def test_exports():
     t = named_sequence("q", 5)
     assert to_bfile(t) == "0 1\n1 1\n2 1\n3 2\n4 2\n5 3\n"

@@ -432,7 +432,7 @@ def test_verify_all_builds_each_side_once_per_call(monkeypatch, capsys):
             return real(*args)
         monkeypatch.setattr(series, name, counted)
 
-    for name in ("expand_product", "filtered_series", "_table_series"):
+    for name in ("expand_product", "filtered_series"):
         counting(name)
     assert main(["verify", "all", "--order", "60"]) == 0
     assert capsys.readouterr().out == "\n".join(map(str, want)) + "\n"

@@ -130,7 +130,7 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
     checked = 0
     q = pt.strict_pentagonal_table(max(hi, 0)) if kind == "raise" else None
     if kind in ("raise", "butterfly"):
-        pairs = count_table(max(hi, 0), CONSEC if kind == "raise" else CONSEC_ISOLATED)
+        pairs = count_table(max(hi, 0), Family(CONSEC if kind == "raise" else CONSEC_ISOLATED))
     for n in range(lo, hi + 1):
         if kind == "raise":
             source = enumerate_family(n - 1, Family(STRICT))

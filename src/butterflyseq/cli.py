@@ -85,11 +85,16 @@ def _cmd_enum(args):
     return 0
 
 
+# bij kind -> its least --from: the raise and butterfly maps list the strict
+# and the r2 partitions of n - 1, the bar map the bar sets of n, and a strict
+# partition of 0 has no largest part to raise
+_BIJ_FROM = {"raise": 2, "butterfly": 1, "bar": 0}
+
+
 def _cmd_bij(args):
-    if args.kind == "raise" and args.start < 2:
-        # the map sends the strict partitions of n - 1 to those of n, and a
-        # strict partition of 0 has no largest part to raise
-        raise UsageError("bij raise --from must be >= 2, got %d" % args.start)
+    least = _BIJ_FROM[args.kind]
+    if args.start < least:
+        raise UsageError("bij %s --from must be >= %d, got %d" % (args.kind, least, args.start))
     report = bijections.verify_bijection(args.kind, args.start, args.to, h=args.h)
     result = {"kind": report.kind, "range": list(report.n_range),
               "checked": report.checked, "passed": report.passed,

@@ -6,22 +6,21 @@ Every listing but the two staircases (_iter_staircase) comes from one
 filler, partitions.pool_tuples, over a pool of the parts a family may use:
 the strict partitions from 1..n, the odd-part ones from each odd x >= b
 repeated as often as it fits in n, the pow2-free ones from pow2_free_parts(n)
-once each.  The consecutive-pair, butterfly and equal-triple families are
-listed from their head-and-tail shapes (_HEAD_TAIL) by
-partitions.iter_head_tail_tuples, while their predicates stay independent
-of it.  The horizontal- and vertical-bar sets are generated from their
-shapes by the same lister (_iter_bar_tuples), the consecutive pairs ending
-in 1 from the r1 shape with the part 1 appended (_iter_consec_with_one), and
-the capped odd-step forms by splitmerge.iter_form_tuples, so none lists a
-larger family to filter it.
-Every partition those generators produce is checked against its predicate
-(_in_bar_a, _in_bar_b, in_family, splitmerge.matches_form), which stays the
-oracle.  family_tuples returns a listing as checked part tuples, which the
-CLI prints; enumerate_family wraps them as Partitions.  Counting goes through
-a fast exact path where one exists (the predicates and listers remain the
-oracle it is checked against).
+once each.  Each head-and-tail family has one row (_head_tail_row): a shape
+of consecutive or equal largest parts over a strict tail, the parity of the
+second part, and the fixed ends, one of which closes each member.  A row is
+listed by partitions.iter_head_tail_tuples once per end, and counted by
+count_table from one packed table per end; the capped odd-step forms are
+listed by splitmerge.iter_form_tuples, so none lists a larger family to
+filter it, and counted by listing.  Every listed member of r2, of a bar set
+and of an odd-step form is checked against its predicate (_in_bar_a,
+_in_bar_b, in_family, splitmerge.matches_form), which stays the oracle, as
+the listings stay the oracle of the counts.  family_tuples returns a listing
+as checked part tuples, which the CLI prints; enumerate_family wraps them as
+Partitions.
 """
 
+import operator
 from typing import NamedTuple
 
 from . import partitions as pt
@@ -33,7 +32,6 @@ from .partitions import (
     initial_run,
     is_butterfly_tuple,
     is_strict_tuple,
-    iter_butterfly_tuples,
     iter_head_tail_tuples,
     iter_strict_tuples,
 )
@@ -171,14 +169,9 @@ def in_family(p: Partition, f: Family) -> bool:
         return all(x % 2 == 1 and x >= f.param for x in parts)
     if kind in _ODD_STEP_FORMS:
         return splitmerge.matches_form(p, _ODD_STEP_FORMS[kind])
-    if kind == BAR_AE:
-        return _in_bar_a(parts, f.param) and parts[1] % 2 == 0
-    if kind == BAR_AO:
-        return _in_bar_a(parts, f.param) and parts[1] % 2 == 1
-    if kind == BAR_BE:
-        return _in_bar_b(parts, f.param) and parts[1] % 2 == 0
-    if kind == BAR_BO:
-        return _in_bar_b(parts, f.param) and parts[1] % 2 == 1
+    if kind in _BAR_KINDS:
+        vertical, parity = _BAR_KINDS[kind]
+        return (_in_bar_b if vertical else _in_bar_a)(parts, f.param) and parts[1] % 2 == parity
     if kind == BUTTERFLY_PLUS_ONES:
         return _in_butterfly_plus_ones(parts)
     if kind == DISTINCT_NOT_POW2:
@@ -190,19 +183,37 @@ def in_family(p: Partition, f: Family) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-# kind -> (head-and-tail shape, parity of the second part) of the families
-# listed by partitions.iter_head_tail_tuples: a consecutive pair over a strict
-# tail below it (of parts >= 2 for r1, and two below the pair for r1'), a
-# butterfly head, or an equal triple over a strict tail of parts >= 2 two below it
+# kind -> (head-and-tail shape, parity of the second part, ends) of the
+# families listed by partitions.iter_head_tail_tuples, each member a partition
+# of the shape with one of the ends appended: a consecutive pair over a strict
+# tail below it (of parts >= 2 for r1 and r2, and two below the pair for r1'),
+# a butterfly head, or an equal triple over a strict tail of parts >= 2 two
+# below it.  r2 ends in a 1, the butterflies of Prop. 21 in zero, one or two 1s
+_R1_SHAPE = ((1, 0), 2, 1, 2)
 _HEAD_TAIL = {
-    CONSEC: (((1, 0), 1, 1, 1), None),
-    CONSEC_NO_ONE: (((1, 0), 2, 1, 2), None),
-    CONSEC_ISOLATED: (((1, 0), 2, 2, 2), None),
-    BUTTERFLY: (pt.BUTTERFLY_SHAPE, None),
-    BUTTERFLY_EVEN: (pt.BUTTERFLY_SHAPE, 0),
-    BUTTERFLY_ODD: (pt.BUTTERFLY_SHAPE, 1),
-    EQUAL_TRIPLE: (((0, 0, 0), 3, 2, 2), None),
+    CONSEC: (((1, 0), 1, 1, 1), None, ((),)),
+    CONSEC_NO_ONE: (_R1_SHAPE, None, ((),)),
+    CONSEC_WITH_ONE: (_R1_SHAPE, None, ((1,),)),
+    CONSEC_ISOLATED: (((1, 0), 2, 2, 2), None, ((),)),
+    BUTTERFLY: (pt.BUTTERFLY_SHAPE, None, ((),)),
+    BUTTERFLY_EVEN: (pt.BUTTERFLY_SHAPE, 0, ((),)),
+    BUTTERFLY_ODD: (pt.BUTTERFLY_SHAPE, 1, ((),)),
+    EQUAL_TRIPLE: (((0, 0, 0), 3, 2, 2), None, ((),)),
+    BUTTERFLY_PLUS_ONES: (pt.BUTTERFLY_SHAPE, None, ((), (1,), (1, 1))),
 }
+
+
+def _head_tail_row(f):
+    """The _HEAD_TAIL row of f, None for a family of no row, or for a bar set
+    of size h a head (a+h-1, ..., a) over a strict tail, then an optional 2:
+    A with a >= h + 1, the tail within [h + 1, a - 1], then the part h; B with
+    a >= h + 2, the tail within [h + 1, a - 2].  h < 3 has no ends."""
+    if f.kind not in _BAR_KINDS:
+        return _HEAD_TAIL.get(f.kind)
+    vertical, parity = _BAR_KINDS[f.kind]
+    h = f.param
+    shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
+    return shape, parity, () if h < 3 else ((), (2,)) if vertical else ((h,), (h, 2))
 
 
 def _iter_staircase(n, threes, tail):
@@ -237,14 +248,6 @@ def _iter_staircase(n, threes, tail):
     return out
 
 
-def _iter_prop21(n):
-    for ones in (0, 1, 2):
-        if n - ones < 0:
-            continue
-        for core in iter_butterfly_tuples(n - ones):
-            yield core + (1,) * ones
-
-
 def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     """The part tuples of enumerate_family(n, f, limit), in its order.  Each
     passes Partition's check once (partitions.checked_tuples), and each member
@@ -253,12 +256,18 @@ def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         raise ValueError("n must be nonnegative")
     check_limit(n, limit)
     kind = f.kind
+    row = _head_tail_row(f)
     if kind == STRICT:
         tuples = iter_strict_tuples(n)
-    elif kind in _HEAD_TAIL:
-        tuples = iter_head_tail_tuples(n, *_HEAD_TAIL[kind])
-    elif kind == CONSEC_WITH_ONE:
-        tuples = _iter_consec_with_one(n)
+    elif row is not None:
+        shape, parity, ends = row
+        if ends == ((),):  # nothing to append
+            tuples = iter_head_tail_tuples(n, shape, parity)
+        else:
+            tuples = [t + end for end in ends
+                      for t in iter_head_tail_tuples(n - sum(end), shape, parity)]
+            if kind == CONSEC_WITH_ONE and n == 3:
+                tuples.append((2, 1))  # its 1 is the pair's, not an end
     elif kind == STAIRCASE_321:
         tuples = _iter_staircase(n, 1, (2, 1))
     elif kind == STAIRCASE_33:
@@ -267,10 +276,6 @@ def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
         tuples = _iter_odd_parts(n, f.param)
     elif kind in _ODD_STEP_FORMS:
         tuples = splitmerge.iter_form_tuples(n, _ODD_STEP_FORMS[kind])
-    elif kind in _BAR_KINDS:
-        tuples = _iter_bar_tuples(n, f.param, *_BAR_KINDS[kind])
-    elif kind == BUTTERFLY_PLUS_ONES:
-        tuples = _iter_prop21(n)
     elif kind == DISTINCT_NOT_POW2:
         tuples = pt.pool_tuples(pow2_free_parts(n), [(n, None, ())])
     else:
@@ -293,41 +298,14 @@ def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
 def _iter_odd_parts(n, bound):
     """The partitions of n into odd parts >= bound, largest first part first:
     the pool holds each odd x as often as it fits in n."""
-    yield from pt.pool_tuples((x for x in range(bound | 1, n + 1, 2) for _ in range(n // x)),
-                              [(n, None, ())])
-
-
-def _iter_bar_tuples(n, h, vertical, second_parity):
-    """The horizontal-bar (A) or vertical-bar (B) partitions of n for bar
-    size h whose second part has the given parity, from their shape: a head
-    (a+h-1, ..., a) over a strict tail, then an optional part 2, with
-
-    * A: a >= h + 1, the tail within [h + 1, a - 1], then the part h;
-    * B: a >= h + 2, the tail within [h + 1, a - 2].
-
-    Sizes h < 3 have no bar sets."""
-    if h < 3:
-        return
-    shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
-    for end in (((), (2,)) if vertical else ((h,), (h, 2))):
-        for t in iter_head_tail_tuples(n - sum(end), shape, second_parity):
-            yield t + end
-
-
-def _iter_consec_with_one(n):
-    """The consecutive-pair partitions of n whose smallest part is 1: an r1
-    partition of n - 1 (pair over a strict tail of parts >= 2) with the part 1
-    appended, and (2, 1) at n = 3."""
-    if n == 3:
-        yield (2, 1)
-    for t in iter_head_tail_tuples(n - 1, *_HEAD_TAIL[CONSEC_NO_ONE]):
-        yield t + (1,)
+    yield from pt.pool_tuples((x for x in range(max(bound, 1) | 1, n + 1, 2)
+                               for _ in range(n // x)), [(n, None, ())])
 
 
 def _bar_sets(n, h):
-    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), each generated
-    from its shape (_iter_bar_tuples) and checked member by member against
-    _in_bar_a or _in_bar_b."""
+    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), each listed from
+    its row (_head_tail_row) and checked member by member against _in_bar_a
+    or _in_bar_b."""
     return tuple(enumerate_family(n, Family(kind, h))
                  for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
 
@@ -339,17 +317,22 @@ def _bar_sets(n, h):
 _CONJUGATES = {STAIRCASE_33: (EQUAL_TRIPLE, 0), STAIRCASE_321: (BUTTERFLY, 1)}
 
 
-def count_table(N, kind, parity=None):
-    """[count_family(n, Family(kind)) for n in 0..N], read off one packed table and
-    no listing; a parity keeps members whose second part (staircase: length) has it."""
-    if kind == CONSEC_WITH_ONE:
-        # an r1 partition of n - 1 with the part 1 appended (r1 is 0 below 5),
-        # and (2, 1) at n = 3
-        r1 = count_table(max(N - 1, 0), CONSEC_NO_ONE, parity)
-        return ([0, 0, 0, int(parity != 0)] + r1[3:])[:N + 1]
-    kind, flip = _CONJUGATES.get(kind, (kind, 0))
-    shape, fixed = _HEAD_TAIL[kind]
-    return pt.count_head_tail_table(N, shape, fixed if parity is None else parity ^ flip)
+def count_table(N, f: Family, parity=None):
+    """[count_family(n, f) for n in 0..N] with no listing, for a family with a
+    row or a staircase: per end of the row, one packed table of its shape
+    (partitions.count_head_tail_table) shifted by the end's sum.  A parity
+    keeps the members whose second part (staircase: length) has it."""
+    kind, flip = _CONJUGATES.get(f.kind, (f.kind, 0))
+    shape, fixed, ends = _head_tail_row(Family(kind, f.param))
+    fixed = fixed if parity is None else parity ^ flip
+    table = [0] * (N + 1)
+    for end in ends:  # an end above N adds nothing
+        s = sum(end)
+        table[s:] = map(operator.add, table[s:],
+                        pt.count_head_tail_table(max(N - s, 0), shape, fixed))
+    if kind == CONSEC_WITH_ONE and N >= 3 and fixed != 0:
+        table[3] += 1  # (2, 1), whose second part is odd
+    return table
 
 
 def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
@@ -368,6 +351,6 @@ def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
         return pt.count_butterfly(n, _HEAD_TAIL[kind][1])
     if kind == DISTINCT_NOT_POW2:
         return pt.count_distinct_with_parts(n, pow2_free_parts(n))[n]
-    if kind in _HEAD_TAIL or kind in _CONJUGATES or kind == CONSEC_WITH_ONE:
-        return count_table(n, kind)[n]
+    if kind in _HEAD_TAIL or kind in _CONJUGATES or kind in _BAR_KINDS:
+        return count_table(n, f)[n]
     return len(family_tuples(n, f, limit))

@@ -27,9 +27,9 @@ the doublings m, 2m, 4m, ... that make up a factor 1/(1 - x^m), is one
 big-integer shift-add, in a product (_packed_product, which adds the
 factors above degree N/2 of each octave of a range as one prefix sum) and
 in a nested sum over k (_packed_nested_sum: the series filtration sums
-and, with factors 1 + x^j, count_head_tail_table, which counts r1, r2, r1',
-e, o and the staircase tables without listing, so DEFAULT_ENUM_LIMIT does
-not bound them).
+and, with factors 1 + x^j, count_head_tail_table, which counts every
+head-and-tail family and the staircases without listing, so
+DEFAULT_ENUM_LIMIT does not bound them).
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -375,17 +375,18 @@ def triangular_series(N, weights):
 
 
 def sparse_solve(rhs, terms):
-    """v with v * (1 + sum of sign x^o over the terms (o, sign)) = rhs through
+    """v with v * (1 + sum of c x^o over the terms (o, c)) = rhs through
     degree len(rhs) - 1: ascending division by a sparse polynomial with
     constant term 1.  The terms come in ascending order of their offsets
-    1 <= o < len(rhs), each sign +-1; an offset repeats once per unit of its
-    coefficient.
+    1 <= o < len(rhs), each c an integer (terms at one offset add up).
 
-    v[m] is rhs[m] less the signed v[m - o] over the offsets o <= m, which
+    v[m] is rhs[m] less the weighted v[m - o] over the offsets o <= m, which
     costs one addition per term and coefficient.  Between two offsets the
-    terms to gather stay the same, so each sign has one itemgetter, rebuilt
-    once per stretch of coefficients in which new terms of its sign came
-    into range, however many.
+    terms to gather stay the same, so the terms of c = 1 and of c = -1 each
+    have one itemgetter, rebuilt once per stretch of coefficients in which
+    new terms of its sign came into range, however many.  Any other c is
+    gathered by a third, rebuilt every stretch once it holds a term, whose
+    items are multiplied by their c.
     """
     N = len(rhs) - 1
     # v[0] is a zero sentinel: with v[1..m] holding v[0..m-1] when v[m] is
@@ -393,25 +394,35 @@ def sparse_solve(rhs, terms):
     # two items, so that it always returns a tuple
     v = [0]
     append = v.append
-    plus, minus = [0], [0]  # 0, then -o for the terms +x^o and -x^o
+    # 0, then -o for the terms x^o, -x^o and c x^o with |c| > 1 (weights: c)
+    plus, minus, other, weights = [0], [0], [0], [0]
     gather_plus = gather_minus = operator.itemgetter(0, 0)
     start = 0
     # (N + 1, 0) closes the last stretch and adds no term
-    for o, sign in chain(terms, ((N + 1, 0),)):
+    for o, c in chain(terms, ((N + 1, 0),)):
         if o > start:  # the coefficients before o share the terms so far
             if gather_plus is None:
                 gather_plus = operator.itemgetter(*plus)
             if gather_minus is None:
                 gather_minus = operator.itemgetter(*minus)
-            for r in islice(rhs, start, o):
-                append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
+            if len(other) > 1:
+                gather_other = operator.itemgetter(*other)
+                for r in islice(rhs, start, o):
+                    append(r - sum(gather_plus(v)) + sum(gather_minus(v))
+                           - sum(map(operator.mul, weights, gather_other(v))))
+            else:
+                for r in islice(rhs, start, o):
+                    append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
             start = o
-        if sign > 0:  # None: rebuilt once before the next stretch
+        if c == 1:  # None: rebuilt once before the next stretch
             plus.append(-o)
             gather_plus = None
-        elif sign:
+        elif c == -1:
             minus.append(-o)
             gather_minus = None
+        elif c:
+            other.append(-o)
+            weights.append(c)
     del v[0]
     return v
 
@@ -684,8 +695,8 @@ def count_strict_table(N):
 
 
 def count_odd_ge_table(N, bound):
-    """Counts of partitions of 0..N into odd parts >= bound."""
-    return count_with_parts(N, range(bound, N + 1, 2))
+    """Counts of partitions of 0..N into odd parts >= bound (any integer)."""
+    return count_with_parts(N, range(max(bound, 1) | 1, N + 1, 2))
 
 
 def count_no_ones_table(N):

@@ -113,7 +113,7 @@ def _butterfly_counts(n):
     """(s_e(n), s_o(n)), each one packed head-and-tail table through n: they
     count the shapes, not the parity theorem they check, and no recursion
     bounds n."""
-    return tuple(count_table(n, BUTTERFLY, parity)[n] for parity in (0, 1))
+    return tuple(count_table(n, Family(BUTTERFLY), parity)[n] for parity in (0, 1))
 
 
 def parity_relation_holds(n) -> bool:

@@ -43,11 +43,11 @@ _P_WEIGHTS = {"p": (1,), "dp": (1, -1), "d2p": (1, -2, 1)}
 # their repeated value, the primed tables the staircases by their number of
 # parts, so by conjugation e'' = e, o'' = o, e' = s_o and o' = s_e
 _COUNTED = {
-    "r1": (CONSEC_NO_ONE, None), "r2": (CONSEC_WITH_ONE, None),
-    "r1_prime": (CONSEC_ISOLATED, None),
-    "e": (EQUAL_TRIPLE, 0), "o": (EQUAL_TRIPLE, 1),
-    "e_prime": (STAIRCASE_321, 0), "o_prime": (STAIRCASE_321, 1),
-    "e_dprime": (STAIRCASE_33, 0), "o_dprime": (STAIRCASE_33, 1),
+    "r1": (Family(CONSEC_NO_ONE), None), "r2": (Family(CONSEC_WITH_ONE), None),
+    "r1_prime": (Family(CONSEC_ISOLATED), None),
+    "e": (Family(EQUAL_TRIPLE), 0), "o": (Family(EQUAL_TRIPLE), 1),
+    "e_prime": (Family(STAIRCASE_321), 0), "o_prime": (Family(STAIRCASE_321), 1),
+    "e_dprime": (Family(STAIRCASE_33), 0), "o_dprime": (Family(STAIRCASE_33), 1),
 }
 
 # p, dp and d2p -> the part-by-part counting DP in partitions that checks
@@ -281,7 +281,7 @@ _CROSSCHECKS = {
     "r": (("difference", 0, lambda N: _strict_dp_difference("r", N)),
           ("odd-ge-3", 0, lambda N: pt.count_odd_ge_table(N, 3))),
     "s": (("difference", 0, lambda N: _strict_dp_difference("s", N)),
-          ("butterfly", 6, lambda N: count_table(N, BUTTERFLY))),
+          ("butterfly", 6, lambda N: count_table(N, Family(BUTTERFLY)))),
     "t": (("odd-ge-5", 0, lambda N: pt.count_odd_ge_table(N, 5)),),
     "s_e": (("butterfly-parity", 6, lambda N: _butterfly_parity(1, N)),),
     "s_o": (("butterfly-parity", 6, lambda N: _butterfly_parity(-1, N)),),

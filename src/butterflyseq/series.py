@@ -164,8 +164,8 @@ def div_exact(a: TruncSeries, divisor) -> TruncSeries:
     is exact through the full order and multiplying back reproduces the input
     coefficient for coefficient.  A non-unit constant term would force
     non-integer quotient coefficients and raises instead.  The division is
-    partitions.sparse_solve over the divisor's terms, a coefficient c as |c|
-    copies of its term; a constant term of -1 negates both sides.
+    partitions.sparse_solve over the divisor's nonzero terms, each once with
+    its coefficient; a constant term of -1 negates both sides.
     """
     d = list(divisor)
     while d and d[-1] == 0:
@@ -178,7 +178,7 @@ def div_exact(a: TruncSeries, divisor) -> TruncSeries:
     rhs = a.coeffs
     if d[0] < 0:
         d, rhs = [-c for c in d], [-c for c in rhs]
-    terms = [(j, 1 if c > 0 else -1) for j, c in enumerate(d[1:N + 1], 1) for _ in range(abs(c))]
+    terms = [(j, c) for j, c in enumerate(d[1:N + 1], 1) if c]
     return TruncSeries(N, pt.sparse_solve(rhs, terms))
 
 

@@ -182,9 +182,9 @@ def test_target_counts_come_from_one_table_per_call(monkeypatch):
     from butterflyseq.families import CONSEC
     real, tables = bijections.count_table, []
 
-    def counted(N, kind, parity=None):
-        tables.append((N, kind))
-        return real(N, kind, parity)
+    def counted(N, f, parity=None):
+        tables.append((N, f))
+        return real(N, f, parity)
 
     def refuse(*args):
         raise AssertionError("reached count_head_tail")
@@ -193,4 +193,4 @@ def test_target_counts_come_from_one_table_per_call(monkeypatch):
     monkeypatch.setattr(bijections.pt, "count_head_tail", refuse)
     assert verify_bijection("raise", 2, 24).passed
     assert verify_bijection("butterfly", 6, 30).passed
-    assert tables == [(24, CONSEC), (30, CONSEC_ISOLATED)]
+    assert tables == [(24, Family(CONSEC)), (30, Family(CONSEC_ISOLATED))]

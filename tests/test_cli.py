@@ -182,6 +182,20 @@ def test_bij_raise_below_its_domain_is_usage_error(capsys):
     assert code == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("kind, least", [("butterfly", 1), ("bar", 0)])
+def test_bij_below_its_domain_is_usage_error(capsys, kind, least):
+    """A --from below the map's domain is refused at the CLI with its bound,
+    not by the family lister at a negative n."""
+    code, out, err = run(capsys, "bij", kind, "--from", str(least - 1), "--to", "8")
+    assert code == 2 and out == ""
+    assert "bij %s --from must be >= %d" % (kind, least) in err
+    assert "nonnegative" not in err
+    # at the bound the map runs and reports (n = 4 and 5 lie outside the
+    # butterfly map's domain, so both report a failure there)
+    code, out, _ = run(capsys, "bij", kind, "--from", str(least), "--to", "8")
+    assert code == 1 and out.startswith("%s bijection on n=%d..8: FAIL" % (kind, least))
+
+
 def test_split_merge_round(capsys):
     code, out, _ = run(capsys, "split", "7+6+5+4+3+2", "--variant", "switched")
     assert code == 0 and out.strip() == "13+5+3+3+3"

@@ -6,7 +6,7 @@ from butterflyseq.families import (
     CONSEC_WITH_ONE, DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1,
     ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321,
     STAIRCASE_33, STRICT,
-    Family, count_family, enumerate_family, family_tuples, in_family,
+    Family, count_family, count_table, enumerate_family, family_tuples, in_family,
 )
 from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
 from butterflyseq.sequences import named_sequence
@@ -186,9 +186,12 @@ ALL_FAMILIES = ([Family(kind) for kind in (
 def test_bar_sets_generated_from_shape_equal_the_filtered_butterflies():
     """The bar families, generated from their shapes, equal the butterflies of
     n kept by the shape predicates and split on the parity of the second
-    part, for n <= 120 and h = 3..6."""
+    part, for n <= 120 and h = 3..6; count_table and count_family, one
+    packed table per end of a bar set's row, count each listing."""
     from butterflyseq.families import _in_bar_a, _in_bar_b
     from butterflyseq.partitions import iter_butterfly_tuples
+    tables = {(kind, h): count_table(120, Family(kind, h))
+              for kind in BAR_KINDS for h in range(3, 7)}
     for n in range(121):
         butterflies = list(iter_butterfly_tuples(n))
         for h in range(3, 7):
@@ -199,8 +202,10 @@ def test_bar_sets_generated_from_shape_equal_the_filtered_butterflies():
                 if _in_bar_b(t, h):
                     want[2 + t[1] % 2].append(t)
             for kind, parts in zip(BAR_KINDS, want):
-                got = [p.parts for p in enumerate_family(n, Family(kind, h))]
+                fam = Family(kind, h)
+                got = [p.parts for p in enumerate_family(n, fam)]
                 assert got == parts, (kind, h, n)
+                assert tables[kind, h][n] == count_family(n, fam) == len(got), (kind, h, n)
 
 
 def test_odd_step_forms_generated_from_head_and_tail_equal_the_filtered_odd_parts():
@@ -336,3 +341,65 @@ def test_staircases_are_the_conjugates_of_equal_triples_and_butterflies():
     for staircase, image in (("e_dprime", "e"), ("o_dprime", "o"),
                              ("e_prime", "s_o"), ("o_prime", "s_e")):
         assert named_sequence(staircase, 60).values == named_sequence(image, 60).values
+
+
+def test_odd_parts_count_equals_the_listing_for_every_bound():
+    """Odd parts >= b for b = -1..7: the count, the listing and the
+    unrestricted partitions kept by the definition agree for n <= 30, so an
+    even or nonpositive b counts the odd parts >= max(b, 1) | 1."""
+    from butterflyseq.partitions import iter_partition_tuples
+    for b in range(-1, 8):
+        fam = Family(ODD_GE, b)
+        for n in range(31):
+            want = [t for t in iter_partition_tuples(n) if all(x % 2 == 1 and x >= b for x in t)]
+            assert family_tuples(n, fam) == want, (b, n)
+            assert count_family(n, fam) == len(want), (b, n)
+
+
+def test_rows_with_ends_count_their_listings():
+    """count_table and count_family, one packed table per end of a row, equal
+    the listing lengths of r2 and the butterflies plus ones for n <= 120
+    (the bar sets' counts are checked with their listings above); each
+    family is listed once per n."""
+    N = 120
+    families = [Family(CONSEC_WITH_ONE), Family(BUTTERFLY_PLUS_ONES)]
+    tables = {f: count_table(N, f) for f in families}
+    for n in range(N + 1):
+        for f in families:
+            assert tables[f][n] == count_family(n, f) == len(family_tuples(n, f)), (f, n)
+
+
+def test_rows_are_counted_without_listing(monkeypatch):
+    """count_family answers the bar sets and the butterflies plus ones at
+    n = 250, above the listing limit, with every lister refused: the bar
+    sets swap the parity of the second part in pairs (|A_e| = |B_o|,
+    |A_o| = |B_e|), and the butterflies plus ones are the partitions into
+    odd parts >= 5.  The odd-step forms are still counted by listing, so
+    their count still meets the limit."""
+    from butterflyseq import families, splitmerge
+    from butterflyseq import partitions as pt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed")
+
+    for name in ("iter_head_tail_tuples", "iter_strict_tuples", "iter_butterfly_tuples",
+                 "pool_tuples", "_iter_staircase", "_iter_odd_parts", "iter_form_tuples"):
+        for module in (families, pt, splitmerge):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    ae, ao, be, bo = (count_family(250, Family(kind, 3)) for kind in BAR_KINDS)
+    assert ae == bo > 0 and ao == be > 0
+    assert count_family(250, Family(BUTTERFLY_PLUS_ONES)) == count_family(250, Family(ODD_GE, 5))
+    with pytest.raises(EnumerationLimitError):
+        count_family(201, Family(ODD_STEP1))
+
+
+def test_bar_sets_below_size_three_are_empty():
+    """h = 0..2 has no bar sets: their rows have no ends, so they list
+    nothing and count 0 (the shape of h = 2 alone would count members)."""
+    for h in range(3):
+        for kind in BAR_KINDS:
+            fam = Family(kind, h)
+            assert count_table(60, fam) == [0] * 61, fam
+            for n in range(61):
+                assert family_tuples(n, fam) == [] and count_family(n, fam) == 0, (fam, n)

@@ -228,7 +228,7 @@ def test_head_tail_table_equals_the_per_n_count(kind):
     index equals count_head_tail, which counts each n apart through its memo,
     for n <= 300, at every order N <= 30 and at N = 300, for each kind's
     parity or, on a kind without one, for none and both."""
-    shape, fixed = _HEAD_TAIL[kind]
+    shape, fixed, _ = _HEAD_TAIL[kind]
     for parity in (None, 0, 1) if fixed is None else (fixed,):
         want = [pt.count_head_tail(n, shape, parity) for n in range(301)]
         for N in list(range(31)) + [300]:
@@ -298,7 +298,7 @@ def test_narrowed_kernels_equal_the_cell_loops(label, packed, by_cells):
 def test_narrowed_head_tail_tables_equal_the_cell_loops(kind):
     """Every shape and parity through N = 700, and at N = 2000 the
     consecutive pairs, the head-and-tail table with the largest counts."""
-    shape, fixed = _HEAD_TAIL[kind]
+    shape, fixed, _ = _HEAD_TAIL[kind]
     top = 2000 if kind == "consec" else 700
     tables = _head_tail_by_cells(top, shape)
     for parity in (None, 0, 1) if fixed is None else (fixed,):
@@ -533,8 +533,8 @@ def test_div_exact_equals_the_per_cell_loop():
     """The divisors verify uses, divisors with a -1 constant term, inner and
     trailing zeros and coefficients +-2 and +-3, and random ones, on random
     signed series of every order 0..300: the quotient through a prefix is
-    the prefix of the quotient.  Coefficients in the thousands, each that
-    many copies of its term, at order 40.  A non-unit or zero constant term
+    the prefix of the quotient.  Coefficients in the thousands, each one
+    weighted term, at order 40.  A non-unit or zero constant term
     is still refused."""
     rng = random.Random(19)
     divisors = [(1, 1), (1, 1, 1), (1, -1), (1, -2, 1), (1,), (-1,), (-1, 1), (1, 0, 0, 1),
@@ -548,7 +548,7 @@ def test_div_exact_equals_the_per_cell_loop():
         for n in range(301):
             got = series.div_exact(TruncSeries(n, values[:n + 1]), divisor)
             assert list(got.coeffs) == want[:n + 1], (divisor, n)
-    for divisor in ((1, 10 ** 4), (-1, 0, -5000, 7)):  # many copies of one term
+    for divisor in ((1, 10 ** 4), (-1, 0, -5000, 7)):  # large weights
         got = series.div_exact(TruncSeries(40, values[:41]), divisor)
         assert list(got.coeffs) == _div_exact_by_cells(values[:41], divisor), divisor
     for divisor in ((2, 1), (-3, 1), (0, 1), (0,), ()):

@@ -199,7 +199,7 @@ def test_butterfly_enumerator_properties(n):
 
 def test_count_head_tail_equals_the_listing():
     from butterflyseq.families import _HEAD_TAIL
-    for shape, _ in set(_HEAD_TAIL.values()):
+    for shape, _, _ in set(_HEAD_TAIL.values()):
         for parity in (None, 0, 1):
             for n in range(71):
                 assert count_head_tail(n, shape, parity) == sum(

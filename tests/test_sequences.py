@@ -382,7 +382,7 @@ def test_butterfly_shape_tables_equal_count_butterfly():
     N = 1000
     want = {parity: [pt.count_butterfly(n, parity) for n in range(N + 1)]
             for parity in (None, 0, 1)}
-    assert count_table(N, BUTTERFLY) == want[None]
+    assert count_table(N, Family(BUTTERFLY)) == want[None]
     assert list(named_sequence("e_prime", N).values) == want[1][6:]
     assert list(named_sequence("o_prime", N).values) == want[0][6:]
 
@@ -401,7 +401,7 @@ def test_counted_tables_list_nothing(monkeypatch):
 
     for name in ("enumerate_family", "iter_head_tail_tuples", "iter_strict_tuples",
                  "iter_partition_tuples", "iter_butterfly_tuples", "pool_tuples",
-                 "_iter_staircase", "_iter_consec_with_one", "count_head_tail",
+                 "_iter_staircase", "count_head_tail",
                  "count_butterfly"):
         assert hasattr(families, name) or hasattr(pt, name), name
         for module in (families, pt, splitmerge):

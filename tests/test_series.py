@@ -70,6 +70,19 @@ def test_div_exact_examples():
         div_exact(poly(10, 1, 1), (0, 1))
 
 
+def test_div_exact_cost_does_not_grow_with_the_coefficients():
+    """A coefficient of 10**9 is one weighted term, not 10**9 copies of it:
+    the division returns at once and multiplying back restores the input."""
+    import time
+    c = 10 ** 9
+    a = poly(20, 1, 2, 3)
+    t0 = time.perf_counter()
+    q = div_exact(a, (1, c))
+    assert time.perf_counter() - t0 < 0.1
+    assert (q * poly(20, 1, c)).coeffs == a.coeffs
+    assert q.coeffs[:3] == (1, 2 - c, 3 - c * (2 - c))
+
+
 def test_div_exact_round_trip_on_series():
     N = 40
     s = expand_product("odd_reciprocal", N, 5)

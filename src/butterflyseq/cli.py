@@ -12,38 +12,14 @@ import json
 import sys
 
 from . import bijections, diagrams, pentagonal, recurrences, sequences, series, splitmerge
-from .families import (
-    BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD,
-    BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE, CONSEC_WITH_ONE,
-    DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1, ODD_STEP1_SWITCHED,
-    ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321, STAIRCASE_33, STRICT,
-    Family, family_tuples,
-)
+from .families import BY_H, CATALOGUE, Family, family_tuples
 from .partitions import Partition
 
-FAMILY_ALIASES = {
-    "strict": Family(STRICT),
-    "consec": Family(CONSEC),
-    "r1": Family(CONSEC_NO_ONE),
-    "r2": Family(CONSEC_WITH_ONE),
-    "r1-prime": Family(CONSEC_ISOLATED),
-    "butterfly": Family(BUTTERFLY),
-    "butterfly-even": Family(BUTTERFLY_EVEN),
-    "butterfly-odd": Family(BUTTERFLY_ODD),
-    "equal-triple": Family(EQUAL_TRIPLE),
-    "staircase-321": Family(STAIRCASE_321),
-    "staircase-33": Family(STAIRCASE_33),
-    "odd-ge-1": Family(ODD_GE, 1),
-    "odd-ge-3": Family(ODD_GE, 3),
-    "odd-ge-5": Family(ODD_GE, 5),
-    "odd-step1": Family(ODD_STEP1),
-    "odd-step2": Family(ODD_STEP2),
-    "odd-step1-switched": Family(ODD_STEP1_SWITCHED),
-    "odd-step2-switched": Family(ODD_STEP2_SWITCHED),
-    "butterfly-plus-ones": Family(BUTTERFLY_PLUS_ONES),
-    "distinct-not-pow2": Family(DISTINCT_NOT_POW2),
-}
-BAR_ALIASES = {"bar-ae": BAR_AE, "bar-ao": BAR_AO, "bar-be": BAR_BE, "bar-bo": BAR_BO}
+# alias -> Family; a bar set's size comes from --h, so its alias maps to its kind
+FAMILY_ALIASES = {alias: Family(kind, param) for kind, row in CATALOGUE.items()
+                  for alias, param in row.aliases.items() if param is not BY_H}
+BAR_ALIASES = {alias: kind for kind, row in CATALOGUE.items()
+               for alias, param in row.aliases.items() if param is BY_H}
 
 
 class UsageError(Exception):
@@ -85,10 +61,10 @@ def _cmd_enum(args):
     return 0
 
 
-# bij kind -> its least --from: the raise and butterfly maps list the strict
-# and the r2 partitions of n - 1, the bar map the bar sets of n, and a strict
-# partition of 0 has no largest part to raise
-_BIJ_FROM = {"raise": 2, "butterfly": 1, "bar": 0}
+# bij kind -> its least --from: the raise map lists the strict partitions of
+# n - 1, and a strict partition of 0 has no largest part to raise; the
+# butterfly map holds from n = 6; the bar map lists the bar sets of n
+_BIJ_FROM = {"raise": 2, "butterfly": 6, "bar": 0}
 
 
 def _cmd_bij(args):

@@ -1,22 +1,27 @@
 """The closed catalogue of partition families.
 
-Each family has a decidable membership predicate and a deterministic
-enumerator returning partitions in lexicographically decreasing order.
-Every listing but the two staircases (_iter_staircase) comes from one
-filler, partitions.pool_tuples, over a pool of the parts a family may use:
-the strict partitions from 1..n, the odd-part ones from each odd x >= b
-repeated as often as it fits in n, the pow2-free ones from pow2_free_parts(n)
-once each.  Each head-and-tail family has one row (_head_tail_row): a shape
-of consecutive or equal largest parts over a strict tail, the parity of the
-second part, and the fixed ends, one of which closes each member.  A row is
-listed by partitions.iter_head_tail_tuples once per end, and counted by
-count_table from one packed table per end; the capped odd-step forms are
-listed by splitmerge.iter_form_tuples, so none lists a larger family to
-filter it, and counted by listing.  Every listed member of r2, of a bar set
-and of an odd-step form is checked against its predicate (_in_bar_a,
-_in_bar_b, in_family, splitmerge.matches_form), which stays the oracle, as
-the listings stay the oracle of the counts.  family_tuples returns a listing
-as checked part tuples, which the CLI prints; enumerate_family wraps them as
+Each kind has one row in CATALOGUE, and in_family, family_tuples and
+count_family are lookups in it.  A row holds the kind's membership test;
+its head-and-tail row if it has one, else its lister; its counter where
+count_table does not count it; a staircase's conjugate kind; whether each
+listed member is checked again; and its CLI aliases.
+
+A head-and-tail row is a shape of consecutive or equal largest parts over a
+strict tail, the parity of the second part, and the fixed ends, one of
+which closes each member (a bar set's row is built from h).  It is listed
+by partitions.iter_head_tail_tuples once per end, and counted by count_table
+from one packed table per end.  Every other listing but the two staircases
+(_iter_staircase) comes from the filler partitions.pool_tuples: the strict
+partitions, the odd parts >= b, the pow2-free parts and the capped odd-step
+forms (splitmerge.iter_form_tuples), so none lists a larger family to
+filter it.  The odd-step forms are counted by the merging-and-splitting
+theorem: the butterflies with an even second part go to the step-1 forms
+and those with an odd one to the step-2 forms, in both variants, so they
+number s_e(n) and s_o(n); splitmerge.count_capped, which lists them, is the
+oracle of those counts.  Every listed member of r2, of a bar set and of an
+odd-step form is checked against in_family, which stays the oracle, as the
+listings stay the oracle of the counts.  family_tuples returns a listing as
+checked part tuples, which the CLI prints; enumerate_family wraps them as
 Partitions.
 """
 
@@ -68,13 +73,8 @@ class Family(NamedTuple):
         return self.kind if self.param is None else "%s(%d)" % (self.kind, self.param)
 
 
-# odd-step kind -> its splitmerge form
-_ODD_STEP_FORMS = {ODD_STEP1: splitmerge.STEP1, ODD_STEP2: splitmerge.STEP2,
-                   ODD_STEP1_SWITCHED: splitmerge.STEP1_SWITCHED,
-                   ODD_STEP2_SWITCHED: splitmerge.STEP2_SWITCHED}
-
-# bar kind -> (vertical, parity of the second part)
-_BAR_KINDS = {BAR_AE: (False, 0), BAR_AO: (False, 1), BAR_BE: (True, 0), BAR_BO: (True, 1)}
+def _in_consec(parts):
+    return len(parts) >= 2 and is_strict_tuple(parts) and parts[0] == parts[1] + 1
 
 
 def _in_bar_a(parts, h):
@@ -110,20 +110,10 @@ def _in_equal_triple(parts):
     return len(parts) == 3 or parts[3] <= parts[2] - 2
 
 
-def _in_staircase_33(parts):
-    if len(parts) < 3 or parts[0] != parts[1]:
-        return False
-    if parts[-1] != 3 or parts[-2] != 3:
-        return False
-    return all(a - b <= 1 for a, b in zip(parts, parts[1:]))
-
-
-def _in_staircase_321(parts):
-    if len(parts) < 4 or parts[0] != parts[1]:
-        return False
-    if parts[-1] != 1 or parts[-2] != 2 or parts[-3] != 3:
-        return False
-    return all(a - b <= 1 for a, b in zip(parts, parts[1:]))
+def _in_staircase(parts, end):
+    # steps <= 1 down to the smallest parts ``end`` (3, 3 or 3, 2, 1), top pair equal
+    return (len(parts) > len(end) and parts[0] == parts[1] and parts[-len(end):] == end
+            and all(a - b <= 1 for a, b in zip(parts, parts[1:])))
 
 
 def _in_butterfly_plus_ones(parts):
@@ -138,83 +128,134 @@ def pow2_free_parts(n):
     return [x for x in range(1, n + 1) if x & (x - 1)]
 
 
+# ---------------------------------------------------------------------------
+# The catalogue
+# ---------------------------------------------------------------------------
+
+BY_H = object()  # the param of a bar set's alias: the size h, which enum reads from --h
+
+
+class _Row(NamedTuple):
+    """One kind of the catalogue.  The callables take (partition, param) or
+    (n, param), and reach every function the benchmark traces through its
+    module's namespace at call time, never hold it."""
+    test: object              # membership of a Partition
+    head_tail: object = None  # (shape, parity of the second part, ends), or h -> that
+    lister: object = None     # the part tuples of n, for a kind with no head_tail
+    counter: object = None    # the count at n, for a kind count_table does not count
+    conjugate: tuple = None   # a staircase's (conjugate kind, parity flip)
+    retest: bool = False      # each listed member is checked against in_family
+    aliases: dict = {}        # CLI alias -> param
+
+
+def _butterfly_row(parity, alias):
+    # counted n by n through count_butterfly's memo, which named_sequence's
+    # s_e, s_o and r1'' tables also read
+    return _Row(lambda p, _: (is_butterfly_tuple(p.parts)
+                              and (parity is None or p.parts[1] % 2 == parity)),
+                (pt.BUTTERFLY_SHAPE, parity, ((),)),
+                counter=lambda n, _: pt.count_butterfly(n, parity), aliases={alias: None})
+
+
+def _odd_step_row(form, parity, alias):
+    # merging and splitting: the butterflies whose second part has this
+    # parity are in bijection with the form's members
+    return _Row(lambda p, _: splitmerge.matches_form(p, form),
+                lister=lambda n, _: splitmerge.iter_form_tuples(n, form),
+                counter=lambda n, _: count_table(n, Family(BUTTERFLY), parity)[n],
+                retest=True, aliases={alias: None})
+
+
+def _bar_row(vertical, parity, alias):
+    # a bar set of size h is a head (a+h-1, ..., a) over a strict tail, then
+    # an optional 2: A with a >= h + 1, the tail within [h + 1, a - 1], then
+    # the part h; B with a >= h + 2, the tail within [h + 1, a - 2].  h < 3
+    # has no ends
+    def head_tail(h):
+        shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
+        return shape, parity, () if h < 3 else ((), (2,)) if vertical else ((h,), (h, 2))
+
+    test = _in_bar_b if vertical else _in_bar_a
+    return _Row(lambda p, h: test(p.parts, h) and p.parts[1] % 2 == parity, head_tail,
+                retest=True, aliases={alias: BY_H})
+
+
+# A head-and-tail shape is a consecutive pair over a strict tail below it (of
+# parts >= 2 for r1 and r2, and two below the pair for r1'), a butterfly
+# head, or an equal triple over a strict tail of parts >= 2 two below it.
+# r2 ends in a 1, the butterflies of Prop. 21 in zero, one or two 1s.  A
+# staircase's number of parts is its conjugate's largest part, the repeated
+# value of an equal triple and one more than the second part of a butterfly
+_R1_SHAPE = ((1, 0), 2, 1, 2)
+CATALOGUE = {
+    STRICT: _Row(lambda p, _: is_strict_tuple(p.parts), lister=lambda n, _: iter_strict_tuples(n),
+                 counter=lambda n, _: pt.strict_pentagonal_table(n)[n], aliases={"strict": None}),
+    CONSEC: _Row(lambda p, _: _in_consec(p.parts), (((1, 0), 1, 1, 1), None, ((),)),
+                 aliases={"consec": None}),
+    CONSEC_NO_ONE: _Row(lambda p, _: _in_consec(p.parts) and p.parts[-1] >= 2,
+                        (_R1_SHAPE, None, ((),)), aliases={"r1": None}),
+    CONSEC_WITH_ONE: _Row(lambda p, _: _in_consec(p.parts) and p.parts[-1] == 1,
+                          (_R1_SHAPE, None, ((1,),)), retest=True, aliases={"r2": None}),
+    CONSEC_ISOLATED: _Row(lambda p, _: (_in_consec(p.parts) and p.parts[-1] >= 2
+                                        and (len(p.parts) < 3 or p.parts[1] >= p.parts[2] + 2)),
+                          (((1, 0), 2, 2, 2), None, ((),)), aliases={"r1-prime": None}),
+    BUTTERFLY: _butterfly_row(None, "butterfly"),
+    BUTTERFLY_EVEN: _butterfly_row(0, "butterfly-even"),
+    BUTTERFLY_ODD: _butterfly_row(1, "butterfly-odd"),
+    EQUAL_TRIPLE: _Row(lambda p, _: _in_equal_triple(p.parts), (((0, 0, 0), 3, 2, 2), None, ((),)),
+                       aliases={"equal-triple": None}),
+    STAIRCASE_321: _Row(lambda p, _: _in_staircase(p.parts, (3, 2, 1)),
+                        lister=lambda n, _: _iter_staircase(n, 1, (2, 1)),
+                        conjugate=(BUTTERFLY, 1), aliases={"staircase-321": None}),
+    STAIRCASE_33: _Row(lambda p, _: _in_staircase(p.parts, (3, 3)),
+                       lister=lambda n, _: _iter_staircase(n, 2, ()),
+                       conjugate=(EQUAL_TRIPLE, 0), aliases={"staircase-33": None}),
+    ODD_GE: _Row(lambda p, b: all(x % 2 == 1 and x >= b for x in p.parts),
+                 lister=lambda n, b: _iter_odd_parts(n, b),
+                 counter=lambda n, b: pt.count_odd_ge_table(n, b)[n],
+                 aliases={"odd-ge-%d" % b: b for b in (1, 3, 5)}),
+    ODD_STEP1: _odd_step_row(splitmerge.STEP1, 0, "odd-step1"),
+    ODD_STEP2: _odd_step_row(splitmerge.STEP2, 1, "odd-step2"),
+    ODD_STEP1_SWITCHED: _odd_step_row(splitmerge.STEP1_SWITCHED, 0, "odd-step1-switched"),
+    ODD_STEP2_SWITCHED: _odd_step_row(splitmerge.STEP2_SWITCHED, 1, "odd-step2-switched"),
+    BAR_AE: _bar_row(False, 0, "bar-ae"),
+    BAR_AO: _bar_row(False, 1, "bar-ao"),
+    BAR_BE: _bar_row(True, 0, "bar-be"),
+    BAR_BO: _bar_row(True, 1, "bar-bo"),
+    BUTTERFLY_PLUS_ONES: _Row(lambda p, _: _in_butterfly_plus_ones(p.parts),
+                              (pt.BUTTERFLY_SHAPE, None, ((), (1,), (1, 1))),
+                              aliases={"butterfly-plus-ones": None}),
+    DISTINCT_NOT_POW2: _Row(lambda p, _: (is_strict_tuple(p.parts)
+                                          and all(x & (x - 1) for x in p.parts)),
+                            lister=lambda n, _: pt.pool_tuples(pow2_free_parts(n), [(n, None, ())]),
+                            counter=lambda n, _: pt.count_distinct_with_parts(
+                                n, pow2_free_parts(n))[n],
+                            aliases={"distinct-not-pow2": None}),
+}
+
+
+def _row(f):
+    row = CATALOGUE.get(f.kind)
+    if row is None:
+        raise ValueError("unknown family %r" % (f,))
+    return row
+
+
+def _head_tail_row(row, param):
+    """The row's (shape, parity, ends), built from h for a bar set; None for
+    a kind with a lister."""
+    head_tail = row.head_tail
+    return head_tail(param) if callable(head_tail) else head_tail
+
+
 def in_family(p: Partition, f: Family) -> bool:
     """Total membership predicate."""
-    parts = p.parts
-    kind = f.kind
-    if kind == STRICT:
-        return is_strict_tuple(parts)
-    if kind in (CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED):
-        if len(parts) < 2 or not is_strict_tuple(parts) or parts[0] != parts[1] + 1:
-            return False
-        if kind == CONSEC:
-            return True
-        if kind == CONSEC_WITH_ONE:
-            return parts[-1] == 1
-        isolated = len(parts) < 3 or parts[1] >= parts[2] + 2
-        return parts[-1] >= 2 and (kind == CONSEC_NO_ONE or isolated)
-    if kind == BUTTERFLY:
-        return is_butterfly_tuple(parts)
-    if kind == BUTTERFLY_EVEN:
-        return is_butterfly_tuple(parts) and parts[1] % 2 == 0
-    if kind == BUTTERFLY_ODD:
-        return is_butterfly_tuple(parts) and parts[1] % 2 == 1
-    if kind == EQUAL_TRIPLE:
-        return _in_equal_triple(parts)
-    if kind == STAIRCASE_321:
-        return _in_staircase_321(parts)
-    if kind == STAIRCASE_33:
-        return _in_staircase_33(parts)
-    if kind == ODD_GE:
-        return all(x % 2 == 1 and x >= f.param for x in parts)
-    if kind in _ODD_STEP_FORMS:
-        return splitmerge.matches_form(p, _ODD_STEP_FORMS[kind])
-    if kind in _BAR_KINDS:
-        vertical, parity = _BAR_KINDS[kind]
-        return (_in_bar_b if vertical else _in_bar_a)(parts, f.param) and parts[1] % 2 == parity
-    if kind == BUTTERFLY_PLUS_ONES:
-        return _in_butterfly_plus_ones(parts)
-    if kind == DISTINCT_NOT_POW2:
-        return is_strict_tuple(parts) and all(x & (x - 1) for x in parts)
-    raise ValueError("unknown family %r" % (f,))
+    return _row(f).test(p, f.param)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-# kind -> (head-and-tail shape, parity of the second part, ends) of the
-# families listed by partitions.iter_head_tail_tuples, each member a partition
-# of the shape with one of the ends appended: a consecutive pair over a strict
-# tail below it (of parts >= 2 for r1 and r2, and two below the pair for r1'),
-# a butterfly head, or an equal triple over a strict tail of parts >= 2 two
-# below it.  r2 ends in a 1, the butterflies of Prop. 21 in zero, one or two 1s
-_R1_SHAPE = ((1, 0), 2, 1, 2)
-_HEAD_TAIL = {
-    CONSEC: (((1, 0), 1, 1, 1), None, ((),)),
-    CONSEC_NO_ONE: (_R1_SHAPE, None, ((),)),
-    CONSEC_WITH_ONE: (_R1_SHAPE, None, ((1,),)),
-    CONSEC_ISOLATED: (((1, 0), 2, 2, 2), None, ((),)),
-    BUTTERFLY: (pt.BUTTERFLY_SHAPE, None, ((),)),
-    BUTTERFLY_EVEN: (pt.BUTTERFLY_SHAPE, 0, ((),)),
-    BUTTERFLY_ODD: (pt.BUTTERFLY_SHAPE, 1, ((),)),
-    EQUAL_TRIPLE: (((0, 0, 0), 3, 2, 2), None, ((),)),
-    BUTTERFLY_PLUS_ONES: (pt.BUTTERFLY_SHAPE, None, ((), (1,), (1, 1))),
-}
-
-
-def _head_tail_row(f):
-    """The _HEAD_TAIL row of f, None for a family of no row, or for a bar set
-    of size h a head (a+h-1, ..., a) over a strict tail, then an optional 2:
-    A with a >= h + 1, the tail within [h + 1, a - 1], then the part h; B with
-    a >= h + 2, the tail within [h + 1, a - 2].  h < 3 has no ends."""
-    if f.kind not in _BAR_KINDS:
-        return _HEAD_TAIL.get(f.kind)
-    vertical, parity = _BAR_KINDS[f.kind]
-    h = f.param
-    shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
-    return shape, parity, () if h < 3 else ((), (2,)) if vertical else ((h,), (h, 2))
-
 
 def _iter_staircase(n, threes, tail):
     # above the fixed smallest parts ``tail``, a staircase with steps <= 1
@@ -251,37 +292,25 @@ def _iter_staircase(n, threes, tail):
 def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     """The part tuples of enumerate_family(n, f, limit), in its order.  Each
     passes Partition's check once (partitions.checked_tuples), and each member
-    of a kind generated from its shape also its predicate."""
+    of a kind marked retest also in_family."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_limit(n, limit)
-    kind = f.kind
-    row = _head_tail_row(f)
-    if kind == STRICT:
-        tuples = iter_strict_tuples(n)
-    elif row is not None:
-        shape, parity, ends = row
+    row = _row(f)
+    head_tail = _head_tail_row(row, f.param)
+    if head_tail is None:
+        tuples = row.lister(n, f.param)
+    else:
+        shape, parity, ends = head_tail
         if ends == ((),):  # nothing to append
             tuples = iter_head_tail_tuples(n, shape, parity)
         else:
             tuples = [t + end for end in ends
                       for t in iter_head_tail_tuples(n - sum(end), shape, parity)]
-            if kind == CONSEC_WITH_ONE and n == 3:
+            if f.kind == CONSEC_WITH_ONE and n == 3:
                 tuples.append((2, 1))  # its 1 is the pair's, not an end
-    elif kind == STAIRCASE_321:
-        tuples = _iter_staircase(n, 1, (2, 1))
-    elif kind == STAIRCASE_33:
-        tuples = _iter_staircase(n, 2, ())
-    elif kind == ODD_GE:
-        tuples = _iter_odd_parts(n, f.param)
-    elif kind in _ODD_STEP_FORMS:
-        tuples = splitmerge.iter_form_tuples(n, _ODD_STEP_FORMS[kind])
-    elif kind == DISTINCT_NOT_POW2:
-        tuples = pt.pool_tuples(pow2_free_parts(n), [(n, None, ())])
-    else:
-        raise ValueError("unknown family %r" % (f,))
     result = pt.checked_tuples(sorted(tuples, reverse=True))
-    if kind == CONSEC_WITH_ONE or kind in _ODD_STEP_FORMS or kind in _BAR_KINDS:
+    if row.retest:
         # generated from shape: the predicate stays the oracle of every member
         for p in map(Partition._wrap, result):
             if not in_family(p, f):
@@ -304,26 +333,19 @@ def _iter_odd_parts(n, bound):
 
 def _bar_sets(n, h):
     """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), each listed from
-    its row (_head_tail_row) and checked member by member against _in_bar_a
-    or _in_bar_b."""
+    its head-and-tail row and checked member by member against _in_bar_a or
+    _in_bar_b."""
     return tuple(enumerate_family(n, Family(kind, h))
                  for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
 
 
-# staircase kind -> (the kind of its conjugates, whether conjugation flips the
-# parity of the split key): a staircase's number of parts is its conjugate's
-# largest part, the repeated value of an equal triple and one more than the
-# second part of a butterfly
-_CONJUGATES = {STAIRCASE_33: (EQUAL_TRIPLE, 0), STAIRCASE_321: (BUTTERFLY, 1)}
-
-
 def count_table(N, f: Family, parity=None):
-    """[count_family(n, f) for n in 0..N] with no listing, for a family with a
-    row or a staircase: per end of the row, one packed table of its shape
-    (partitions.count_head_tail_table) shifted by the end's sum.  A parity
-    keeps the members whose second part (staircase: length) has it."""
-    kind, flip = _CONJUGATES.get(f.kind, (f.kind, 0))
-    shape, fixed, ends = _head_tail_row(Family(kind, f.param))
+    """[count_family(n, f) for n in 0..N] with no listing, for a kind with a
+    head-and-tail row or a staircase: per end of the row, one packed table of
+    its shape (partitions.count_head_tail_table) shifted by the end's sum.  A
+    parity keeps the members whose second part (staircase: length) has it."""
+    kind, flip = _row(f).conjugate or (f.kind, 0)
+    shape, fixed, ends = _head_tail_row(CATALOGUE[kind], f.param)
     fixed = fixed if parity is None else parity ^ flip
     table = [0] * (N + 1)
     for end in ends:  # an end above N adds nothing
@@ -335,22 +357,10 @@ def count_table(N, f: Family, parity=None):
     return table
 
 
-def count_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT) -> int:
-    """len(family_tuples(n, f)), via exact counting where available.
-
-    The limit guards listing only, so it applies to families counted by
-    enumeration."""
+def count_family(n, f: Family) -> int:
+    """len(family_tuples(n, f)) with no listing and no limit: the row's
+    counter, or count_table."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    kind = f.kind
-    if kind == STRICT:
-        return pt.strict_pentagonal_table(n)[n]
-    if kind == ODD_GE:
-        return pt.count_odd_ge_table(n, f.param)[n]
-    if kind in (BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD):
-        return pt.count_butterfly(n, _HEAD_TAIL[kind][1])
-    if kind == DISTINCT_NOT_POW2:
-        return pt.count_distinct_with_parts(n, pow2_free_parts(n))[n]
-    if kind in _HEAD_TAIL or kind in _CONJUGATES or kind in _BAR_KINDS:
-        return count_table(n, f)[n]
-    return len(family_tuples(n, f, limit))
+    counter = _row(f).counter
+    return count_table(n, f)[n] if counter is None else counter(n, f.param)

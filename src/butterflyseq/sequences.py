@@ -6,7 +6,6 @@ isolated/butterfly refinements at n = 5, the even/odd butterfly subsequences
 at n = 6.
 """
 
-import json
 import math
 from operator import add, sub
 
@@ -318,7 +317,3 @@ def to_json(table: SequenceTable) -> dict:
         "provenance": table.provenance,
         "values": list(table.values),
     }
-
-
-def dumps_json(table: SequenceTable) -> str:
-    return json.dumps(to_json(table), sort_keys=True)

@@ -35,10 +35,17 @@ def test_traced_surface_installs_and_serves_coverage(perfbench_path, capsys):
         for argv in workloads.COVERAGE:
             assert cli.main(list(argv)) == 0, argv
         assert tracer._strict_cache_size() >= 0
+        # the catalogue reaches the traced lister and predicate through the
+        # module, so a listing opens their spans
+        mark = len(tracer.start)
+        for argv in (["enum", "odd-ge-3", "20"], ["enum", "r2", "12"]):
+            assert cli.main(argv) == 0, argv
+        opened = {tracer.names[tracer.name[i]] for i in range(mark, len(tracer.start))}
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert len(tracer.start) > 0
+    assert {"families._iter_odd_parts", "families.in_family"} <= opened
 
 
 def test_no_benchmark_layer_goes_idle(perfbench_path, capsys):

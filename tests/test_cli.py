@@ -182,18 +182,21 @@ def test_bij_raise_below_its_domain_is_usage_error(capsys):
     assert code == 0 and "pass" in out
 
 
-@pytest.mark.parametrize("kind, least", [("butterfly", 1), ("bar", 0)])
+@pytest.mark.parametrize("kind, least", [("butterfly", 6), ("bar", 0)])
 def test_bij_below_its_domain_is_usage_error(capsys, kind, least):
     """A --from below the map's domain is refused at the CLI with its bound,
-    not by the family lister at a negative n."""
+    not by the family lister at a negative n, nor as a failed check at an n
+    (4 or 5) where the butterfly map does not hold."""
     code, out, err = run(capsys, "bij", kind, "--from", str(least - 1), "--to", "8")
     assert code == 2 and out == ""
     assert "bij %s --from must be >= %d" % (kind, least) in err
     assert "nonnegative" not in err
-    # at the bound the map runs and reports (n = 4 and 5 lie outside the
-    # butterfly map's domain, so both report a failure there)
+    # at the bound the map runs and reports: the butterfly map on its one
+    # source (3+2+1, at n = 7), the bar map on no bar set, so it fails
     code, out, _ = run(capsys, "bij", kind, "--from", str(least), "--to", "8")
-    assert code == 1 and out.startswith("%s bijection on n=%d..8: FAIL" % (kind, least))
+    assert (code, out) == {
+        "butterfly": (0, "butterfly bijection on n=6..8: pass (1 maps checked)\n"),
+        "bar": (1, "bar bijection on n=0..8: FAIL (0 maps checked)\n")}[kind]
 
 
 def test_split_merge_round(capsys):

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from butterflyseq.families import (
@@ -6,16 +8,32 @@ from butterflyseq.families import (
     CONSEC_WITH_ONE, DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1,
     ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321,
     STAIRCASE_33, STRICT,
-    Family, count_family, count_table, enumerate_family, family_tuples, in_family,
+    BY_H, CATALOGUE, Family, count_family, count_table, enumerate_family, family_tuples,
+    in_family,
 )
-from butterflyseq.partitions import EnumerationLimitError, Partition, count_butterfly
+from butterflyseq.partitions import (
+    EnumerationLimitError, Partition, count_butterfly, count_strict_table, iter_partition_tuples)
 from butterflyseq.sequences import named_sequence
+from butterflyseq.splitmerge import STANDARD, SWITCHED, count_capped
 
 P = Partition
+
+# every kind of the catalogue as its CLI aliases name it: odd_ge at b = 1, 3
+# and 5, and each bar set at h = 3, 4 and 5
+ALL_FAMILIES = [fam for kind, row in CATALOGUE.items() for param in row.aliases.values()
+                for fam in ([Family(kind, h) for h in (3, 4, 5)] if param is BY_H
+                            else [Family(kind, param)])]
 
 
 def lists(n, fam):
     return [list(p) for p in enumerate_family(n, fam)]
+
+
+@functools.cache
+def partitions_of(n):
+    """Every partition of n, lexicographically decreasing, from the
+    brute-force lister: built once per n and shared by the oracle tests."""
+    return tuple(map(P, iter_partition_tuples(n)))
 
 
 def test_membership_examples():
@@ -111,9 +129,7 @@ def test_enumeration_is_sound_and_complete(kind, param):
         for p in listed:
             assert p.n == n
             assert in_family(p, fam)
-        from butterflyseq.partitions import iter_partition_tuples
-        by_filter = [t for t in iter_partition_tuples(n)
-                     if in_family(Partition(t), fam)]
+        by_filter = [p.parts for p in partitions_of(n) if in_family(p, fam)]
         assert [p.parts for p in listed] == by_filter
 
 
@@ -144,15 +160,16 @@ def test_butterfly_plus_ones_counts_three_term_sums():
 def test_enumeration_limit_guard():
     with pytest.raises(EnumerationLimitError):
         enumerate_family(201, Family(BUTTERFLY))
-    # the limit guards listing, so it reaches a count only through a listing
-    with pytest.raises(EnumerationLimitError):
-        count_family(201, Family(ODD_STEP1))
-    assert count_family(500, Family(STRICT)) == count_family(500, Family(STRICT), limit=None) > 0
+    # the limit guards listing, and count_family lists nothing
+    assert count_family(201, Family(ODD_STEP1)) == count_table(201, Family(BUTTERFLY), 0)[201] > 0
+    assert count_family(500, Family(STRICT)) == count_strict_table(500)[500] > 0
     assert count_family(250, Family(BUTTERFLY_EVEN)) == count_butterfly(250, 0)
 
 
-HEAD_TAIL_KINDS = (CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED,
-                   BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD)
+# the kinds listed from a fixed head-and-tail row whose members are strict
+# (all but the equal triples and the butterflies plus ones)
+HEAD_TAIL_KINDS = [kind for kind, row in CATALOGUE.items() if isinstance(row.head_tail, tuple)
+                   and kind not in (EQUAL_TRIPLE, BUTTERFLY_PLUS_ONES)]
 
 
 def test_head_and_tail_listings_equal_the_filtered_candidates():
@@ -175,12 +192,6 @@ def test_head_and_tail_listings_equal_the_filtered_candidates():
 
 BAR_KINDS = (BAR_AE, BAR_AO, BAR_BE, BAR_BO)
 ODD_STEP_KINDS = (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED)
-ALL_FAMILIES = ([Family(kind) for kind in (
-    STRICT, CONSEC, CONSEC_NO_ONE, CONSEC_WITH_ONE, CONSEC_ISOLATED, BUTTERFLY,
-    BUTTERFLY_EVEN, BUTTERFLY_ODD, EQUAL_TRIPLE, STAIRCASE_321, STAIRCASE_33,
-    BUTTERFLY_PLUS_ONES, DISTINCT_NOT_POW2) + ODD_STEP_KINDS]
-    + [Family(ODD_GE, b) for b in (1, 3, 5)]
-    + [Family(kind, h) for kind in BAR_KINDS for h in (3, 4, 5)])
 
 
 def test_bar_sets_generated_from_shape_equal_the_filtered_butterflies():
@@ -347,11 +358,11 @@ def test_odd_parts_count_equals_the_listing_for_every_bound():
     """Odd parts >= b for b = -1..7: the count, the listing and the
     unrestricted partitions kept by the definition agree for n <= 30, so an
     even or nonpositive b counts the odd parts >= max(b, 1) | 1."""
-    from butterflyseq.partitions import iter_partition_tuples
-    for b in range(-1, 8):
-        fam = Family(ODD_GE, b)
-        for n in range(31):
-            want = [t for t in iter_partition_tuples(n) if all(x % 2 == 1 and x >= b for x in t)]
+    for n in range(31):
+        for b in range(-1, 8):
+            fam = Family(ODD_GE, b)
+            want = [p.parts for p in partitions_of(n)
+                    if all(x % 2 == 1 and x >= b for x in p.parts)]
             assert family_tuples(n, fam) == want, (b, n)
             assert count_family(n, fam) == len(want), (b, n)
 
@@ -370,12 +381,13 @@ def test_rows_with_ends_count_their_listings():
 
 
 def test_rows_are_counted_without_listing(monkeypatch):
-    """count_family answers the bar sets and the butterflies plus ones at
-    n = 250, above the listing limit, with every lister refused: the bar
-    sets swap the parity of the second part in pairs (|A_e| = |B_o|,
-    |A_o| = |B_e|), and the butterflies plus ones are the partitions into
-    odd parts >= 5.  The odd-step forms are still counted by listing, so
-    their count still meets the limit."""
+    """count_family answers the bar sets, the butterflies plus ones and the
+    odd-step forms above the listing limit, with every lister refused: at
+    n = 250 the bar sets swap the parity of the second part in pairs
+    (|A_e| = |B_o|, |A_o| = |B_e|) and the butterflies plus ones are the
+    partitions into odd parts >= 5; at n = 201 and 250 the step-1 forms
+    number s_e(n) and the step-2 forms s_o(n), read off the butterfly table
+    and equal to count_butterfly's."""
     from butterflyseq import families, splitmerge
     from butterflyseq import partitions as pt
 
@@ -390,8 +402,10 @@ def test_rows_are_counted_without_listing(monkeypatch):
     ae, ao, be, bo = (count_family(250, Family(kind, 3)) for kind in BAR_KINDS)
     assert ae == bo > 0 and ao == be > 0
     assert count_family(250, Family(BUTTERFLY_PLUS_ONES)) == count_family(250, Family(ODD_GE, 5))
-    with pytest.raises(EnumerationLimitError):
-        count_family(201, Family(ODD_STEP1))
+    for n in (201, 250):
+        for kind, parity in zip(ODD_STEP_KINDS, (0, 1, 0, 1)):
+            want = count_table(n, Family(BUTTERFLY), parity)[n]
+            assert count_family(n, Family(kind)) == want == count_butterfly(n, parity) > 0, (kind, n)
 
 
 def test_bar_sets_below_size_three_are_empty():
@@ -403,3 +417,56 @@ def test_bar_sets_below_size_three_are_empty():
             assert count_table(60, fam) == [0] * 61, fam
             for n in range(61):
                 assert family_tuples(n, fam) == [] and count_family(n, fam) == 0, (fam, n)
+
+
+def test_every_catalogue_kind_counts_lists_and_tests_alike():
+    """For every kind of the catalogue (odd_ge at b = 1, 3, 5, the bar sets
+    at h = 3..5) and n <= 30, the listing is the partitions of n kept by
+    in_family, in their order, so every listed member passes in_family, and
+    count_family is its length."""
+    for n in range(31):
+        for fam in ALL_FAMILIES:
+            want = [p.parts for p in partitions_of(n) if in_family(p, fam)]
+            assert family_tuples(n, fam) == want, (fam, n)
+            assert count_family(n, fam) == len(want), (fam, n)
+
+
+@pytest.mark.parametrize("variant, forms", [(STANDARD, (ODD_STEP1, ODD_STEP2)),
+                                            (SWITCHED, (ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED))],
+                         ids=[STANDARD, SWITCHED])
+def test_odd_step_forms_are_counted_by_the_merging_and_splitting_theorem(variant, forms):
+    """count_family counts the step-1 forms as s_e(n) and the step-2 forms as
+    s_o(n); splitmerge.count_capped, which lists the forms, is the oracle of
+    those counts for n <= 80."""
+    for n in range(81):
+        assert tuple(count_family(n, Family(kind)) for kind in forms) == count_capped(n, variant), n
+
+
+def test_unknown_kind_is_refused_by_every_lookup():
+    fam = Family("nope")
+    for lookup in (lambda: in_family(P([3]), fam), lambda: family_tuples(3, fam),
+                   lambda: count_family(3, fam)):
+        with pytest.raises(ValueError, match="unknown family"):
+            lookup()
+
+
+def test_catalogue_has_one_row_per_kind_and_an_alias_for_each(capsys):
+    """Every kind constant of families has one catalogue row; each row is
+    listed either from its head-and-tail row or by its lister, is counted,
+    and is reached from a CLI alias; enum's unknown-family message keeps its
+    alias list."""
+    from butterflyseq import cli, families
+    kinds = [value for name, value in vars(families).items()
+             if name.isupper() and isinstance(value, str)]
+    assert sorted(kinds) == sorted(CATALOGUE)
+    for kind, row in CATALOGUE.items():
+        assert (row.head_tail is None) != (row.lister is None), kind
+        assert row.counter or row.head_tail or row.conjugate, kind
+    reached = {fam.kind for fam in cli.FAMILY_ALIASES.values()} | set(cli.BAR_ALIASES.values())
+    assert reached == set(CATALOGUE)
+    assert cli.main(["enum", "nope", "9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown family 'nope' (choose from butterfly, butterfly-even, butterfly-odd, "
+        "butterfly-plus-ones, consec, distinct-not-pow2, equal-triple, odd-ge-1, odd-ge-3, "
+        "odd-ge-5, odd-step1, odd-step1-switched, odd-step2, odd-step2-switched, r1, r1-prime, "
+        "r2, staircase-321, staircase-33, strict, bar-ae, bar-ao, bar-be, bar-bo)\n")

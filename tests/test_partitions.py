@@ -198,8 +198,9 @@ def test_butterfly_enumerator_properties(n):
 
 
 def test_count_head_tail_equals_the_listing():
-    from butterflyseq.families import _HEAD_TAIL
-    for shape, _, _ in set(_HEAD_TAIL.values()):
+    from butterflyseq.families import CATALOGUE
+    for shape in {row.head_tail[0] for row in CATALOGUE.values()
+                  if isinstance(row.head_tail, tuple)}:
         for parity in (None, 0, 1):
             for n in range(71):
                 assert count_head_tail(n, shape, parity) == sum(

@@ -1,5 +1,4 @@
 import collections
-import json
 
 import pytest
 
@@ -22,7 +21,6 @@ from butterflyseq.sequences import (
     SequenceTable,
     crosscheck_table,
     difference,
-    dumps_json,
     exception_form_of,
     mod3_slices,
     named_sequence,
@@ -318,7 +316,6 @@ def test_exports():
     assert to_bfile(t) == "0 1\n1 1\n2 1\n3 2\n4 2\n5 3\n"
     blob = to_json(t)
     assert blob["offset"] == 0 and blob["values"] == [1, 1, 1, 2, 2, 3]
-    assert json.loads(dumps_json(t)) == blob
     r1 = named_sequence("r1", 5)
     assert to_bfile(r1) == "3 0\n4 0\n5 1\n"
 

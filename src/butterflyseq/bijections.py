@@ -10,18 +10,19 @@
   the parity of the second-largest part flips.
 """
 
+import operator
 from typing import NamedTuple
 
 from . import partitions as pt
 from .families import (
     BAR_BE,
     BAR_BO,
+    BAR_KINDS,
     CONSEC,
     CONSEC_ISOLATED,
     CONSEC_WITH_ONE,
     STRICT,
     Family,
-    _bar_sets,
     _in_bar_a,
     _in_bar_b,
     count_table,
@@ -122,21 +123,31 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
     count agreement for every n in [lo, hi].  A range in which no map was
     checked does not pass.
 
-    The raise and butterfly targets are counted, not listed, by exact counts
-    that share no code with the listing of the sources: q(n) - consec(n) and
-    r1'(n), each read from one table per call.  An injective map into the
-    target family, whose size equals the number of sources, is a bijection."""
+    The targets are counted, not listed, by exact counts that share no code
+    with the listing of the sources: q(n) - consec(n), r1'(n) and the B bar
+    sets, each read from one table per call.  An injective map into the
+    target family, whose size equals the number of sources, is a bijection.
+    The sources are counted first, from q, r2 or the A bar sets, and a range
+    that lists more than partitions.LISTING_BUDGET in all is refused."""
     failures = []
     checked = 0
-    q = pt.strict_pentagonal_table(max(hi, 0)) if kind == "raise" else None
-    if kind in ("raise", "butterfly"):
-        pairs = count_table(max(hi, 0), Family(CONSEC if kind == "raise" else CONSEC_ISOLATED))
+    N = max(hi, 0)
+    if kind == "raise":
+        # at n, the strict partitions of n - 1 are listed, and those of n whose
+        # two largest parts are not consecutive counted
+        q = pt.strict_pentagonal_table(N)
+        sources, targets = [0] + q, list(map(operator.sub, q, count_table(N, Family(CONSEC))))
+    elif kind == "butterfly":
+        sources, targets = [0] + count_table(N, _WITH_ONE), count_table(N, _ISOLATED)
+    elif kind == "bar":
+        a_e, a_o, b_e, b_o = (count_table(N, Family(k, h)) for k in BAR_KINDS)
+        sources, targets = list(map(operator.add, a_e, a_o)), list(map(operator.add, b_e, b_o))
+    else:
+        raise ValueError("unknown bijection kind %r" % kind)
+    pt.check_budget(sum(sources[max(lo, 0):hi + 1]), "bij %s on n=%d..%d" % (kind, lo, hi))
     for n in range(lo, hi + 1):
         if kind == "raise":
-            source = enumerate_family(n - 1, Family(STRICT))
-            source = [p for p in source if p.parts]
-            # the strict partitions of n whose two largest parts are not consecutive
-            n_target = q[n] - pairs[n]
+            source = [p for p in enumerate_family(n - 1, Family(STRICT)) if p.parts]
             fwd, back = raise_largest, lower_largest
 
             def member(img, src=None):
@@ -144,24 +155,19 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
                 return (sum(parts) == n and is_strict_tuple(parts)
                         and (len(parts) < 2 or parts[0] - parts[1] >= 2))
         elif kind == "butterfly":
-            source = enumerate_family(n - 1, Family(CONSEC_WITH_ONE))
-            n_target = pairs[n]
+            source = enumerate_family(n - 1, _WITH_ONE)
             fwd, back = butterfly_forward, butterfly_backward
             member = lambda img, src=None: sum(img.parts) == n and in_family(img, _ISOLATED)
-        elif kind == "bar":
-            ae, ao, be, bo = _bar_sets(n, h)
+        else:
+            ae, ao = (enumerate_family(n, Family(k, h)) for k in BAR_KINDS[:2])
             source = ae + ao
-            n_target = len(be) + len(bo)
-            fwd = lambda p: bar_forward(p, h)
-            back = lambda p: bar_backward(p, h)
+            fwd, back = (lambda p: bar_forward(p, h)), (lambda p: bar_backward(p, h))
             ae_set = {p.parts for p in ae}
             # the image family swaps the parity of the second-largest part
             member = lambda img, src=None: sum(img.parts) == n and in_family(
                 img, Family(BAR_BO if src.parts in ae_set else BAR_BE, h))
-            if len(ae) != len(bo) or len(ao) != len(be):
+            if len(ae) != b_o[n] or len(ao) != b_e[n]:
                 failures.append((n, "parity-swapped cardinalities differ"))
-        else:
-            raise ValueError("unknown bijection kind %r" % kind)
 
         images = []
         for p in source:
@@ -178,8 +184,8 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
             images.append(img.parts)
         if len(set(images)) != len(images):
             failures.append((n, "forward map is not injective"))
-        if len(source) != n_target:
+        if len(source) != targets[n]:
             failures.append((n, "count mismatch: %d sources vs %d targets"
-                             % (len(source), n_target)))
+                             % (len(source), targets[n])))
     return BijectionReport(kind, (lo, hi), checked, checked > 0 and not failures,
                            tuple(failures))

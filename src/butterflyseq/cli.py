@@ -63,7 +63,7 @@ def _cmd_enum(args):
 
 # bij kind -> its least --from: the raise map lists the strict partitions of
 # n - 1, and a strict partition of 0 has no largest part to raise; the
-# butterfly map holds from n = 6; the bar map lists the bar sets of n
+# butterfly map holds from n = 6; the bar map lists the A bar sets of n
 _BIJ_FROM = {"raise": 2, "butterfly": 6, "bar": 0}
 
 

@@ -20,9 +20,9 @@ and those with an odd one to the step-2 forms, in both variants, so they
 number s_e(n) and s_o(n); splitmerge.count_capped, which lists them, is the
 oracle of those counts.  Every listed member of r2, of a bar set and of an
 odd-step form is checked against in_family, which stays the oracle, as the
-listings stay the oracle of the counts.  family_tuples returns a listing as
-checked part tuples, which the CLI prints; enumerate_family wraps them as
-Partitions.
+listings stay the oracle of the counts.  family_tuples returns a listing, of
+at most partitions.LISTING_BUDGET members, as checked part tuples, which the
+CLI prints; enumerate_family wraps them as Partitions.
 """
 
 import operator
@@ -31,9 +31,7 @@ from typing import NamedTuple
 from . import partitions as pt
 from . import splitmerge
 from .partitions import (
-    DEFAULT_ENUM_LIMIT,
     Partition,
-    check_limit,
     initial_run,
     is_butterfly_tuple,
     is_strict_tuple,
@@ -63,6 +61,7 @@ BAR_BE = "bar_be"                     # vertical-bar sets (param h)
 BAR_BO = "bar_bo"
 BUTTERFLY_PLUS_ONES = "butterfly_plus_ones"  # butterfly core plus zero, one or two 1-parts
 DISTINCT_NOT_POW2 = "distinct_not_pow2"      # distinct parts, none a power of two
+BAR_KINDS = (BAR_AE, BAR_AO, BAR_BE, BAR_BO)  # the bar sets A_e, A_o, B_e, B_o
 
 
 class Family(NamedTuple):
@@ -289,14 +288,15 @@ def _iter_staircase(n, threes, tail):
     return out
 
 
-def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
-    """The part tuples of enumerate_family(n, f, limit), in its order.  Each
-    passes Partition's check once (partitions.checked_tuples), and each member
-    of a kind marked retest also in_family."""
+def family_tuples(n, f: Family):
+    """The part tuples of enumerate_family(n, f), in its order; refused above
+    partitions.LISTING_BUDGET.  Each passes Partition's check once
+    (partitions.checked_tuples), and each member of a retest kind in_family."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_limit(n, limit)
     row = _row(f)
+    if n > pt.FITS_BUDGET_N:
+        pt.check_budget(count_family(n, f), "%s at n=%d" % (f, n))
     head_tail = _head_tail_row(row, f.param)
     if head_tail is None:
         tuples = row.lister(n, f.param)
@@ -318,10 +318,10 @@ def family_tuples(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
     return result
 
 
-def enumerate_family(n, f: Family, limit=DEFAULT_ENUM_LIMIT):
+def enumerate_family(n, f: Family):
     """All partitions of n in the family, lexicographically decreasing: the
-    Partitions of family_tuples(n, f, limit)."""
-    return list(map(Partition._wrap, family_tuples(n, f, limit)))
+    Partitions of family_tuples(n, f)."""
+    return list(map(Partition._wrap, family_tuples(n, f)))
 
 
 def _iter_odd_parts(n, bound):
@@ -331,20 +331,14 @@ def _iter_odd_parts(n, bound):
                                for _ in range(n // x)), [(n, None, ())])
 
 
-def _bar_sets(n, h):
-    """The four bar sets at (n, h) as (A_e, A_o, B_e, B_o), each listed from
-    its head-and-tail row and checked member by member against _in_bar_a or
-    _in_bar_b."""
-    return tuple(enumerate_family(n, Family(kind, h))
-                 for kind in (BAR_AE, BAR_AO, BAR_BE, BAR_BO))
-
-
 def count_table(N, f: Family, parity=None):
     """[count_family(n, f) for n in 0..N] with no listing, for a kind with a
     head-and-tail row or a staircase: per end of the row, one packed table of
     its shape (partitions.count_head_tail_table) shifted by the end's sum.  A
     parity keeps the members whose second part (staircase: length) has it."""
     kind, flip = _row(f).conjugate or (f.kind, 0)
+    if CATALOGUE[kind].head_tail is None:
+        raise ValueError("count_table counts no %s: it has no head-and-tail row" % kind)
     shape, fixed, ends = _head_tail_row(CATALOGUE[kind], f.param)
     fixed = fixed if parity is None else parity ^ flip
     table = [0] * (N + 1)
@@ -358,7 +352,7 @@ def count_table(N, f: Family, parity=None):
 
 
 def count_family(n, f: Family) -> int:
-    """len(family_tuples(n, f)) with no listing and no limit: the row's
+    """len(family_tuples(n, f)) with no listing and no budget: the row's
     counter, or count_table."""
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -28,8 +28,8 @@ big-integer shift-add, in a product (_packed_product, which adds the
 factors above degree N/2 of each octave of a range as one prefix sum) and
 in a nested sum over k (_packed_nested_sum: the series filtration sums
 and, with factors 1 + x^j, count_head_tail_table, which counts every
-head-and-tail family and the staircases without listing, so
-DEFAULT_ENUM_LIMIT does not bound them).
+head-and-tail family and the staircases without listing, so the
+listing budget does not bound them).
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -45,13 +45,16 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, islice
 
-# Desk-scale guard: enumeration is refused above this n unless the caller
-# overrides it explicitly.
-DEFAULT_ENUM_LIMIT = 200
+# A listing holds at most this many items; its size is counted before it
+# starts (count before list), so a refusal costs a count, never a listing.
+LISTING_BUDGET = 10 ** 6
+# p(60) = 966,467 <= LISTING_BUDGET < p(61) = 1,121,505: no family of an
+# n <= FITS_BUDGET_N can exceed the budget, so its listing needs no count.
+FITS_BUDGET_N = 60
 
 
 class EnumerationLimitError(ValueError):
-    """Raised when an enumeration request exceeds the configured size limit."""
+    """Raised, before anything is listed, for a listing above LISTING_BUDGET."""
 
 
 class Record:
@@ -212,12 +215,11 @@ def checked_tuples(tuples):
     return tuples
 
 
-def check_limit(n, limit=DEFAULT_ENUM_LIMIT):
-    if limit is not None and n > limit:
-        raise EnumerationLimitError(
-            "enumeration at n=%d exceeds the limit %d; pass a larger limit to override"
-            % (n, limit)
-        )
+def check_budget(count, what):
+    """Refuse to list ``what``, of ``count`` items, above LISTING_BUDGET."""
+    if count > LISTING_BUDGET:
+        raise EnumerationLimitError("%s: %d to list, above the listing budget of %d"
+                                    % (what, count, LISTING_BUDGET))
 
 
 # ---------------------------------------------------------------------------

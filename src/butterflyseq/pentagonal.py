@@ -12,7 +12,8 @@ even/odd butterfly counts to agree away from the four closed-form inputs.
 
 from typing import NamedTuple
 
-from .families import BUTTERFLY, Family, _bar_sets, _in_bar_a, _in_bar_b, count_table, in_family
+from .families import (
+    BAR_KINDS, BUTTERFLY, Family, _in_bar_a, _in_bar_b, count_table, enumerate_family, in_family)
 from .partitions import Partition
 from .sequences import EXCEPTION_SIGNS, exception_form_of, named_sequence
 
@@ -82,7 +83,7 @@ def enumerate_bars(n, h):
     which stay the oracle."""
     if n < 6 or h < 3:
         raise ValueError("need n >= 6 and h >= 3")
-    return _bar_sets(n, h)
+    return tuple(enumerate_family(n, Family(kind, h)) for kind in BAR_KINDS)
 
 
 EQUAL = "equal"

@@ -113,7 +113,7 @@ def named_sequence(name, N) -> SequenceTable:
     (_P_WEIGHTS) to p, by construction here.  The O(N^2) counting DPs and the
     family enumerations they are cross-checked against live in
     crosscheck_table, counting_dp and the test suite.  The _COUNTED tables are
-    one packed head-and-tail table each, not listings, so the listing limit
+    one packed head-and-tail table each, not listings, so the listing budget
     spares them; r1'', s_e and s_o come n by n from count_butterfly.
     """
     if name not in _OFFSETS:
@@ -214,11 +214,6 @@ def exception_form_of(n):
     return hits[0]
 
 
-# parity_exception_inputs lists at most this many inputs.  About 4 sqrt(2N/3)
-# of them lie below N, so every N up to about 9 * 10^10 is answered.
-EXCEPTION_LIST_BUDGET = 10 ** 6
-
-
 def _exception_count(N):
     """len(parity_exception_inputs(N)), without listing: each form exceeds
     3t^2/2 at t, so its largest t with a value <= N is at most isqrt(2N/3),
@@ -234,16 +229,15 @@ def _exception_count(N):
 
 def parity_exception_inputs(N):
     """All inputs <= N of the four closed forms with t >= 2, ascending.
-    Refused (ValueError) when there are more than EXCEPTION_LIST_BUDGET.
+    Refused (partitions.EnumerationLimitError, a ValueError) when there are
+    more than partitions.LISTING_BUDGET: about 4 sqrt(2N/3) of them lie below
+    N, so every N up to about 9 * 10^10 is answered.
 
     Note: the published list of these inputs up to 51 omits two entries (26
     and 40); see DEVIATIONS.md.  The computed list is the authoritative one
     and agrees with enumeration of the even/odd butterfly counts.
     """
-    count = _exception_count(N)
-    if count > EXCEPTION_LIST_BUDGET:
-        raise ValueError("%d exceptional inputs lie below %d, above the listing budget of %d"
-                         % (count, N, EXCEPTION_LIST_BUDGET))
+    pt.check_budget(_exception_count(N), "the exceptional inputs up to %d" % N)
     return sorted({v for v, _, _ in _exception_values(N)})
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from butterflyseq import bijections
 from butterflyseq.bijections import (
     BijectionError,
     BijectionReport,
@@ -16,7 +17,7 @@ from butterflyseq.families import (
     BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, CONSEC_ISOLATED, CONSEC_WITH_ONE, STRICT,
     Family, count_family, enumerate_family,
 )
-from butterflyseq.partitions import Partition
+from butterflyseq.partitions import EnumerationLimitError, Partition
 
 P = Partition
 
@@ -178,7 +179,6 @@ def test_bar_round_trip_over_generated_a_sets(n, h, kind):
 def test_target_counts_come_from_one_table_per_call(monkeypatch):
     """The raise and butterfly targets are read from one head-and-tail table
     per call, never from the memoised per-n count_head_tail."""
-    from butterflyseq import bijections
     from butterflyseq.families import CONSEC
     real, tables = bijections.count_table, []
 
@@ -193,4 +193,29 @@ def test_target_counts_come_from_one_table_per_call(monkeypatch):
     monkeypatch.setattr(bijections.pt, "count_head_tail", refuse)
     assert verify_bijection("raise", 2, 24).passed
     assert verify_bijection("butterfly", 6, 30).passed
-    assert tables == [(24, Family(CONSEC)), (30, Family(CONSEC_ISOLATED))]
+    assert tables == [(24, Family(CONSEC)),
+                      (30, Family(CONSEC_WITH_ONE)), (30, Family(CONSEC_ISOLATED))]
+
+
+@pytest.mark.parametrize("kind, lo, hi, sizes", [
+    ("raise", 2, 24, lambda n: count_family(n - 1, Family(STRICT))),
+    ("butterfly", 6, 30, lambda n: count_family(n - 1, Family(CONSEC_WITH_ONE))),
+    ("bar", 6, 30, lambda n: sum(count_family(n, Family(k, 3)) for k in (BAR_AE, BAR_AO)))],
+    ids=["raise", "butterfly", "bar"])
+def test_range_is_served_at_the_budget_and_refused_above_it(monkeypatch, kind, lo, hi, sizes):
+    """A range is counted before its first listing: the sources it lists in
+    all (the targets are counted, not listed), here summed n by n, against
+    the budget."""
+    from butterflyseq import partitions
+    total = sum(map(sizes, range(lo, hi + 1)))
+    monkeypatch.setattr(partitions, "LISTING_BUDGET", total)
+    assert verify_bijection(kind, lo, hi).passed
+    monkeypatch.setattr(partitions, "LISTING_BUDGET", total - 1)
+
+    def refuse(*args):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(bijections, "enumerate_family", refuse)
+    with pytest.raises(EnumerationLimitError,
+                       match="bij %s on n=%d..%d: %d to list" % (kind, lo, hi, total)):
+        verify_bijection(kind, lo, hi)

@@ -374,9 +374,50 @@ def test_listing_limit_does_not_block_a_count(capsys):
     rows = [tuple(map(int, line.split())) for line in out.splitlines()]
     assert code == 0 and rows[-1][0] == 250
     assert rows[-1][1] + rows[-2][1] == named_sequence("r", 250)[250]
-    # listing r1 at the same n is still refused
+    # listing r1 at the same n is still refused, by its count
     code, out, err = run(capsys, "enum", "r1", "250")
-    assert code == 2 and out == "" and "limit" in err
+    assert code == 2 and out == "" and "budget" in err
+    assert str(rows[-1][1]) in err
+
+
+def test_listing_above_the_budget_reaches_no_lister(capsys, monkeypatch):
+    # q(200) = 487,067,746 strict partitions: refused by the count, before
+    # the filler or the head-and-tail lister is called
+    from butterflyseq import families, partitions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    for module in (families, partitions):
+        for name in ("pool_tuples", "iter_head_tail_tuples"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, out, err = run(capsys, "enum", "strict", "200")
+    assert (code, out, calls) == (2, "", [])
+    assert "487067746" in err and "budget" in err and err.count("\n") == 1
+
+
+def test_listing_above_n_200_answers_when_its_count_fits(capsys):
+    from butterflyseq.families import BAR_AE, in_family
+    code, out, _ = run(capsys, "enum", "bar-ae", "300", "--h", "10")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 19
+    fam = Family(BAR_AE, 10)
+    for line in lines:
+        p = Partition(line.split("+"))
+        assert p.n == 300 and in_family(p, fam), line
+
+
+def test_bijection_range_above_the_budget_is_refused_at_once():
+    # the raise map over 2..201 would list q(1) + ... + q(200), some 8 * 10^9
+    # strict partitions; counted from the q table, the range is refused
+    # before its first listing
+    done = _fresh_cli(["bij", "raise", "--from", "2", "--to", "201"], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "budget" in done.stderr
 
 
 def test_diagram(capsys):

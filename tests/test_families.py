@@ -1,10 +1,11 @@
 import functools
+import re
 
 import pytest
 
 from butterflyseq.families import (
     BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD,
-    BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE,
+    BAR_KINDS, BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE,
     CONSEC_WITH_ONE, DISTINCT_NOT_POW2, EQUAL_TRIPLE, ODD_GE, ODD_STEP1,
     ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED, STAIRCASE_321,
     STAIRCASE_33, STRICT,
@@ -109,28 +110,17 @@ def test_family_str():
     assert str(Family(BUTTERFLY)) == "butterfly"
 
 
-@pytest.mark.parametrize("kind,param", [
-    (STRICT, None), (CONSEC, None), (CONSEC_NO_ONE, None),
-    (CONSEC_WITH_ONE, None), (CONSEC_ISOLATED, None), (BUTTERFLY, None),
-    (BUTTERFLY_EVEN, None), (BUTTERFLY_ODD, None), (EQUAL_TRIPLE, None),
-    (STAIRCASE_321, None), (STAIRCASE_33, None), (ODD_GE, 3), (ODD_GE, 5),
-    (ODD_STEP1, None), (ODD_STEP2, None), (BUTTERFLY_PLUS_ONES, None),
-    (DISTINCT_NOT_POW2, None), (BAR_AE, 3), (BAR_AO, 3), (BAR_BE, 3),
-    (BAR_BO, 3), (BAR_AE, 4), (BAR_BO, 4),
-])
+@pytest.mark.parametrize("kind,param", [tuple(fam) for fam in ALL_FAMILIES])
 def test_enumeration_is_sound_and_complete(kind, param):
-    """Every listed partition is a member; nothing the predicate accepts is
-    missed; output is duplicate-free and lexicographically decreasing."""
+    """For every kind of the catalogue (odd_ge at b = 1, 3, 5, the bar sets
+    at h = 3..5) and n <= 30, the listing is the partitions of n kept by
+    in_family, in their order, so every listed member passes in_family, and
+    count_family is its length."""
     fam = Family(kind, param)
-    for n in range(0, 31):
-        listed = enumerate_family(n, fam)
-        assert len(set(listed)) == len(listed)
-        assert listed == sorted(listed, reverse=True)
-        for p in listed:
-            assert p.n == n
-            assert in_family(p, fam)
-        by_filter = [p.parts for p in partitions_of(n) if in_family(p, fam)]
-        assert [p.parts for p in listed] == by_filter
+    for n in range(31):
+        want = [p.parts for p in partitions_of(n) if in_family(p, fam)]
+        assert family_tuples(n, fam) == want, n
+        assert count_family(n, fam) == len(want), n
 
 
 def test_equal_triple_excludes_the_all_twos_case():
@@ -158,9 +148,10 @@ def test_butterfly_plus_ones_counts_three_term_sums():
 
 
 def test_enumeration_limit_guard():
-    with pytest.raises(EnumerationLimitError):
+    # s(201) = 1,708,866 butterflies: above the listing budget
+    with pytest.raises(EnumerationLimitError, match="%d to list" % count_butterfly(201)):
         enumerate_family(201, Family(BUTTERFLY))
-    # the limit guards listing, and count_family lists nothing
+    # the budget guards listing, and count_family lists nothing
     assert count_family(201, Family(ODD_STEP1)) == count_table(201, Family(BUTTERFLY), 0)[201] > 0
     assert count_family(500, Family(STRICT)) == count_strict_table(500)[500] > 0
     assert count_family(250, Family(BUTTERFLY_EVEN)) == count_butterfly(250, 0)
@@ -190,7 +181,6 @@ def test_head_and_tail_listings_equal_the_filtered_candidates():
         assert [p.parts for p in enumerate_family(n, Family(EQUAL_TRIPLE))] == want, n
 
 
-BAR_KINDS = (BAR_AE, BAR_AO, BAR_BE, BAR_BO)
 ODD_STEP_KINDS = (ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED)
 
 
@@ -382,7 +372,7 @@ def test_rows_with_ends_count_their_listings():
 
 def test_rows_are_counted_without_listing(monkeypatch):
     """count_family answers the bar sets, the butterflies plus ones and the
-    odd-step forms above the listing limit, with every lister refused: at
+    odd-step forms above the listing budget, with every lister refused: at
     n = 250 the bar sets swap the parity of the second part in pairs
     (|A_e| = |B_o|, |A_o| = |B_e|) and the butterflies plus ones are the
     partitions into odd parts >= 5; at n = 201 and 250 the step-1 forms
@@ -419,18 +409,6 @@ def test_bar_sets_below_size_three_are_empty():
                 assert family_tuples(n, fam) == [] and count_family(n, fam) == 0, (fam, n)
 
 
-def test_every_catalogue_kind_counts_lists_and_tests_alike():
-    """For every kind of the catalogue (odd_ge at b = 1, 3, 5, the bar sets
-    at h = 3..5) and n <= 30, the listing is the partitions of n kept by
-    in_family, in their order, so every listed member passes in_family, and
-    count_family is its length."""
-    for n in range(31):
-        for fam in ALL_FAMILIES:
-            want = [p.parts for p in partitions_of(n) if in_family(p, fam)]
-            assert family_tuples(n, fam) == want, (fam, n)
-            assert count_family(n, fam) == len(want), (fam, n)
-
-
 @pytest.mark.parametrize("variant, forms", [(STANDARD, (ODD_STEP1, ODD_STEP2)),
                                             (SWITCHED, (ODD_STEP1_SWITCHED, ODD_STEP2_SWITCHED))],
                          ids=[STANDARD, SWITCHED])
@@ -440,6 +418,35 @@ def test_odd_step_forms_are_counted_by_the_merging_and_splitting_theorem(variant
     those counts for n <= 80."""
     for n in range(81):
         assert tuple(count_family(n, Family(kind)) for kind in forms) == count_capped(n, variant), n
+
+
+@pytest.mark.parametrize("n, fam", [(70, Family(BUTTERFLY)), (70, Family(ODD_GE, 5)),
+                                    (80, Family(BAR_AE, 3))], ids=str)
+def test_listing_is_served_at_the_budget_and_refused_above_it(monkeypatch, n, fam):
+    """Above FITS_BUDGET_N a listing is counted first: with the budget at its
+    count it is served, one below it refused, naming the count."""
+    from butterflyseq import partitions
+    assert n > partitions.FITS_BUDGET_N
+    count = count_family(n, fam)
+    monkeypatch.setattr(partitions, "LISTING_BUDGET", count)
+    assert len(family_tuples(n, fam)) == count > 0
+    monkeypatch.setattr(partitions, "LISTING_BUDGET", count - 1)
+    with pytest.raises(EnumerationLimitError,
+                       match=re.escape("%s at n=%d: %d to list" % (fam, n, count))):
+        family_tuples(n, fam)
+
+
+def test_count_table_refuses_a_kind_without_a_head_and_tail_row():
+    """count_table counts the head-and-tail rows and the staircases; any
+    other kind is a ValueError that names it."""
+    uncounted = {fam.kind for fam in ALL_FAMILIES if CATALOGUE[fam.kind].head_tail is None
+                 and CATALOGUE[fam.kind].conjugate is None}
+    assert uncounted == {STRICT, ODD_GE, ODD_STEP1, ODD_STEP2, ODD_STEP1_SWITCHED,
+                         ODD_STEP2_SWITCHED, DISTINCT_NOT_POW2}
+    for fam in ALL_FAMILIES:
+        if fam.kind in uncounted:
+            with pytest.raises(ValueError, match=fam.kind):
+                count_table(10, fam)
 
 
 def test_unknown_kind_is_refused_by_every_lookup():

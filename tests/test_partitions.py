@@ -223,11 +223,24 @@ def test_distinct_with_parts_counter():
 
 
 def test_enumeration_limit():
-    from butterflyseq.partitions import check_limit
-    with pytest.raises(EnumerationLimitError):
-        check_limit(201)
-    check_limit(201, limit=300)
-    check_limit(200)
+    """A listing is refused by its count, not by n: up to LISTING_BUDGET items
+    pass, one more is refused with the count and the budget named."""
+    from butterflyseq.partitions import LISTING_BUDGET, check_budget
+    check_budget(LISTING_BUDGET, "a listing")
+    check_budget(0, "a listing")
+    with pytest.raises(EnumerationLimitError,
+                       match="a listing: %d to list, above the listing budget of %d"
+                       % (LISTING_BUDGET + 1, LISTING_BUDGET)):
+        check_budget(LISTING_BUDGET + 1, "a listing")
+    assert issubclass(EnumerationLimitError, ValueError)  # exit 2 at the CLI
+
+
+def test_no_family_of_n_up_to_the_skip_bound_exceeds_the_budget():
+    """family_tuples lists an n <= FITS_BUDGET_N without counting it first:
+    p(n) bounds every family of n, and the bound is the largest such n."""
+    from butterflyseq.partitions import FITS_BUDGET_N, LISTING_BUDGET
+    p = count_partitions_table(FITS_BUDGET_N + 1)
+    assert p[FITS_BUDGET_N] <= LISTING_BUDGET < p[FITS_BUDGET_N + 1]
 
 
 def _expand_euler_product(N, step):

@@ -173,7 +173,7 @@ def test_parity_counts_equal_the_enumerated_families():
 def test_parity_refined_counts_list_nothing(monkeypatch):
     """The equal-triple and staircase counts come from their counted tables:
     with the listers refused, the relations still hold, also at n = 500,
-    above the listing limit."""
+    above the listing budget."""
     from butterflyseq import families
 
     def refuse(*args, **kwargs):

@@ -140,9 +140,9 @@ def test_exception_count_is_the_listed_length():
 
 
 def test_exception_listing_refused_just_above_its_budget(monkeypatch):
-    from butterflyseq import sequences
+    from butterflyseq import partitions, sequences
     listed = parity_exception_inputs(500)
-    monkeypatch.setattr(sequences, "EXCEPTION_LIST_BUDGET", len(listed))
+    monkeypatch.setattr(partitions, "LISTING_BUDGET", len(listed))
     assert parity_exception_inputs(500) == listed
     nxt = next(N for N in range(501, 1000) if sequences._exception_count(N) > len(listed))
     with pytest.raises(ValueError, match="budget"):

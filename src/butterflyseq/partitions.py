@@ -29,7 +29,9 @@ factors above degree N/2 of each octave of a range as one prefix sum) and
 in a nested sum over k (_packed_nested_sum: the series filtration sums
 and, with factors 1 + x^j, count_head_tail_table, which counts every
 head-and-tail family and the staircases without listing, so the
-listing budget does not bound them).
+listing budget does not bound them).  The pentagonal kernel solves each of
+its three tables (q, p and the checksum base) once per process and extends
+it on demand (solved_prefix).
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -43,7 +45,7 @@ import math
 import operator
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 
 # A listing holds at most this many items; its size is counted before it
 # starts (count before list), so a refusal costs a count, never a listing.
@@ -376,11 +378,15 @@ def triangular_series(N, weights):
     return out
 
 
-def sparse_solve(rhs, terms):
+def sparse_solve(rhs, terms, head=()):
     """v with v * (1 + sum of c x^o over the terms (o, c)) = rhs through
     degree len(rhs) - 1: ascending division by a sparse polynomial with
     constant term 1.  The terms come in ascending order of their offsets
     1 <= o < len(rhs), each c an integer (terms at one offset add up).
+
+    ``head``, at most len(rhs) long, is a known prefix of v: the stretches
+    below len(head) are skipped and rhs is read only from len(head) on, so
+    extending a solution from n to N costs the coefficients n + 1..N alone.
 
     v[m] is rhs[m] less the weighted v[m - o] over the offsets o <= m, which
     costs one addition per term and coefficient.  Between two offsets the
@@ -394,12 +400,12 @@ def sparse_solve(rhs, terms):
     # v[0] is a zero sentinel: with v[1..m] holding v[0..m-1] when v[m] is
     # due, v[m - o] is v[-o], and index 0 makes each getter name at least
     # two items, so that it always returns a tuple
-    v = [0]
+    v = [0, *head]
     append = v.append
     # 0, then -o for the terms x^o, -x^o and c x^o with |c| > 1 (weights: c)
     plus, minus, other, weights = [0], [0], [0], [0]
     gather_plus = gather_minus = operator.itemgetter(0, 0)
-    start = 0
+    start = len(head)
     # (N + 1, 0) closes the last stretch and adds no term
     for o, c in chain(terms, ((N + 1, 0),)):
         if o > start:  # the coefficients before o share the terms so far
@@ -409,11 +415,11 @@ def sparse_solve(rhs, terms):
                 gather_minus = operator.itemgetter(*minus)
             if len(other) > 1:
                 gather_other = operator.itemgetter(*other)
-                for r in islice(rhs, start, o):
+                for r in rhs[start:o]:
                     append(r - sum(gather_plus(v)) + sum(gather_minus(v))
                            - sum(map(operator.mul, weights, gather_other(v))))
             else:
-                for r in islice(rhs, start, o):
+                for r in rhs[start:o]:
                     append(r - sum(gather_plus(v)) + sum(gather_minus(v)))
             start = o
         if c == 1:  # None: rebuilt once before the next stretch
@@ -429,21 +435,48 @@ def sparse_solve(rhs, terms):
     return v
 
 
-def pentagonal_solve(rhs, step):
+def pentagonal_solve(rhs, step, head=()):
     """v with v * prod_{j>=1} (1 - x^{step j}) = rhs through degree len(rhs) - 1:
     sparse_solve over the product's pentagonal terms, O(N^{3/2}) additions
-    for N + 1 coefficients."""
-    return sparse_solve(rhs, pentagonal_offsets(len(rhs) - 1, step))
+    for N + 1 coefficients, or for the coefficients from len(head) on when
+    ``head`` is a known prefix of v."""
+    return sparse_solve(rhs, pentagonal_offsets(len(rhs) - 1, step), head)
+
+
+# The pentagonal solutions this process has built, one per key: q (rhs
+# E(x^2), step 1), p (rhs 1, step 1) and the checksum base theta / E(x^2)
+# (step 2).  Each is the longest table a single call asked for, and is
+# only ever extended, never rebuilt.
+SOLVED_KEYS = ("q", "p", "theta")
+_SOLVED = {}
+
+
+def solved_prefix(key, N, rhs_of, step):
+    """[v(0..N)], a fresh list, of the solution v of
+    v * prod (1 - x^{step j}) = rhs_of(N) stored under ``key``.
+
+    A call past the stored table solves rhs_of(N) from the stored head on
+    (pentagonal_solve) and replaces it; any other call is a copy.  A solve
+    that raises leaves the store as it was.  So the store holds at most one
+    table per key of SOLVED_KEYS, none longer than the longest one asked for.
+    """
+    if key not in SOLVED_KEYS:
+        raise ValueError("no stored pentagonal table %r" % key)
+    v = _SOLVED.get(key, [])
+    if len(v) <= N:
+        v = _SOLVED[key] = pentagonal_solve(rhs_of(N), step, v)
+    return v[:N + 1]
 
 
 def strict_pentagonal_table(N):
-    """[q(0..N)]: distinct-part partition counts in O(N^{3/2}).
+    """[q(0..N)]: distinct-part partition counts in O(N^{3/2}), a fresh list
+    from the stored "q" table (solved_prefix), extended only past its end.
 
     prod (1 + x^j) = prod (1 - x^{2j}) / prod (1 - x^j), so q solves
     Q(x) E(x) = E(x^2) with E(x) = prod (1 - x^j); both products are read
     off the pentagonal theorem.
     """
-    return pentagonal_solve(euler_product(N, 2), 1)
+    return solved_prefix("q", N, lambda n: euler_product(n, 2), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ them; solving that relation for name(m) rebuilds the whole table.
 
 from math import isqrt
 
-from .partitions import pentagonal_offsets, pentagonal_solve, triangular_series
-from .sequences import DIFF_WEIGHTS, RECURRENCE, SequenceTable, counting_dp, named_sequence
+from . import partitions as pt
+from .partitions import pentagonal_offsets, triangular_series
+from .sequences import (DIFF_WEIGHTS, RECURRENCE, SequenceTable, _weighted, counting_dp,
+                        named_sequence)
 
 PENT_BASES = {"q": "p", "r": "dp", "s": "d2p"}
 
@@ -155,11 +157,18 @@ def expected_checksum_series(name, N):
 
 def recursive_solve(name, N) -> SequenceTable:
     """Rebuild the table from the checksum relation alone: the table times
-    prod (1 - x^{2j}) is the expected checksum series, so
-    name(m) = expected_checksum(name, m) - alternating pentagonal sum.  The
-    right-hand side is expected_checksum_series, and pentagonal_solve divides
-    it in O(N^{3/2})."""
+    prod (1 - x^{2j}) is the expected checksum series, theta times the
+    name's difference polynomial, so
+    name(m) = expected_checksum(name, m) - alternating pentagonal sum.
+    Dividing by prod (1 - x^{2j}) commutes with multiplying by the
+    polynomial, so every name weights one base, theta / prod (1 - x^{2j}),
+    which pentagonal_solve divides in O(N^{3/2}) from
+    expected_checksum_series("q", N).  The base is kept in the process's
+    store under "theta" (partitions.solved_prefix), apart from the
+    production q and p tables, so the route never reads them."""
     if N < 0:
         raise ValueError("N=%d below the offset 0 of %s" % (N, name))
-    return SequenceTable(name, 0, pentagonal_solve(expected_checksum_series(name, N), 2),
-                         RECURRENCE)
+    if name not in DIFF_WEIGHTS:
+        raise ValueError("unknown checksum sequence %r" % name)
+    theta = pt.solved_prefix("theta", N, lambda n: expected_checksum_series("q", n), 2)
+    return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], theta), RECURRENCE)

@@ -108,7 +108,9 @@ def named_sequence(name, N) -> SequenceTable:
 
     q and p come from the pentagonal kernel (partitions.pentagonal_solve,
     O(N^{3/2}) additions): q solves Q(x) E(x) = E(x^2) and p solves
-    P(x) E(x) = 1, with E(x) = prod (1 - x^j).  r, s and t apply their
+    P(x) E(x) = 1, with E(x) = prod (1 - x^j).  Each is read off its table
+    in the process's store (partitions.solved_prefix), so a call at or below
+    the longest N asked for so far solves nothing.  r, s and t apply their
     difference polynomials (DIFF_WEIGHTS) to q, and dp and d2p theirs
     (_P_WEIGHTS) to p, by construction here.  The O(N^2) counting DPs and the
     family enumerations they are cross-checked against live in
@@ -124,7 +126,7 @@ def named_sequence(name, N) -> SequenceTable:
     if name in DIFF_WEIGHTS:
         return _strict_difference_table(name, pt.strict_pentagonal_table(N))
     if name in _P_WEIGHTS:
-        vals = _weighted(_P_WEIGHTS[name], pt.pentagonal_solve([1] + [0] * N, 1))
+        vals = _weighted(_P_WEIGHTS[name], pt.solved_prefix("p", N, lambda n: [1] + [0] * n, 1))
         if name == "d2p":  # + x - x^2
             vals[1:3] = [v + c for v, c in zip(vals[1:3], (1, -1))]
         return SequenceTable(name, 0, vals)

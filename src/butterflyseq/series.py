@@ -360,8 +360,9 @@ class _Sides:
     expansions, filtered series and sequence tables its identities name.  The
     strict counts of "distinct" also give "double" and the tables q, r, s and
     t, and "butterfly" and "tail" share their terms, so one filtration sum
-    serves both.  It lives as long as the call, so nothing is kept from one
-    call to the next."""
+    serves both.  It lives as long as the call, so nothing it builds is kept
+    from one call to the next; only the q table under "distinct" is the
+    process's stored one (partitions.solved_prefix)."""
 
     def __init__(self, N):
         self.N = N

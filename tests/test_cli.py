@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from butterflyseq import cli
+from butterflyseq import partitions as pt
 from butterflyseq.cli import main
 from butterflyseq.families import Family, enumerate_family
 from butterflyseq.partitions import Partition
@@ -316,6 +317,19 @@ def test_size_beyond_memory_is_usage_error(argv):
     done = _fresh_cli(argv, timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
+
+
+def test_solve_beyond_memory_leaves_the_stored_tables(capsys):
+    # the right-hand side of 10^14 coefficients is refused at its allocation,
+    # before the stored checksum base is touched
+    first = run(capsys, "solve", "s", "--to", "300")
+    assert first[0] == 0
+    stored = {key: list(v) for key, v in pt._SOLVED.items()}
+    code, out, err = run(capsys, "solve", "s", "--to", "99999999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size out of range (") and err.count("\n") == 1
+    assert pt._SOLVED == stored and set(stored) == {"theta"}
+    assert run(capsys, "solve", "s", "--to", "300") == first
 
 
 def test_exception_list_beyond_its_budget_is_usage_error():

@@ -20,6 +20,7 @@ import pytest
 from butterflyseq import partitions as pt
 from butterflyseq import series
 from butterflyseq.families import CATALOGUE, pow2_free_parts
+from butterflyseq.recurrences import recursive_solve
 from butterflyseq.sequences import (
     _P_WEIGHTS, DIFF_WEIGHTS, SequenceTable, _weighted, counting_dp, difference, named_sequence,
     to_bfile)
@@ -414,9 +415,9 @@ def test_verify_all_solves_q_once_and_builds_each_nested_sum_once(monkeypatch):
     butterfly and tail kinds serves three filtered series."""
     solves, sums = [], Counter()
 
-    def solve(rhs, step):
+    def solve(rhs, step, head=()):
         solves.append(len(rhs))
-        return real_solve(rhs, step)
+        return real_solve(rhs, step, head)
 
     def nested(N, j0, k_lo, exponent, *rest):
         sums[(N, j0, k_lo, tuple(map(exponent, range(k_lo, k_lo + 50))))] += 1
@@ -532,6 +533,132 @@ def test_pentagonal_solve_equals_the_per_coefficient_sums(step):
         want = _pentagonal_solve_by_sums(rhs, step)
         for n in range(402):
             assert pt.pentagonal_solve(rhs[:n], step) == want[:n], (step, n)
+
+
+class _ReadLog(list):
+    """A right-hand side that logs the index each read of it starts at."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.starts = []
+
+    def __getitem__(self, i):
+        self.starts.append(i.indices(len(self))[0] if isinstance(i, slice) else i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.starts.append(0)
+        return super().__iter__()
+
+
+def test_sparse_solve_resumes_from_every_prefix():
+    """With the first k coefficients of the solution as its head, the kernel
+    returns the whole solution, for every k, and reads rhs from k on only
+    (none of it for a whole head).  The pentagonal terms at steps 1 and 2
+    (c = +-1) and div_exact-style terms with c = +-1, |c| > 1 and repeated
+    offsets, so that each of the three getters resumes."""
+    rng = random.Random(29)
+    rhs = _signed(rng, 201, 40)
+    term_lists = [list(pt.pentagonal_offsets(200, 1)), list(pt.pentagonal_offsets(200, 2)),
+                  [(1, -1), (2, 3), (2, 1), (5, 1), (7, -2), (40, -1), (40, 2), (150, 1)]]
+    for terms in term_lists:
+        full = pt.sparse_solve(rhs, terms)
+        for k in range(len(full) + 1):
+            read = _ReadLog(rhs)
+            assert pt.sparse_solve(read, terms, head=full[:k]) == full, (terms[:3], k)
+            assert min(read.starts, default=k) >= k, (terms[:3], k)
+        assert read.starts == []  # the whole solution as head: rhs is not read
+
+
+# -- the stored pentagonal tables ----------------------------------------------------
+
+# key -> (the table of N through the store, its step, its part-by-part reference)
+STORED = {
+    "q": (pt.strict_pentagonal_table, 1, pt.count_strict_table),
+    "p": (lambda N: list(named_sequence("p", N).values), 1, pt.count_partitions_table),
+    "theta": (lambda N: list(recursive_solve("q", N).values), 2, pt.count_strict_table),
+}
+
+
+def _counted_kernel(monkeypatch):
+    calls = []
+    real = pt.pentagonal_solve
+
+    def counted(rhs, step, head=()):
+        calls.append((len(rhs), step, list(head)))
+        return real(rhs, step, head)
+    monkeypatch.setattr(pt, "pentagonal_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(STORED))
+def test_stored_table_is_solved_once_and_extended_from_its_head(monkeypatch, key):
+    """A call at or below the stored length never reaches the kernel; a
+    longer one reaches it once, with the stored table as its head."""
+    table, step, reference = STORED[key]
+    want = reference(400)
+    calls = _counted_kernel(monkeypatch)
+    assert table(300) == want[:301]
+    assert calls == [(301, step, [])]
+    for N in (300, 0, 17, 299, 300):
+        assert table(N) == want[:N + 1], N
+    assert len(calls) == 1
+    assert table(400) == want
+    assert calls[1:] == [(401, step, want[:301])]
+    assert list(pt._SOLVED) == [key] and pt._SOLVED[key] == want
+
+
+def test_store_holds_one_table_per_key_as_long_as_the_longest_call():
+    """Whatever the calls, the store holds at most the three keys, each
+    exactly one longer than the largest N asked of it, and refuses others."""
+    rng = random.Random(31)
+    longest = {}
+    calls = [("q", pt.strict_pentagonal_table)] + [
+        ("q", lambda N, name=name: named_sequence(name, N)) for name in DIFF_WEIGHTS] + [
+        ("p", lambda N, name=name: named_sequence(name, N)) for name in _P_WEIGHTS] + [
+        ("theta", lambda N, name=name: recursive_solve(name, N)) for name in DIFF_WEIGHTS]
+    for _ in range(60):
+        key, call = rng.choice(calls)
+        N = rng.randint(0, 500)
+        call(N)
+        longest[key] = max(longest.get(key, -1), N)
+        assert set(pt._SOLVED) <= set(pt.SOLVED_KEYS)
+        assert {k: len(v) for k, v in pt._SOLVED.items()} == {
+            k: N + 1 for k, N in longest.items()}
+    with pytest.raises(ValueError, match="no stored pentagonal table"):
+        pt.solved_prefix("r", 10, lambda n: [1] + [0] * n, 1)
+
+
+def test_a_mutated_table_does_not_change_the_next_answer():
+    want = pt.count_strict_table(60)
+    q = pt.strict_pentagonal_table(60)
+    q[20] += 1
+    q.append(7)
+    del q[:3]
+    assert pt.strict_pentagonal_table(60) == want
+    assert pt.strict_pentagonal_table(30) == want[:31]
+    vals = pt.solved_prefix("p", 40, lambda n: [1] + [0] * n, 1)
+    vals[1:3] = [0, 0]  # as d2p's correction would, on the store's own list
+    assert list(named_sequence("p", 40).values) == pt.count_partitions_table(40)
+
+
+def test_a_failed_extension_leaves_the_stored_table(monkeypatch):
+    """A kernel that raises (here MemoryError, once) leaves the stored table
+    as it was, and the next call answers from it."""
+    want = pt.count_strict_table(500)
+    assert pt.strict_pentagonal_table(100) == want[:101]
+    stored = pt._SOLVED["q"]
+    real = pt.pentagonal_solve
+
+    def fail_once(*args):
+        monkeypatch.setattr(pt, "pentagonal_solve", real)
+        raise MemoryError
+
+    monkeypatch.setattr(pt, "pentagonal_solve", fail_once)
+    with pytest.raises(MemoryError):
+        pt.strict_pentagonal_table(500)
+    assert pt._SOLVED == {"q": want[:101]} and pt._SOLVED["q"] is stored
+    assert pt.strict_pentagonal_table(500) == want
 
 
 def test_div_exact_equals_the_per_cell_loop():

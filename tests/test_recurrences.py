@@ -1,6 +1,7 @@
 import pytest
 
 import golden
+from butterflyseq import partitions as pt
 from butterflyseq.recurrences import (
     CHECKSUM_NAMES,
     checksum,
@@ -197,3 +198,28 @@ def _solve_term_by_term(name, N):
 @pytest.mark.parametrize("name", CHECKSUM_NAMES)
 def test_recursive_solve_equals_the_term_by_term_loop(name):
     assert list(recursive_solve(name, 800).values) == _solve_term_by_term(name, 800)
+
+
+def test_checksum_route_and_production_tables_keep_separate_stored_tables(monkeypatch):
+    """By the theorem theta / E(x^2) = q, so the checksum base and the
+    production q table hold the same numbers; the solve route must still
+    never read the stored q or p table, nor named_sequence the stored base,
+    so that each route checks the other."""
+    real = pt.solved_prefix
+
+    def refusing(*keys):
+        def solved(key, *args):
+            if key in keys:
+                pytest.fail("read the stored %r table" % key)
+            return real(key, *args)
+        return solved
+
+    monkeypatch.setattr(pt, "solved_prefix", refusing("q", "p"))
+    solved = {name: recursive_solve(name, 200).values for name in CHECKSUM_NAMES}
+    assert set(pt._SOLVED) == {"theta"}
+    pt._SOLVED.clear()
+    monkeypatch.setattr(pt, "solved_prefix", refusing("theta"))
+    for name in CHECKSUM_NAMES + ("p", "dp", "d2p"):
+        table = named_sequence(name, 200)
+        assert table.values == solved.get(name, table.values), name
+    assert set(pt._SOLVED) == {"q", "p"}

@@ -29,9 +29,11 @@ factors above degree N/2 of each octave of a range as one prefix sum) and
 in a nested sum over k (_packed_nested_sum: the series filtration sums
 and, with factors 1 + x^j, count_head_tail_table, which counts every
 head-and-tail family and the staircases without listing, so the
-listing budget does not bound them).  The pentagonal kernel solves each of
-its three tables (q, p and the checksum base) once per process and extends
-it on demand (solved_prefix).
+listing budget does not bound them).  One store per process, solved_prefix,
+keeps the tables built so far under a closed set of keys: the pentagonal
+kernel's three (q, p and the checksum base), each extended on demand from
+its stored head, and the product and filtration-sum sides of the series
+identities, each rebuilt whole when a call asks past it.
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -443,28 +445,41 @@ def pentagonal_solve(rhs, step, head=()):
     return sparse_solve(rhs, pentagonal_offsets(len(rhs) - 1, step), head)
 
 
-# The pentagonal solutions this process has built, one per key: q (rhs
-# E(x^2), step 1), p (rhs 1, step 1) and the checksum base theta / E(x^2)
-# (step 2).  Each is the longest table a single call asked for, and is
-# only ever extended, never rebuilt.
-SOLVED_KEYS = ("q", "p", "theta")
+# The tables this process has built, one per key of SOLVED_KEYS: the
+# pentagonal solutions q (rhs E(x^2), step 1), p (rhs 1, step 1) and the
+# checksum base theta / E(x^2) (step 2), and the sides of the series
+# identities built from the packed kernels (series._Sides): the products
+# ("product", kind, param) of series.expand_product but "distinct" (which
+# is q), and the filtration sums ("sum", c, j0, k_lo) of
+# x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j) over k >= k_lo.  Each is the
+# longest table a single call asked for.
+SOLVED_KEYS = ("q", "p", "theta") + tuple(
+    ("product", kind, param) for kind, param in (
+        ("partitions", None), ("odd_reciprocal", 1), ("odd_reciprocal", 3),
+        ("odd_reciprocal", 5), ("even_reciprocal", None), ("distinct_not_pow2", None),
+        ("double", None))) + tuple(
+    ("sum", c, j0, k_lo) for c, j0, k_lo in (
+        (1, 1, 1), (1, 2, 2), (3, 3, 3), (3, 3, 2), (1, 3, 2), (1, 3, 3)))
 _SOLVED = {}
 
 
-def solved_prefix(key, N, rhs_of, step):
-    """[v(0..N)], a fresh list, of the solution v of
-    v * prod (1 - x^{step j}) = rhs_of(N) stored under ``key``.
+def solved_prefix(key, N, build):
+    """v(0..N), sliced from the table stored under ``key``, so a caller that
+    changes a list it gets changes nothing stored.
 
-    A call past the stored table solves rhs_of(N) from the stored head on
-    (pentagonal_solve) and replaces it; any other call is a copy.  A solve
-    that raises leaves the store as it was.  So the store holds at most one
-    table per key of SOLVED_KEYS, none longer than the longest one asked for.
+    A call past the stored table calls build(head), head the stored table
+    (empty at first), for v(0..N), and stores the result in its place: the
+    pentagonal tables resume from head (pentagonal_solve), the packed ones
+    ignore it and are built whole.  Any other call is a copy of a prefix,
+    the same coefficients through N as a build at N.  A build that raises
+    leaves the store as it was.  So the store holds at most one table per
+    key of SOLVED_KEYS, none longer than the longest one asked for.
     """
     if key not in SOLVED_KEYS:
-        raise ValueError("no stored pentagonal table %r" % key)
+        raise ValueError("no stored table %r" % (key,))
     v = _SOLVED.get(key, [])
     if len(v) <= N:
-        v = _SOLVED[key] = pentagonal_solve(rhs_of(N), step, v)
+        v = _SOLVED[key] = build(v)
     return v[:N + 1]
 
 
@@ -476,7 +491,7 @@ def strict_pentagonal_table(N):
     Q(x) E(x) = E(x^2) with E(x) = prod (1 - x^j); both products are read
     off the pentagonal theorem.
     """
-    return solved_prefix("q", N, lambda n: euler_product(n, 2), 1)
+    return solved_prefix("q", N, lambda head: pentagonal_solve(euler_product(N, 2), 1, head))
 
 
 # ---------------------------------------------------------------------------

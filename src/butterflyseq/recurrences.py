@@ -170,5 +170,6 @@ def recursive_solve(name, N) -> SequenceTable:
         raise ValueError("N=%d below the offset 0 of %s" % (N, name))
     if name not in DIFF_WEIGHTS:
         raise ValueError("unknown checksum sequence %r" % name)
-    theta = pt.solved_prefix("theta", N, lambda n: expected_checksum_series("q", n), 2)
+    theta = pt.solved_prefix(
+        "theta", N, lambda head: pt.pentagonal_solve(expected_checksum_series("q", N), 2, head))
     return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], theta), RECURRENCE)

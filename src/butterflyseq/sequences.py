@@ -126,7 +126,8 @@ def named_sequence(name, N) -> SequenceTable:
     if name in DIFF_WEIGHTS:
         return _strict_difference_table(name, pt.strict_pentagonal_table(N))
     if name in _P_WEIGHTS:
-        vals = _weighted(_P_WEIGHTS[name], pt.solved_prefix("p", N, lambda n: [1] + [0] * n, 1))
+        p = pt.solved_prefix("p", N, lambda head: pt.pentagonal_solve([1] + [0] * N, 1, head))
+        vals = _weighted(_P_WEIGHTS[name], p)
         if name == "d2p":  # + x - x^2
             vals[1:3] = [v + c for v, c in zip(vals[1:3], (1, -1))]
         return SequenceTable(name, 0, vals)

@@ -207,7 +207,9 @@ def expand_product(kind, N, param=None) -> TruncSeries:
     strict partition and one into distinct even parts of total n, the
     coefficient of prod (1 + x^j)(1 + x^{2j}) = prod (1 + x^j + x^{2j} +
     x^{3j}), so at most p(n), and the packed counting DPs' slots hold p(N)
-    with two bits to spare.  A verify call builds each expansion once, and
+    with two bits to spare.  A pure function: every call builds its
+    expansion anew and keeps nothing but the q table it reads.  verify
+    keeps each expansion but "distinct" in the process's store and builds
     "double" from the strict counts of its "distinct" (_Sides).
     """
     if kind in ("distinct", "double"):
@@ -358,11 +360,14 @@ def _filtered(kind, N, k_lo, sum_terms):
 class _Sides:
     """The series one verify call builds at order N, each once: the product
     expansions, filtered series and sequence tables its identities name.  The
-    strict counts of "distinct" also give "double" and the tables q, r, s and
-    t, and "butterfly" and "tail" share their terms, so one filtration sum
-    serves both.  It lives as long as the call, so nothing it builds is kept
-    from one call to the next; only the q table under "distinct" is the
-    process's stored one (partitions.solved_prefix)."""
+    strict counts of "distinct" (the stored q table) also give "double" and
+    the tables q, r, s and t, and "butterfly" and "tail" share their terms,
+    so one filtration sum serves both.  The products and the filtration sums
+    come from the process's store (partitions.solved_prefix): each is built
+    once, at the longest order asked for so far, by expand_product,
+    _double_product or _sum_filtration, and a call at or below that order
+    reads a prefix of it.  The filtered series, tables and everything else
+    live as long as the call."""
 
     def __init__(self, N):
         self.N = N
@@ -373,12 +378,21 @@ class _Sides:
             self._built[key] = build()
         return self._built[key]
 
+    def _stored(self, key, build):
+        """The side under ``key`` of the store, build() giving its
+        coefficients 0..N when the store holds fewer."""
+        return self._get(key, lambda: TruncSeries(
+            self.N, pt.solved_prefix(key, self.N, lambda head: build())))
+
     def product(self, kind, param=None):
+        if kind == "distinct":
+            return self._get(("product", kind, param),
+                             lambda: TruncSeries(self.N, seq.named_sequence("q", self.N).values))
         if kind == "double":
-            return self._get(("product", kind), lambda: TruncSeries(
-                self.N, _double_product(self.product("distinct").coeffs)))
-        return self._get(("product", kind, param),
-                         lambda: expand_product(kind, self.N, param))
+            return self._stored(("product", kind, param),
+                                lambda: _double_product(self.product("distinct").coeffs))
+        return self._stored(("product", kind, param),
+                            lambda: expand_product(kind, self.N, param).coeffs)
 
     def filtered(self, kind, k_lo=None):
         return self._get(("filtered", kind, k_lo),
@@ -387,7 +401,8 @@ class _Sides:
     def _sum_terms(self, kind, k_lo):
         _term_shape(kind, k_lo)  # refuses k_lo below the kind's smallest k
         _, c, j0 = _FILTRATION[kind]
-        return self._get(("sum", c, j0, k_lo), lambda: _sum_filtration(kind, self.N, k_lo))
+        return self._stored(("sum", c, j0, k_lo),
+                            lambda: _sum_filtration(kind, self.N, k_lo).coeffs)
 
     def table(self, name):
         """q, r, s or t, from the strict counts of "distinct"."""
@@ -546,6 +561,8 @@ def verify_identity(name, N) -> IdentityReport:
 def verify_all(N):
     """The reports of every verified identity at order N.  Each product
     expansion, filtered series and table is built once for the whole call
-    and shared by the identities that name it."""
+    and shared by the identities that name it; the products and filtration
+    sums are read from the process's store, and built only when no call
+    has yet asked for order N or above (_Sides)."""
     built = _Sides(N)
     return [_report(name, built) for name in VERIFIED_IDENTITIES]

@@ -401,11 +401,15 @@ def test_verify_all_equals_the_pair_loop_and_cell_loop_reports(monkeypatch):
     orders = list(range(121)) + [700, 2000]
     packed = [series.verify_all(N) for N in orders]
     # verify_all builds "double" from its own strict counts
-    monkeypatch.setattr(series, "_double_product", lambda q: _double_by_cells(len(q) - 1))
+    cells = []
+    monkeypatch.setattr(series, "_double_product",
+                        lambda q: cells.append(len(q)) or _double_by_cells(len(q) - 1))
     monkeypatch.setattr(TruncSeries, "__mul__", _mul_by_pairs)
     monkeypatch.setattr(TruncSeries, "__rmul__", _mul_by_pairs)
+    pt._SOLVED.clear()  # or the stored packed "double" answers every order
     for N, reports in zip(orders, packed):
         assert series.verify_all(N) == reports, N
+    assert cells == [N + 1 for N in orders]  # the cell loop built every order
 
 
 def test_verify_all_solves_q_once_and_builds_each_nested_sum_once(monkeypatch):
@@ -609,8 +613,9 @@ def test_stored_table_is_solved_once_and_extended_from_its_head(monkeypatch, key
 
 
 def test_store_holds_one_table_per_key_as_long_as_the_longest_call():
-    """Whatever the calls, the store holds at most the three keys, each
-    exactly one longer than the largest N asked of it, and refuses others."""
+    """Whatever the calls, the store holds at most the three pentagonal keys,
+    each exactly one longer than the largest N asked of it, and refuses
+    others."""
     rng = random.Random(31)
     longest = {}
     calls = [("q", pt.strict_pentagonal_table)] + [
@@ -622,11 +627,11 @@ def test_store_holds_one_table_per_key_as_long_as_the_longest_call():
         N = rng.randint(0, 500)
         call(N)
         longest[key] = max(longest.get(key, -1), N)
-        assert set(pt._SOLVED) <= set(pt.SOLVED_KEYS)
+        assert set(pt._SOLVED) <= {"q", "p", "theta"} < set(pt.SOLVED_KEYS)
         assert {k: len(v) for k, v in pt._SOLVED.items()} == {
             k: N + 1 for k, N in longest.items()}
-    with pytest.raises(ValueError, match="no stored pentagonal table"):
-        pt.solved_prefix("r", 10, lambda n: [1] + [0] * n, 1)
+    with pytest.raises(ValueError, match="no stored table 'r'"):
+        pt.solved_prefix("r", 10, lambda head: pt.pentagonal_solve([1] + [0] * 10, 1, head))
 
 
 def test_a_mutated_table_does_not_change_the_next_answer():
@@ -637,7 +642,7 @@ def test_a_mutated_table_does_not_change_the_next_answer():
     del q[:3]
     assert pt.strict_pentagonal_table(60) == want
     assert pt.strict_pentagonal_table(30) == want[:31]
-    vals = pt.solved_prefix("p", 40, lambda n: [1] + [0] * n, 1)
+    vals = pt.solved_prefix("p", 40, lambda head: pt.pentagonal_solve([1] + [0] * 40, 1, head))
     vals[1:3] = [0, 0]  # as d2p's correction would, on the store's own list
     assert list(named_sequence("p", 40).values) == pt.count_partitions_table(40)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -429,31 +431,146 @@ def test_report_that_checked_no_degree_is_not_ok():
 
 
 def test_verify_all_builds_each_side_once_per_call(monkeypatch, capsys):
+    """Each product and filtration sum is built once and kept in the
+    process's store: a call at or below the longest order so far builds
+    nothing, and a longer one builds each side exactly once more."""
     from collections import Counter
 
+    from butterflyseq import partitions as pt
     from butterflyseq import series
     from butterflyseq.cli import main
 
     want = [verify_identity(name, 60) for name in VERIFIED_IDENTITIES]
+    want_30 = verify_all(30)
     built = Counter()
 
-    def counting(name):
+    def counting(name, key):
         real = getattr(series, name)
 
         def counted(*args):
-            built[(name,) + args[:1] + args[2:]] += 1
+            built[(name,) + key(*args)] += 1
             return real(*args)
         monkeypatch.setattr(series, name, counted)
 
-    for name in ("expand_product", "filtered_series"):
-        counting(name)
+    counting("expand_product", lambda kind, N, param=None: (kind, param))
+    counting("filtered_series", lambda kind, N, k_lo=None: (kind, k_lo))
+    counting("_double_product", lambda q: ())
+    counting("_sum_filtration", lambda kind, N, k_lo: _FILTRATION[kind][1:] + (k_lo,))
+    pt._SOLVED.clear()  # want built every side before the counters
     assert main(["verify", "all", "--order", "60"]) == 0
     assert capsys.readouterr().out == "\n".join(map(str, want)) + "\n"
     assert built[("expand_product", "partitions", None)] == 1      # 3 uses
-    assert built[("expand_product", "distinct", None)] == 1        # 6 uses
-    assert set(built.values()) == {1}
-    # the sharing ends with the call
+    assert built[("_sum_filtration", 3, 3, 3)] == 1                # butterfly and tail
+    assert ("expand_product", "distinct", None) not in built       # the stored q table
+    assert len(built) == 11 and set(built.values()) == {1}
+    once = dict(built)
+    # the store keeps them past the call
     assert verify_all(60) == want
-    assert built[("expand_product", "partitions", None)] == 2
-    assert built[("expand_product", "distinct", None)] == 2
-    assert set(built.values()) == {2}
+    assert verify_all(30) == want_30
+    assert built == once
+    assert verify_all(61) == [verify_identity(name, 61) for name in VERIFIED_IDENTITIES]
+    assert built == {key: 2 for key in once}
+
+
+# -- the store of verify sides ------------------------------------------------
+
+PRINTED = tuple(name for name in IDENTITIES if name.endswith("-printed"))
+
+# every side verify keeps in the process's store (partitions.SOLVED_KEYS)
+STORED_SIDES = {
+    ("product", "partitions", None), ("product", "odd_reciprocal", 1),
+    ("product", "odd_reciprocal", 3), ("product", "odd_reciprocal", 5),
+    ("product", "even_reciprocal", None), ("product", "distinct_not_pow2", None),
+    ("product", "double", None),
+    ("sum", 1, 1, 1), ("sum", 1, 2, 2), ("sum", 3, 3, 3),     # strict, consec, butterfly/tail
+    ("sum", 3, 3, 2), ("sum", 1, 3, 2), ("sum", 1, 3, 3),     # tail k >= 2, alt_tail
+}
+
+
+def _every_report(N):
+    return verify_all(N) + [verify_identity(name, N) for name in PRINTED]
+
+
+def test_verify_at_shuffled_orders_equals_verify_on_a_fresh_store():
+    from butterflyseq import partitions as pt
+
+    orders = list(range(121)) + [300, 700, 2000]
+    fresh = {}
+    for N in orders:
+        pt._SOLVED.clear()
+        fresh[N] = _every_report(N)
+    pt._SOLVED.clear()
+    random.Random(24).shuffle(orders)
+    for N in orders:
+        assert _every_report(N) == fresh[N], N
+
+
+def test_store_holds_one_side_per_key_as_long_as_the_longest_order():
+    """The keys are the closed set STORED_SIDES and q, whichever identities
+    are asked for, and each table is one longer than the largest order of
+    an identity that reads it."""
+    from butterflyseq import partitions as pt
+
+    reads = {}
+    for name in IDENTITIES:
+        pt._SOLVED.clear()
+        verify_identity(name, 12)
+        reads[name] = set(pt._SOLVED)
+    assert set().union(*reads.values()) == STORED_SIDES | {"q"}
+    assert set(pt.SOLVED_KEYS) == STORED_SIDES | {"q", "p", "theta"}
+    assert len(pt.SOLVED_KEYS) == len(STORED_SIDES) + 3
+    pt._SOLVED.clear()
+    rng = random.Random(7)
+    longest = {}
+    for _ in range(80):
+        name, N = rng.choice(list(IDENTITIES)), rng.randint(0, 400)
+        verify_identity(name, N)
+        for key in reads[name]:
+            longest[key] = max(longest.get(key, -1), N)
+        assert {key: len(v) for key, v in pt._SOLVED.items()} == {
+            key: N + 1 for key, N in longest.items()}
+    _every_report(450)
+    assert {key: len(v) for key, v in pt._SOLVED.items()} == {
+        key: 451 for key in STORED_SIDES | {"q"}}
+
+
+def test_a_side_build_that_raises_leaves_the_store(monkeypatch):
+    """A kernel that raises (here MemoryError, once) while verify extends a
+    side leaves every stored table as it was, and the next call answers."""
+    from butterflyseq import partitions as pt
+
+    want = _every_report(100)
+    pt._SOLVED.clear()
+    _every_report(50)
+    pt.strict_pentagonal_table(100)  # so that the first build past 50 is a side
+    stored = dict(pt._SOLVED)
+    real = pt._packed_nested_sum
+
+    def fail_once(*args):
+        monkeypatch.setattr(pt, "_packed_nested_sum", real)
+        raise MemoryError
+
+    monkeypatch.setattr(pt, "_packed_nested_sum", fail_once)
+    with pytest.raises(MemoryError):
+        verify_all(100)
+    assert pt._SOLVED == stored
+    assert all(pt._SOLVED[key] is table for key, table in stored.items())
+    assert _every_report(100) == want
+    assert {len(v) for v in pt._SOLVED.values()} == {101}
+
+
+def test_expand_product_and_filtered_series_keep_no_side():
+    """The pure functions keep nothing: only the q table that "distinct" and
+    "double" read is stored."""
+    from butterflyseq import partitions as pt
+
+    for N in (0, 30, 300):
+        for kind, param in [(key[1], key[2]) for key in STORED_SIDES if key[0] == "product"]:
+            expand_product(kind, N, param)
+        expand_product("distinct", N)
+        for kind, k_lo in (("strict", None), ("consec", None), ("butterfly_parts", None),
+                           ("odd_ge5_full", None), ("odd_ge5_full", 2),
+                           ("butterfly_full", None), ("butterfly_full", 2),
+                           ("butterfly_alt", None), ("butterfly_alt", 3)):
+            filtered_series(kind, N, k_lo)
+        assert set(pt._SOLVED) == {"q"}, N

@@ -124,7 +124,8 @@ def named_sequence(name, N) -> SequenceTable:
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
     if name in DIFF_WEIGHTS:
-        return _strict_difference_table(name, pt.strict_pentagonal_table(N))
+        q = pt.strict_pentagonal_table(N)
+        return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], q))
     if name in _P_WEIGHTS:
         p = pt.solved_prefix("p", N, lambda head: pt.pentagonal_solve([1] + [0] * N, 1, head))
         vals = _weighted(_P_WEIGHTS[name], p)
@@ -140,12 +141,6 @@ def named_sequence(name, N) -> SequenceTable:
     # process this one passes Python's limit above n = 1500 or so
     vals = [count_family(n, family) for n in range(N, offset - 1, -1)]
     return SequenceTable(name, offset, vals[::-1])
-
-
-def _strict_difference_table(name, q):
-    """The table of q, r, s or t through the degree of the strict counts
-    q[0..N]: q times the name's difference polynomial (DIFF_WEIGHTS)."""
-    return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], q))
 
 
 def _weighted(weights, series):

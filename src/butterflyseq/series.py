@@ -11,6 +11,11 @@ per nonzero term of the sparser factor, so a product with a theta series or
 E(x^2) (O(sqrt(N)) terms) costs O(sqrt(N)) big-integer additions.  w comes
 from the factors alone: no product coefficient exceeds min(nonzero terms)
 max|a| max|b| in magnitude, and a slot holds that bound and a sign bit.
+The identity checker multiplies by a small polynomial (a difference
+polynomial, 1 + x + x^2) with the tables' whole-list pass
+(sequences._weighted), and writes theta_triangular times one at its own
+terms (partitions.triangular_series); the packed multiply is left for the
+products with a theta series, E(x^2) or a product expansion.
 """
 
 from itertools import repeat
@@ -332,25 +337,43 @@ def filtered_series(kind, N, k_lo=None) -> TruncSeries:
     return _filtered(kind, N, k_lo, lambda fkind, k: _sum_filtration(fkind, N, k))
 
 
+# filtered series -> (filtration kind of its sum, the sum's default lower index)
+_FILTERED = {"strict": ("strict", 1), "consec": ("consec", 2),
+             "butterfly_parts": ("butterfly", 3), "odd_ge5_full": ("tail", 3),
+             "butterfly_full": ("tail", 3), "butterfly_alt": ("alt_tail", 2)}
+
+
 def _filtered(kind, N, k_lo, sum_terms):
-    """filtered_series(kind, N, k_lo), with each sum over k >= k_lo of the
-    terms of a filtration kind read from sum_terms(filtration kind, k_lo)."""
-    if kind == "strict":
-        return TruncSeries.one(N) + sum_terms("strict", k_lo or 1)
-    if kind == "consec":
-        return TruncSeries.one(N) + sum_terms("consec", k_lo or 2)
-    if kind == "butterfly_parts":
-        return sum_terms("butterfly", k_lo or 3)
+    """filtered_series(kind, N, k_lo), with the sum over k >= k_lo of the
+    terms of its filtration kind read from sum_terms(filtration kind, k_lo);
+    k_lo None is the default lower index."""
+    if kind not in _FILTERED:
+        raise ValueError("unknown filtered series %r" % kind)
+    fkind, k_default = _FILTERED[kind]
+    tail = sum_terms(fkind, k_default if k_lo is None else k_lo)
+    if kind in ("strict", "consec"):
+        return TruncSeries.one(N) + tail
     if kind == "odd_ge5_full":
-        tail = sum_terms("tail", k_lo or 3)
-        return poly(N, 1, 0, 0, 0, 0, 1, 0, 1) + poly(N, 1, 1, 1) * tail
+        return poly(N, 1, 0, 0, 0, 0, 1, 0, 1) + _weighted((1, 1, 1), tail)
     if kind == "butterfly_full":
-        tail = sum_terms("tail", k_lo or 3)
         return poly(N, 1, -1, 0, 1, -1, 1) + tail
     if kind == "butterfly_alt":
-        tail = sum_terms("alt_tail", k_lo or 2)
         return poly(N, 1, -1) + div_exact(tail, (1, 1))
-    raise ValueError("unknown filtered series %r" % kind)
+    return tail
+
+
+def _weighted(weights, side):
+    """side times the small polynomial with coefficients weights (a
+    difference polynomial of DIFF_WEIGHTS, or 1 + x + x^2), by the tables'
+    whole-list pass (sequences._weighted), not the packed multiply."""
+    return TruncSeries(side.order, seq._weighted(weights, side.coeffs))
+
+
+
+def _triangular(N, name):
+    """theta_triangular times the difference polynomial of the table name,
+    written at the triangular numbers (partitions.triangular_series)."""
+    return TruncSeries(N, pt.triangular_series(N, seq.DIFF_WEIGHTS[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +382,17 @@ def _filtered(kind, N, k_lo, sum_terms):
 
 class _Sides:
     """The series one verify call builds at order N, each once: the product
-    expansions, filtered series and sequence tables its identities name.  The
-    strict counts of "distinct" (the stored q table) also give "double" and
-    the tables q, r, s and t, and "butterfly" and "tail" share their terms,
-    so one filtration sum serves both.  The products and the filtration sums
-    come from the process's store (partitions.solved_prefix): each is built
-    once, at the longest order asked for so far, by expand_product,
-    _double_product or _sum_filtration, and a call at or below that order
-    reads a prefix of it.  The filtered series, tables and everything else
-    live as long as the call."""
+    expansions, filtered series and sequence tables its identities name.
+    "distinct" is the table q, and q, r, s and t are read from
+    sequences.named_sequence (the stored q table times each difference
+    polynomial); the strict counts of "distinct" also give "double", and
+    "butterfly" and "tail" share their terms, so one filtration sum serves
+    both.  The products and the filtration sums come from the process's
+    store (partitions.solved_prefix): each is built once, at the longest
+    order asked for so far, by expand_product, _double_product or
+    _sum_filtration, and a call at or below that order reads a prefix of
+    it.  The filtered series, tables and everything else live as long as
+    the call."""
 
     def __init__(self, N):
         self.N = N
@@ -386,8 +411,7 @@ class _Sides:
 
     def product(self, kind, param=None):
         if kind == "distinct":
-            return self._get(("product", kind, param),
-                             lambda: TruncSeries(self.N, seq.named_sequence("q", self.N).values))
+            return self.table("q")
         if kind == "double":
             return self._stored(("product", kind, param),
                                 lambda: _double_product(self.product("distinct").coeffs))
@@ -405,17 +429,29 @@ class _Sides:
                             lambda: _sum_filtration(kind, self.N, k_lo).coeffs)
 
     def table(self, name):
-        """q, r, s or t, from the strict counts of "distinct"."""
+        """q, r, s or t through N, as sequences.named_sequence gives it."""
         return self._get(("table", name), lambda: TruncSeries(
-            self.N, seq._strict_difference_table(name, self.product("distinct").coeffs).values))
+            self.N, seq.named_sequence(name, self.N).values))
+
+
+# each table with a checksum series, and the family its identities are named
+# after; all but t have a pentagonal and a triangular split too
+_TABLES = (("q", "strict"), ("r", "consec"), ("s", "butterfly"), ("t", "oddge5"))
+
+# printed-reading variants: the published lower indices of three filtered
+# sums do not match their own coefficient tables; these variants exist so
+# the checker can demonstrate which reading holds (see DEVIATIONS.md).
+# (base identity, its filtered series, printed lower index, first failing degree)
+_PRINTED = (("oddge5-filtration", "odd_ge5_full", 2, 5),
+            ("butterfly-filtration", "butterfly_full", 2, 5),
+            ("butterfly-alt-filtration", "butterfly_alt", 3, 3))
 
 
 def _identity_registry():
-    # each side is a function of the call's _Sides
-    def diff(name, N):
-        # the difference polynomial of a sequence: (1 - x) for r, and so on
-        return poly(N, *seq.DIFF_WEIGHTS[name])
-
+    # each side is a function of the call's _Sides.  A side or E(x^2) times
+    # a small polynomial is _weighted, and theta_triangular times one is
+    # _triangular; the packed multiply is left for a side times a theta
+    # series, by itself or times a difference polynomial
     ids = {}
 
     def ident(name, lhs, rhs, lo=0, note=""):
@@ -428,20 +464,20 @@ def _identity_registry():
           lambda b: b.product("odd_reciprocal", 1),
           lambda b: b.filtered("strict"))
     ident("consec-filtration",
-          lambda b: diff("r", b.N) * b.product("distinct"),
+          lambda b: b.table("r"),
           lambda b: b.filtered("consec"))
     ident("oddge3-filtration",
           lambda b: b.product("odd_reciprocal", 3),
           lambda b: b.filtered("consec"))
     ident("butterfly-product-filtration",
-          lambda b: diff("s", b.N) * b.product("distinct"),
-          lambda b: diff("s", b.N) * b.filtered("strict"))
+          lambda b: b.table("s"),
+          lambda b: _weighted(seq.DIFF_WEIGHTS["s"], b.filtered("strict")))
     ident("butterfly-alt-filtration",
-          lambda b: diff("r", b.N) * b.product("odd_reciprocal", 3),
+          lambda b: _weighted(seq.DIFF_WEIGHTS["r"], b.product("odd_reciprocal", 3)),
           lambda b: b.filtered("butterfly_alt"))
     ident("oddge5-butterfly-tail",
           lambda b: b.product("odd_reciprocal", 5),
-          lambda b: poly(b.N, 1, 1, 1) * b.filtered("butterfly_parts"),
+          lambda b: _weighted((1, 1, 1), b.filtered("butterfly_parts")),
           lo=9, note="holds only from degree 9")
     ident("oddge5-filtration",
           lambda b: b.product("odd_reciprocal", 5),
@@ -449,62 +485,29 @@ def _identity_registry():
     ident("butterfly-filtration",
           lambda b: div_exact(b.product("odd_reciprocal", 5), (1, 1, 1)),
           lambda b: b.filtered("butterfly_full"))
-    ident("strict-pentagonal-split",
-          lambda b: b.product("distinct"),
-          lambda b: b.product("partitions") * theta_pentagonal(b.N))
-    ident("consec-pentagonal-split",
-          lambda b: b.table("r"),
-          lambda b: b.product("partitions")
-          * (theta_pentagonal(b.N) * diff("r", b.N)))
-    ident("butterfly-pentagonal-split",
-          lambda b: b.table("s"),
-          lambda b: b.product("partitions")
-          * (theta_pentagonal(b.N) * diff("s", b.N)))
+    for name, family in _TABLES[:3]:
+        ident("%s-pentagonal-split" % family,
+              lambda b, name=name: b.table(name),
+              lambda b, name=name: b.product("partitions")
+              * _weighted(seq.DIFF_WEIGHTS[name], theta_pentagonal(b.N)))
     ident("triangular-double-product",
           lambda b: b.product("double"),
           lambda b: theta_triangular(b.N))
-    ident("strict-triangular-split",
-          lambda b: b.product("distinct"),
-          lambda b: b.product("even_reciprocal") * theta_triangular(b.N))
-    ident("consec-triangular-split",
-          lambda b: b.table("r"),
-          lambda b: b.product("even_reciprocal")
-          * (theta_triangular(b.N) * diff("r", b.N)))
-    ident("butterfly-triangular-split",
-          lambda b: b.table("s"),
-          lambda b: b.product("even_reciprocal")
-          * (theta_triangular(b.N) * diff("s", b.N)))
-    ident("strict-checksum-series",
-          lambda b: b.table("q") * theta_pentagonal(b.N),
-          lambda b: theta_triangular(b.N))
-    ident("consec-checksum-series",
-          lambda b: b.table("r") * theta_pentagonal(b.N),
-          lambda b: theta_triangular(b.N) * diff("r", b.N))
-    ident("butterfly-checksum-series",
-          lambda b: b.table("s") * theta_pentagonal(b.N),
-          lambda b: theta_triangular(b.N) * diff("s", b.N))
-    ident("oddge5-checksum-series",
-          lambda b: b.table("t") * theta_pentagonal(b.N),
-          lambda b: theta_triangular(b.N) * diff("t", b.N))
+    for name, family in _TABLES[:3]:
+        ident("%s-triangular-split" % family,
+              lambda b, name=name: b.table(name),
+              lambda b, name=name: b.product("even_reciprocal") * _triangular(b.N, name))
+    for name, family in _TABLES:
+        ident("%s-checksum-series" % family,
+              lambda b, name=name: b.table(name) * theta_pentagonal(b.N),
+              lambda b, name=name: _triangular(b.N, name))
     ident("consec-powfree-product",
-          lambda b: diff("r", b.N) * b.product("distinct"),
+          lambda b: b.table("r"),
           lambda b: b.product("distinct_not_pow2"))
-
-    # printed-reading variants: the published lower indices of three filtered
-    # sums do not match their own coefficient tables; these variants exist so
-    # the checker can demonstrate which reading holds (see DEVIATIONS.md)
-    ident("oddge5-filtration-printed",
-          lambda b: b.product("odd_reciprocal", 5),
-          lambda b: b.filtered("odd_ge5_full", 2),
-          note="printed lower index k=2; fails at degree 5")
-    ident("butterfly-filtration-printed",
-          lambda b: div_exact(b.product("odd_reciprocal", 5), (1, 1, 1)),
-          lambda b: b.filtered("butterfly_full", 2),
-          note="printed lower index k=2; fails at degree 5")
-    ident("butterfly-alt-filtration-printed",
-          lambda b: diff("r", b.N) * b.product("odd_reciprocal", 3),
-          lambda b: b.filtered("butterfly_alt", 3),
-          note="printed lower index k=3; fails at degree 3")
+    for base, kind, k_lo, degree in _PRINTED:
+        ident(base + "-printed", ids[base][0],
+              lambda b, kind=kind, k_lo=k_lo: b.filtered(kind, k_lo),
+              note="printed lower index k=%d; fails at degree %d" % (k_lo, degree))
     return ids
 
 

@@ -496,14 +496,16 @@ def _signed(rng, length, bits):
 
 
 def test_weighted_equals_the_per_coefficient_sum():
-    """Every difference polynomial of the library, and random signed weights
-    with zero entries (leading, inner and trailing), on series of every
-    length 0..300, shorter than the weights too.  The product through the
-    length of a series is a prefix of the product through a longer one, so
-    one reference at length 300 serves every length."""
+    """Every difference polynomial of the library, 1 + x + x^2, and random
+    signed weights with zero entries (leading, inner and trailing), on
+    series of every length 0..300, shorter than the weights too.  The
+    product through the length of a series is a prefix of the product
+    through a longer one, so one reference at length 300 serves every
+    length."""
     rng = random.Random(13)
     weight_sets = list(DIFF_WEIGHTS.values()) + list(_P_WEIGHTS.values()) + [
-        (0,), (-1,), (3,), (0, 1), (1, 0, 0, -1), (2, 0, -3, 0, 0), (0, 0, 0, 0, 0, 0, 5)]
+        (1, 1, 1), (0,), (-1,), (3,), (0, 1), (1, 0, 0, -1), (2, 0, -3, 0, 0),
+        (0, 0, 0, 0, 0, 0, 5)]
     weight_sets += [tuple(rng.choice((0, 0, 1, -1, 2, -2, 7, -40)) for _ in range(rng.randint(1, 9)))
                     for _ in range(12)]
     values = _signed(rng, 300, 80)

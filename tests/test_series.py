@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from butterflyseq.sequences import named_sequence
+from butterflyseq.partitions import triangular_series
+from butterflyseq.sequences import DIFF_WEIGHTS, named_sequence
 from butterflyseq.series import (
     IDENTITIES, TruncSeries, VERIFIED_IDENTITIES, _FILTRATION,
     div_exact, expand_product, filtered_series, filtration_term,
-    poly, theta_pentagonal, theta_triangular,
+    _Sides, poly, theta_pentagonal, theta_triangular,
     verify_all, verify_identity,
 )
 
@@ -196,6 +197,44 @@ def test_wrinkled_checksum_series():
         assert t_side[m] == recomputed != printed
     for m, printed, recomputed in golden.CHECKSUM_DEVIATIONS["r"]:
         assert r_side[m] == recomputed != printed
+    # the verify route, written at the triangular numbers, against the packed multiply
+    for name, side in (("r", r_side), ("s", s_side), ("t", t_side)):
+        assert tuple(triangular_series(N, DIFF_WEIGHTS[name])) == side.coeffs, name
+
+
+# name, lo and note of every identity, in the order verify prints them
+REGISTRY = (
+    ("strict-filtration", 0, ""),
+    ("oddparts-filtration", 0, ""),
+    ("consec-filtration", 0, ""),
+    ("oddge3-filtration", 0, ""),
+    ("butterfly-product-filtration", 0, ""),
+    ("butterfly-alt-filtration", 0, ""),
+    ("oddge5-butterfly-tail", 9, "holds only from degree 9"),
+    ("oddge5-filtration", 0, ""),
+    ("butterfly-filtration", 0, ""),
+    ("strict-pentagonal-split", 0, ""),
+    ("consec-pentagonal-split", 0, ""),
+    ("butterfly-pentagonal-split", 0, ""),
+    ("triangular-double-product", 0, ""),
+    ("strict-triangular-split", 0, ""),
+    ("consec-triangular-split", 0, ""),
+    ("butterfly-triangular-split", 0, ""),
+    ("strict-checksum-series", 0, ""),
+    ("consec-checksum-series", 0, ""),
+    ("butterfly-checksum-series", 0, ""),
+    ("oddge5-checksum-series", 0, ""),
+    ("consec-powfree-product", 0, ""),
+    ("oddge5-filtration-printed", 0, "printed lower index k=2; fails at degree 5"),
+    ("butterfly-filtration-printed", 0, "printed lower index k=2; fails at degree 5"),
+    ("butterfly-alt-filtration-printed", 0, "printed lower index k=3; fails at degree 3"),
+)
+
+
+def test_registry_names_order_lo_and_notes():
+    """verify all and verify --help print the identities in this order."""
+    assert [(name, lo, note) for name, (_, _, lo, note) in IDENTITIES.items()] == list(REGISTRY)
+    assert VERIFIED_IDENTITIES == tuple(name for name, _, _ in REGISTRY[:21])
 
 
 def test_unknown_identity():
@@ -411,10 +450,14 @@ def test_filtered_series_is_the_sum_of_its_terms(name):
 
 @pytest.mark.parametrize("name", sorted(FILTERED))
 def test_filtered_series_refuses_k_lo_below_its_smallest_k(name):
+    """k_lo = 0 is below every kind's smallest k, not its default."""
     kind, k_min, _ = FILTERED[name]
-    k_lo = k_min - 1 or -1  # 0 would read as "the default"
-    with pytest.raises(ValueError, match="k too small for %s$" % kind):
-        filtered_series(name, 40, k_lo)
+    for k_lo in {0, k_min - 1}:
+        for N in (0, 20, 40):
+            with pytest.raises(ValueError, match="k too small for %s$" % kind):
+                filtered_series(name, N, k_lo)
+            with pytest.raises(ValueError, match="k too small for %s$" % kind):
+                _Sides(N).filtered(name, k_lo)
     for N in (0, 40):
         with pytest.raises(ValueError, match="k too small for %s$" % kind):
             filtration_term(kind, k_min - 1, N)

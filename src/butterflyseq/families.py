@@ -148,8 +148,9 @@ class _Row(NamedTuple):
 
 
 def _butterfly_row(parity, alias):
-    # counted n by n through count_butterfly's memo, which named_sequence's
-    # s_e, s_o and r1'' tables also read
+    # counted by count_butterfly, one value of the butterfly shape's packed
+    # table kept in the store, which named_sequence's s_e, s_o and r1''
+    # tables, the odd-step rows and parity also read
     return _Row(lambda p, _: (is_butterfly_tuple(p.parts)
                               and (parity is None or p.parts[1] % 2 == parity)),
                 (pt.BUTTERFLY_SHAPE, parity, ((),)),
@@ -161,7 +162,7 @@ def _odd_step_row(form, parity, alias):
     # parity are in bijection with the form's members
     return _Row(lambda p, _: splitmerge.matches_form(p, form),
                 lister=lambda n, _: splitmerge.iter_form_tuples(n, form),
-                counter=lambda n, _: count_table(n, Family(BUTTERFLY), parity)[n],
+                counter=lambda n, _: pt.count_butterfly(n, parity),
                 retest=True, aliases={alias: None})
 
 

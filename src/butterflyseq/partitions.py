@@ -15,9 +15,9 @@ a sub-multiset of the pool, a prefix put before each, and stops at the first
 part below which the rest no longer fits.  iter_strict_tuples lists from the
 pool low..top, and iter_head_tail_tuples, from one pool per call, every
 family shaped as a head of consecutive or equal largest parts over a strict
-tail (consecutive pairs, butterflies, equal triples); count_head_tail counts
-over the same heads, one n through a memo, and count_head_tail_table every
-n <= N at once.
+tail (consecutive pairs, butterflies, equal triples); count_head_tail_table
+counts over the same heads every n <= N at once, and count_head_tail one n
+through a memo, the tests' per-n oracle of the table.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
@@ -33,7 +33,8 @@ listing budget does not bound them).  One store per process, solved_prefix,
 keeps the tables built so far under a closed set of keys: the pentagonal
 kernel's three (q, p and the checksum base), each extended on demand from
 its stored head, and the product and filtration-sum sides of the series
-identities, each rebuilt whole when a call asks past it.
+identities and the butterfly counts of count_butterfly, each rebuilt whole
+when a call asks past it.
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -451,36 +452,45 @@ def pentagonal_solve(rhs, step, head=()):
 # identities built from the packed kernels (series._Sides): the products
 # ("product", kind, param) of series.expand_product but "distinct" (which
 # is q), and the filtration sums ("sum", c, j0, k_lo) of
-# x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j) over k >= k_lo.  Each is the
-# longest table a single call asked for.
+# x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j) over k >= k_lo, and the butterfly
+# counts ("butterfly", parity of the second part or None) of
+# count_butterfly.  Each is the longest table a single call asked for.
 SOLVED_KEYS = ("q", "p", "theta") + tuple(
     ("product", kind, param) for kind, param in (
         ("partitions", None), ("odd_reciprocal", 1), ("odd_reciprocal", 3),
         ("odd_reciprocal", 5), ("even_reciprocal", None), ("distinct_not_pow2", None),
         ("double", None))) + tuple(
     ("sum", c, j0, k_lo) for c, j0, k_lo in (
-        (1, 1, 1), (1, 2, 2), (3, 3, 3), (3, 3, 2), (1, 3, 2), (1, 3, 3)))
+        (1, 1, 1), (1, 2, 2), (3, 3, 3), (3, 3, 2), (1, 3, 2), (1, 3, 3))) + tuple(
+    ("butterfly", parity) for parity in (None, 0, 1))
 _SOLVED = {}
 
 
-def solved_prefix(key, N, build):
-    """v(0..N), sliced from the table stored under ``key``, so a caller that
-    changes a list it gets changes nothing stored.
+def _stored(key, N, build):
+    """The table stored under ``key``, at least N + 1 long: the store's own
+    list, which the caller must not change.
 
     A call past the stored table calls build(head), head the stored table
     (empty at first), for v(0..N), and stores the result in its place: the
     pentagonal tables resume from head (pentagonal_solve), the packed ones
-    ignore it and are built whole.  Any other call is a copy of a prefix,
-    the same coefficients through N as a build at N.  A build that raises
-    leaves the store as it was.  So the store holds at most one table per
-    key of SOLVED_KEYS, none longer than the longest one asked for.
+    ignore it and are built whole.  A build that raises leaves the store as
+    it was.  So the store holds at most one table per key of SOLVED_KEYS,
+    none longer than the longest one asked for.
     """
     if key not in SOLVED_KEYS:
         raise ValueError("no stored table %r" % (key,))
     v = _SOLVED.get(key, [])
     if len(v) <= N:
         v = _SOLVED[key] = build(v)
-    return v[:N + 1]
+    return v
+
+
+def solved_prefix(key, N, build):
+    """v(0..N), sliced from the table stored under ``key`` (_stored), so a
+    caller that changes a list it gets changes nothing stored.  A call at or
+    below the stored table is a copy of a prefix, the same coefficients
+    through N as a build at N."""
+    return _stored(key, N, build)[:N + 1]
 
 
 def strict_pentagonal_table(N):
@@ -763,12 +773,16 @@ def count_no_ones_repeated_top_table(N):
     return out
 
 
-# Bounded, so that a process does not keep every count it ever made, but
-# above the 416,385 entries that counting n = 1500 down to 6 fills (from an
-# empty cache, n above about 1500 hits the recursion limit first).  A bound
-# below one call's working set evicts entries the recursion still needs, and
-# recomputing them grows exponentially: at 1 << 15, counting n = 600 down to
-# 6 makes 3.8 million misses instead of 62,060.
+# No request reaches this memo: count_butterfly reads the packed table.  It
+# stays as count_head_tail's recursion, the tests' per-n oracle of
+# count_head_tail_table, and because the benchmark's tracer binds it by name
+# (perfbench/tracing.py reads its cache size).  Bounded, so that a process
+# does not keep every count it ever made, but above the 416,385 entries that
+# counting n = 1500 down to 6 fills (from an empty cache, n above about 1500
+# hits the recursion limit first).  A bound below one call's working set
+# evicts entries the recursion still needs, and recomputing them grows
+# exponentially: at 1 << 15, counting n = 600 down to 6 makes 3.8 million
+# misses instead of 62,060.
 @lru_cache(maxsize=1 << 19)
 def _strict_bounded_count(m, top, low):
     """Number of strict partitions of m with parts in [low, top]."""
@@ -785,14 +799,16 @@ def _strict_bounded_count(m, top, low):
 
 def count_head_tail(n, shape, second_parity=None):
     """len(list(iter_head_tail_tuples(n, shape, second_parity))), without
-    listing: the strict tails of each head are counted, not built."""
+    listing: the strict tails of each head are counted, not built, one n
+    through the memo (the oracle of count_head_tail_table)."""
     return sum(_strict_bounded_count(rest, top, shape[3])
                for _, rest, top in _shape_heads(n, shape, second_parity))
 
 
 def count_head_tail_table(N, shape, second_parity=None):
-    """[count_head_tail(n, shape, second_parity) for n in 0..N] with no memo:
-    sum over a of x^{|head(a)|} prod_{j=low}^{a-gap} (1 + x^j), over k = a - gap."""
+    """[count_head_tail(n, shape, second_parity) for n in 0..N] with no memo
+    and no recursion: sum over a of x^{|head(a)|} prod_{j=low}^{a-gap}
+    (1 + x^j), over k = a - gap."""
     offsets, smallest, gap, low = shape
     # |head(a)| = width a + sum(offsets), with a = k + gap
     width, lift = len(offsets), len(offsets) * gap + sum(offsets)
@@ -803,5 +819,11 @@ def count_head_tail_table(N, shape, second_parity=None):
 
 def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
-    of the second-largest part), without listing them."""
-    return count_head_tail(n, BUTTERFLY_SHAPE, second_parity)
+    of the second-largest part), without listing them: one value of the
+    butterfly shape's count_head_tail_table, kept in the store under
+    ("butterfly", second_parity) and rebuilt whole only past its end.  The
+    value is read in place, so n by n over a stored table costs O(1) each."""
+    if n < 0:
+        return 0
+    return _stored(("butterfly", second_parity), n, lambda head: count_head_tail_table(
+        n, BUTTERFLY_SHAPE, second_parity))[n]

@@ -12,8 +12,9 @@ even/odd butterfly counts to agree away from the four closed-form inputs.
 
 from typing import NamedTuple
 
+from . import partitions as pt
 from .families import (
-    BAR_KINDS, BUTTERFLY, Family, _in_bar_a, _in_bar_b, count_table, enumerate_family, in_family)
+    BAR_KINDS, BUTTERFLY, Family, _in_bar_a, _in_bar_b, enumerate_family, in_family)
 from .partitions import Partition
 from .sequences import EXCEPTION_SIGNS, exception_form_of, named_sequence
 
@@ -111,10 +112,11 @@ def parity_relation(n) -> ParityWitness:
 
 
 def _butterfly_counts(n):
-    """(s_e(n), s_o(n)), each one packed head-and-tail table through n: they
-    count the shapes, not the parity theorem they check, and no recursion
-    bounds n."""
-    return tuple(count_table(n, Family(BUTTERFLY), parity)[n] for parity in (0, 1))
+    """(s_e(n), s_o(n)) from partitions.count_butterfly, each a value of the
+    butterfly shape's packed head-and-tail table, built once per process
+    through the largest n asked for: they count the shapes, not the parity
+    theorem they check, and no recursion bounds n."""
+    return tuple(pt.count_butterfly(n, parity) for parity in (0, 1))
 
 
 def parity_relation_holds(n) -> bool:

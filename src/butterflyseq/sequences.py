@@ -116,7 +116,9 @@ def named_sequence(name, N) -> SequenceTable:
     family enumerations they are cross-checked against live in
     crosscheck_table, counting_dp and the test suite.  The _COUNTED tables are
     one packed head-and-tail table each, not listings, so the listing budget
-    spares them; r1'', s_e and s_o come n by n from count_butterfly.
+    spares them; r1'', s_e and s_o are read n by n through count_family from
+    count_butterfly's table of the butterfly shape, which the process's
+    store keeps, so no recursion bounds N.
     """
     if name not in _OFFSETS:
         raise ValueError("unknown sequence %r" % name)
@@ -136,9 +138,9 @@ def named_sequence(name, N) -> SequenceTable:
     if name in _COUNTED:
         return SequenceTable(name, offset, count_table(N, *_COUNTED[name])[offset:])
     family = Family({"r1_dprime": BUTTERFLY, "s_e": BUTTERFLY_EVEN, "s_o": BUTTERFLY_ODD}[name])
-    # n by n through count_butterfly's memo, largest n first.  The order in
-    # which the memo fills sets how deep its recursion goes: from a fresh
-    # process this one passes Python's limit above n = 1500 or so
+    # n by n through count_butterfly, largest n first: the first read builds
+    # the stored table through N once and every later one reads it, where
+    # smallest first would rebuild it whole at each n past its end
     vals = [count_family(n, family) for n in range(N, offset - 1, -1)]
     return SequenceTable(name, offset, vals[::-1])
 
@@ -261,9 +263,9 @@ def _butterfly_parity(sign, N):
 # values at 0..N from N), none of them the route of named_sequence: q against
 # strict enumeration (through n = 45), the odd-parts counts and the strict DP;
 # r and s against the differences of the DP's q, r against the odd-parts >= 3
-# counts and s against the packed butterfly table (not the memo); t against
-# the odd-parts >= 5 counts; s_e and s_o against (s +- delta)/2; p, dp and
-# d2p against their counting DPs
+# counts and s against a packed butterfly table built apart from the store
+# (count_table, not count_butterfly's); t against the odd-parts >= 5 counts;
+# s_e and s_o against (s +- delta)/2; p, dp and d2p against their counting DPs
 _CROSSCHECKS = {
     "q": (("listing", 0, lambda N: [len(list(pt.iter_strict_tuples(n)))
                                     for n in range(min(N, 45) + 1)]),

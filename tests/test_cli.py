@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from butterflyseq import cli
 from butterflyseq import partitions as pt
 from butterflyseq.cli import main
-from butterflyseq.families import Family, enumerate_family
+from butterflyseq.families import (
+    BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD, Family, count_family, count_table, enumerate_family)
 from butterflyseq.partitions import Partition
 
 
@@ -342,20 +343,82 @@ def test_exception_list_beyond_its_budget_is_usage_error():
     assert "budget" in done.stderr and "out of memory" not in done.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ("seq", "s_e", "--to", "1600"), ("seq", "r1_dprime", "--to", "2000")])
-def test_recursion_too_deep_is_usage_error(argv):
-    # these counts recurse one part size per frame: refused with one line,
-    # not a traceback, like a size no list or memory can hold
-    done = _fresh_cli(argv, timeout=60)
+@pytest.mark.parametrize("name, kind, N", [
+    ("s_e", BUTTERFLY_EVEN, 4000), ("r1_dprime", BUTTERFLY, 10000)])
+def test_butterfly_tables_answer_from_a_fresh_process(name, kind, N):
+    # s_e and r1'' are read from one stored packed table, with no recursion,
+    # so a fresh process answers far past Python's recursion limit
+    done = _fresh_cli(["seq", name, "--to", str(N)], timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "%d %d" % (N, count_table(N, Family(kind))[N])
+
+
+@pytest.mark.parametrize("alias, kind, n", [
+    ("butterfly", BUTTERFLY, 5000), ("butterfly-even", BUTTERFLY_EVEN, 3000)])
+def test_butterfly_listing_from_a_fresh_process_is_refused_by_its_count(alias, kind, n):
+    done = _fresh_cli(["enum", alias, str(n)], timeout=60)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: size out of range (") and done.stderr.count("\n") == 1
+    assert done.stderr == "error: %s at n=%d: %d to list, above the listing budget of %d\n" % (
+        kind, n, count_table(n, Family(kind))[n], pt.LISTING_BUDGET)
+
+
+def test_no_request_reaches_the_memo(monkeypatch, capsys):
+    """With the per-n memo (count_head_tail, _strict_bounded_count) made to
+    raise, every seq table, a butterfly listing past the unchecked size, a
+    parity check and the counts of the butterfly and odd-step kinds still
+    answer: each butterfly count is read from the packed table."""
+    from butterflyseq.families import ODD_STEP1, ODD_STEP1_SWITCHED, ODD_STEP2, ODD_STEP2_SWITCHED
+    from butterflyseq.sequences import SEQUENCE_NAMES
+
+    want = {parity: count_table(300, Family(BUTTERFLY), parity) for parity in (None, 0, 1)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the memo")
+
+    for fn in ("count_head_tail", "_strict_bounded_count"):
+        monkeypatch.setattr(pt, fn, refuse)
+    for name in SEQUENCE_NAMES:
+        assert run(capsys, "seq", name, "--to", "300")[0] == 0, name
+    code, out, _ = run(capsys, "enum", "butterfly", "130")
+    assert code == 0 and len(out.splitlines()) == want[None][130]
+    assert run(capsys, "parity", "60") == (0, "60 equal ok\n", "")
+    for kind, parity in ((BUTTERFLY, None), (BUTTERFLY_EVEN, 0), (BUTTERFLY_ODD, 1),
+                         (ODD_STEP1, 0), (ODD_STEP2, 1), (ODD_STEP1_SWITCHED, 0),
+                         (ODD_STEP2_SWITCHED, 1)):
+        for n in (0, 5, 6, 77, 300):
+            assert count_family(n, Family(kind)) == want[parity][n], (kind, n)
+
+
+def test_a_stored_butterfly_table_answers_every_request_below_it(monkeypatch, capsys):
+    """After parity 10000 builds the two parity tables, a second parity
+    10000 and any request at or below a stored N build nothing: the packed
+    kernel is not called."""
+    assert run(capsys, "parity", "10000") == (0, "10000 equal ok\n", "")
+    real, calls = pt.count_head_tail_table, []
+
+    def counted(N, shape, second_parity=None):
+        calls.append((N, second_parity))
+        return real(N, shape, second_parity)
+
+    monkeypatch.setattr(pt, "count_head_tail_table", counted)
+    # the enum requests are refused by the budget, after their count
+    for argv, code in ((("parity", "10000"), 0), (("parity", "60"), 0),
+                       (("seq", "s_e", "--to", "4000"), 0), (("seq", "s_o", "--to", "10000"), 0),
+                       (("enum", "odd-step2", "9000"), 2), (("enum", "butterfly-even", "700"), 2),
+                       (("--json", "parity", "6000"), 0)):
+        assert run(capsys, *argv)[0] == code, argv
+        assert calls == [], argv
+    assert run(capsys, "seq", "r1_dprime", "--to", "2000")[0] == 0
+    assert calls == [(2000, None)]
+    for argv in (("seq", "r1_dprime", "--to", "2000"), ("enum", "butterfly", "1999")):
+        run(capsys, *argv)
+    assert calls == [(2000, None)]
 
 
 @pytest.mark.parametrize("n", [1600, 5000])
 def test_parity_answers_above_the_recursion_limit(n):
-    # s_e and s_o of one n are each one packed head-and-tail table, with no
-    # recursion, so parity answers where the memo of seq s_e cannot
+    # s_e and s_o of one n are each read from one packed head-and-tail
+    # table, with no recursion, so parity answers at any n
     done = _fresh_cli(["parity", str(n)], timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "%d equal ok\n" % n, "")
 

@@ -147,6 +147,14 @@ def test_butterfly_plus_ones_counts_three_term_sums():
     assert count_family(5, Family(BUTTERFLY_PLUS_ONES)) != count_family(5, Family(ODD_GE, 5))
 
 
+def test_butterfly_counts_past_the_recursion_limit():
+    # one value of the stored packed table, so n = 5000 answers in-process,
+    # equal to the table count_table builds apart from the store
+    want = count_table(5000, Family(BUTTERFLY))
+    assert count_family(5000, Family(BUTTERFLY)) == want[5000] == count_butterfly(5000) > 0
+    assert count_family(4999, Family(BUTTERFLY)) == want[4999]
+
+
 def test_enumeration_limit_guard():
     # s(201) = 1,708,866 butterflies: above the listing budget
     with pytest.raises(EnumerationLimitError, match="%d to list" % count_butterfly(201)):

@@ -704,3 +704,37 @@ def test_bfile_equals_the_row_loop():
     for t in tables:
         assert to_bfile(t) == _bfile_by_rows(t), t.name
     assert to_bfile(SequenceTable("one", 4, (17,))) == "4 17\n"
+
+
+def test_butterfly_counts_at_shuffled_sizes_equal_a_fresh_store():
+    """s_e, s_o and r1'' tables and count_family of the butterfly and
+    odd-step kinds, asked in a shuffled order of sizes, equal the answers
+    of a fresh store (which equal count_table's, built apart from it), and
+    each butterfly key then holds one table through the largest n read."""
+    from butterflyseq import families as fam
+    from butterflyseq.families import BUTTERFLY, Family, count_family, count_table
+
+    kinds = {BUTTERFLY: None, fam.BUTTERFLY_EVEN: 0, fam.BUTTERFLY_ODD: 1, fam.ODD_STEP1: 0,
+             fam.ODD_STEP2: 1, fam.ODD_STEP1_SWITCHED: 0, fam.ODD_STEP2_SWITCHED: 1}
+    seqs = {"r1_dprime": None, "s_e": 0, "s_o": 1}
+    requests = [(name, N) for name in seqs for N in (6, 7, 40, 300, 1000)] + [
+        (kind, n) for kind in kinds for n in (0, 5, 6, 77, 500, 1200)]
+
+    def answer(name, N):
+        if name in seqs:
+            return named_sequence(name, N).values
+        return count_family(N, Family(name))
+
+    want = {parity: count_table(1200, Family(BUTTERFLY), parity) for parity in (None, 0, 1)}
+    fresh = {}
+    for name, N in requests:
+        pt._SOLVED.clear()
+        fresh[name, N] = answer(name, N)
+        parity = seqs[name] if name in seqs else kinds[name]
+        assert (fresh[name, N][-1] if name in seqs else fresh[name, N]) == want[parity][N]
+    pt._SOLVED.clear()
+    random.Random(26).shuffle(requests)
+    for name, N in requests:
+        assert answer(name, N) == fresh[name, N], (name, N)
+    assert {key: len(v) for key, v in pt._SOLVED.items()} == {
+        ("butterfly", None): 1201, ("butterfly", 0): 1201, ("butterfly", 1): 1201}

@@ -279,28 +279,26 @@ def test_pentagonal_solve_with_unit_rhs_gives_p():
     assert pentagonal_solve([1], 1) == [1]
 
 
-def test_strict_count_cache_is_bounded(capsys):
+def test_strict_count_cache_is_bounded():
+    # driven through count_head_tail, the memo's one caller: no request
+    # reaches it any more
     from butterflyseq import partitions
-    from butterflyseq.cli import main
     from butterflyseq.sequences import named_sequence
 
     cache = partitions._strict_bounded_count
     cache.cache_clear()
-    tables = []
-    for name in ("s_e", "s_o"):
-        assert main(["seq", name, "--to", "250"]) == 0
-        rows = (line.split() for line in capsys.readouterr().out.splitlines())
-        tables.append({int(n): int(v) for n, v in rows})
+    tables = [[count_head_tail(n, partitions.BUTTERFLY_SHAPE, parity) for n in range(251)]
+              for parity in (0, 1)]
     info = cache.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     s = named_sequence("s", 250)
     assert all(tables[0][n] + tables[1][n] == s[n] for n in range(6, 251))
     # the bound holds a whole table's working set: no entry is computed twice
     cache.cache_clear()
-    assert main(["seq", "s_e", "--to", "600"]) == 0
-    capsys.readouterr()
+    for n in range(600, 5, -1):
+        count_head_tail(n, partitions.BUTTERFLY_SHAPE, 0)
     info = cache.cache_info()
-    assert info.misses == info.currsize <= info.maxsize
+    assert 0 < info.misses == info.currsize <= info.maxsize
 
 
 def _repeated_top_by_recursion(N):

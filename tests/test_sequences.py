@@ -299,9 +299,10 @@ def test_butterfly_parity_route_reads_the_strict_dp_not_the_butterfly_counts(mon
 
 
 def test_s_crosscheck_never_reaches_the_memo(monkeypatch):
-    """The butterfly route of s is one packed head-and-tail table: the n by n
-    memo of count_butterfly, which recurses one part size per frame, is
-    never reached, so the check answers at any N."""
+    """The butterfly route of s is one packed head-and-tail table built
+    apart from the store: neither count_butterfly's stored table nor the
+    per-n memo, which recurses one part size per frame, is reached, so the
+    check answers at any N."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached the memo")
 
@@ -375,11 +376,14 @@ def test_counted_tables_obey_the_relations_with_the_pentagonal_tables():
 
 def test_butterfly_shape_tables_equal_count_butterfly():
     """e' = s_o and o' = s_e, counted from the butterfly shape's table, equal
-    the memoised count_butterfly for n <= 1000, and so does the whole table."""
+    the per-n memo count_head_tail for n <= 1000, and so do the whole table
+    and count_butterfly, which reads the same kernel from the store."""
     N = 1000
-    want = {parity: [pt.count_butterfly(n, parity) for n in range(N + 1)]
+    want = {parity: [pt.count_head_tail(n, pt.BUTTERFLY_SHAPE, parity) for n in range(N + 1)]
             for parity in (None, 0, 1)}
     assert count_table(N, Family(BUTTERFLY)) == want[None]
+    for parity in (None, 0, 1):  # largest n first, so the stored table is built once
+        assert [pt.count_butterfly(n, parity) for n in range(N, -1, -1)] == want[parity][::-1]
     assert list(named_sequence("e_prime", N).values) == want[1][6:]
     assert list(named_sequence("o_prime", N).values) == want[0][6:]
 

@@ -560,8 +560,9 @@ def test_store_holds_one_side_per_key_as_long_as_the_longest_order():
         verify_identity(name, 12)
         reads[name] = set(pt._SOLVED)
     assert set().union(*reads.values()) == STORED_SIDES | {"q"}
-    assert set(pt.SOLVED_KEYS) == STORED_SIDES | {"q", "p", "theta"}
-    assert len(pt.SOLVED_KEYS) == len(STORED_SIDES) + 3
+    butterfly = {("butterfly", None), ("butterfly", 0), ("butterfly", 1)}
+    assert set(pt.SOLVED_KEYS) == STORED_SIDES | {"q", "p", "theta"} | butterfly
+    assert len(pt.SOLVED_KEYS) == len(STORED_SIDES) + 6
     pt._SOLVED.clear()
     rng = random.Random(7)
     longest = {}

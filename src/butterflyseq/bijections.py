@@ -8,6 +8,12 @@
 * bar_forward: horizontal-bar partitions <-> vertical-bar partitions at the
   same n (remove the part h, add one unit to each of the h largest parts);
   the parity of the second-largest part flips.
+
+BIJECTIONS holds one row per map: its least n, the shift at which its
+sources are listed, its (source family, target) pairs as a function of the
+bar size h (bar has two, A_e -> B_o and A_o -> B_e), and its forward and
+backward maps.  verify_bijection is one loop over a row, and the CLI reads
+its kinds, in order, from the table.
 """
 
 import operator
@@ -15,9 +21,10 @@ from typing import NamedTuple
 
 from . import partitions as pt
 from .families import (
+    BAR_AE,
+    BAR_AO,
     BAR_BE,
     BAR_BO,
-    BAR_KINDS,
     CONSEC,
     CONSEC_ISOLATED,
     CONSEC_WITH_ONE,
@@ -33,7 +40,7 @@ from .partitions import Partition, is_strict_tuple
 
 
 class BijectionError(ValueError):
-    pass
+    """A map was given a partition outside its domain."""
 
 
 # the maps and checks below read p.parts, a plain tuple, once per partition
@@ -50,11 +57,17 @@ def raise_largest(p: Partition) -> Partition:
     return Partition._of((parts[0] + 1,) + parts[1:])
 
 
+def _gap_two(parts):
+    """Strict, with the two largest parts at least 2 apart: the partitions
+    that raise_largest reaches and lower_largest takes."""
+    return is_strict_tuple(parts) and (len(parts) < 2 or parts[0] - parts[1] >= 2)
+
+
 def lower_largest(p: Partition) -> Partition:
     parts = p.parts
     if not parts or parts[0] == 1:
         raise BijectionError("no unit to remove from the largest part: %s" % p)
-    if not is_strict_tuple(parts) or (len(parts) >= 2 and parts[0] - parts[1] < 2):
+    if not _gap_two(parts):
         raise BijectionError("two largest parts must differ by at least 2: %s" % p)
     return Partition._of((parts[0] - 1,) + parts[1:])
 
@@ -118,74 +131,89 @@ class BijectionReport(NamedTuple):
         return body
 
 
+class _Pair(NamedTuple):
+    """A source family and the target its images must lie in.  The callables
+    reach every function the benchmark traces (count_table, enumerate_family,
+    in_family) through this module's namespace at call time, never hold it."""
+    source: Family   # listed at n - shift
+    counts: object   # N -> the sources' counts at 0..N
+    test: object     # image -> whether it lies in the target
+    targets: object  # N -> the targets' counts at 0..N, counted, not listed
+
+
+def _pair(source, target):
+    """Two families, each counted by count_table and the target tested by in_family."""
+    return _Pair(source, lambda N: count_table(N, source),
+                 lambda img: in_family(img, target), lambda N: count_table(N, target))
+
+
+# kind -> (least n of a range, shift, h -> (_Pair, ...), forward, backward):
+# the sources at n are listed at n - shift, and the maps take (partition, h).
+# raise lists the strict partitions of n - 1, and the strict partition of 0
+# has no largest part to raise; its targets are the strict partitions of n
+# that are not consecutive-pair partitions.  The butterfly map holds from
+# n = 6.  The bar map sends A_e to B_o and A_o to B_e, swapping the parity of
+# the second part, so its sources come in two halves
+BIJECTIONS = {
+    "raise": (2, 1, lambda h: (_Pair(
+        Family(STRICT), pt.strict_pentagonal_table, lambda img: _gap_two(img.parts),
+        lambda N: list(map(operator.sub, pt.strict_pentagonal_table(N),
+                           count_table(N, Family(CONSEC))))),),
+              lambda p, h: raise_largest(p), lambda p, h: lower_largest(p)),
+    "butterfly": (6, 1, lambda h: (_pair(_WITH_ONE, _ISOLATED),),
+                  lambda p, h: butterfly_forward(p), lambda p, h: butterfly_backward(p)),
+    "bar": (0, 0, lambda h: (_pair(Family(BAR_AE, h), Family(BAR_BO, h)),
+                             _pair(Family(BAR_AO, h), Family(BAR_BE, h))),
+            lambda p, h: bar_forward(p, h), lambda p, h: bar_backward(p, h)),
+}
+
+
 def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
     """Check forward/backward inversion, injectivity, family membership and
-    count agreement for every n in [lo, hi].  A range in which no map was
-    checked does not pass.
+    count agreement for every n in [lo, hi], by the row BIJECTIONS[kind].  A
+    range that starts below the row's least n is refused, and a range in
+    which no map was checked does not pass.
 
     The targets are counted, not listed, by exact counts that share no code
     with the listing of the sources: q(n) - consec(n), r1'(n) and the B bar
     sets, each read from one table per call.  An injective map into the
-    target family, whose size equals the number of sources, is a bijection.
-    The sources are counted first, from q, r2 or the A bar sets, and a range
-    that lists more than partitions.LISTING_BUDGET in all is refused."""
+    target family, whose size equals the number of sources, is a bijection;
+    where the sources come in halves, each half must also match its target's
+    count.  The sources are counted first, and a range that lists more than
+    partitions.LISTING_BUDGET in all is refused."""
+    if kind not in BIJECTIONS:
+        raise ValueError("unknown bijection kind %r" % kind)
+    least, shift, pairs_of, forward, backward = BIJECTIONS[kind]
+    if lo < least:
+        raise ValueError("bij %s --from must be >= %d, got %d" % (kind, least, lo))
+    pairs, N = pairs_of(h), max(hi, 0)
+    sources = [sum(c) for c in zip(*(pair.counts(N) for pair in pairs))]
+    targets = [pair.targets(N) for pair in pairs]
+    pt.check_budget(sum(sources[lo - shift:hi + 1 - shift]), "bij %s on n=%d..%d" % (kind, lo, hi))
     failures = []
     checked = 0
-    N = max(hi, 0)
-    if kind == "raise":
-        # at n, the strict partitions of n - 1 are listed, and those of n whose
-        # two largest parts are not consecutive counted
-        q = pt.strict_pentagonal_table(N)
-        sources, targets = [0] + q, list(map(operator.sub, q, count_table(N, Family(CONSEC))))
-    elif kind == "butterfly":
-        sources, targets = [0] + count_table(N, _WITH_ONE), count_table(N, _ISOLATED)
-    elif kind == "bar":
-        a_e, a_o, b_e, b_o = (count_table(N, Family(k, h)) for k in BAR_KINDS)
-        sources, targets = list(map(operator.add, a_e, a_o)), list(map(operator.add, b_e, b_o))
-    else:
-        raise ValueError("unknown bijection kind %r" % kind)
-    pt.check_budget(sum(sources[max(lo, 0):hi + 1]), "bij %s on n=%d..%d" % (kind, lo, hi))
     for n in range(lo, hi + 1):
-        if kind == "raise":
-            source = [p for p in enumerate_family(n - 1, Family(STRICT)) if p.parts]
-            fwd, back = raise_largest, lower_largest
-
-            def member(img, src=None):
-                parts = img.parts
-                return (sum(parts) == n and is_strict_tuple(parts)
-                        and (len(parts) < 2 or parts[0] - parts[1] >= 2))
-        elif kind == "butterfly":
-            source = enumerate_family(n - 1, _WITH_ONE)
-            fwd, back = butterfly_forward, butterfly_backward
-            member = lambda img, src=None: sum(img.parts) == n and in_family(img, _ISOLATED)
-        else:
-            ae, ao = (enumerate_family(n, Family(k, h)) for k in BAR_KINDS[:2])
-            source = ae + ao
-            fwd, back = (lambda p: bar_forward(p, h)), (lambda p: bar_backward(p, h))
-            ae_set = {p.parts for p in ae}
-            # the image family swaps the parity of the second-largest part
-            member = lambda img, src=None: sum(img.parts) == n and in_family(
-                img, Family(BAR_BO if src.parts in ae_set else BAR_BE, h))
-            if len(ae) != b_o[n] or len(ao) != b_e[n]:
-                failures.append((n, "parity-swapped cardinalities differ"))
-
+        listed = [enumerate_family(n - shift, pair.source) for pair in pairs]
+        if len(pairs) > 1 and any(len(s) != t[n] for s, t in zip(listed, targets)):
+            failures.append((n, "parity-swapped cardinalities differ"))
         images = []
-        for p in source:
-            try:
-                img = fwd(p)
-            except BijectionError as exc:
-                failures.append((n, "forward failed on %s: %s" % (p, exc)))
-                continue
-            checked += 1
-            if not member(img, p):
-                failures.append((n, "image %s of %s outside the target family" % (img, p)))
-            if back(img).parts != p.parts:
-                failures.append((n, "backward did not recover %s" % p))
-            images.append(img.parts)
+        for pair, source in zip(pairs, listed):
+            for p in source:
+                try:
+                    img = forward(p, h)
+                except BijectionError as exc:
+                    failures.append((n, "forward failed on %s: %s" % (p, exc)))
+                    continue
+                checked += 1
+                if not (sum(img.parts) == n and pair.test(img)):
+                    failures.append((n, "image %s of %s outside the target family" % (img, p)))
+                if backward(img, h).parts != p.parts:
+                    failures.append((n, "backward did not recover %s" % p))
+                images.append(img.parts)
         if len(set(images)) != len(images):
             failures.append((n, "forward map is not injective"))
-        if len(source) != targets[n]:
-            failures.append((n, "count mismatch: %d sources vs %d targets"
-                             % (len(source), targets[n])))
+        count, want = sum(map(len, listed)), sum(t[n] for t in targets)
+        if count != want:
+            failures.append((n, "count mismatch: %d sources vs %d targets" % (count, want)))
     return BijectionReport(kind, (lo, hi), checked, checked > 0 and not failures,
                            tuple(failures))

@@ -61,16 +61,8 @@ def _cmd_enum(args):
     return 0
 
 
-# bij kind -> its least --from: the raise map lists the strict partitions of
-# n - 1, and a strict partition of 0 has no largest part to raise; the
-# butterfly map holds from n = 6; the bar map lists the A bar sets of n
-_BIJ_FROM = {"raise": 2, "butterfly": 6, "bar": 0}
-
-
 def _cmd_bij(args):
-    least = _BIJ_FROM[args.kind]
-    if args.start < least:
-        raise UsageError("bij %s --from must be >= %d, got %d" % (args.kind, least, args.start))
+    # a --from below the map's least n is verify_bijection's ValueError (exit 2)
     report = bijections.verify_bijection(args.kind, args.start, args.to, h=args.h)
     result = {"kind": report.kind, "range": list(report.n_range),
               "checked": report.checked, "passed": report.passed,
@@ -204,7 +196,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("bij", help="verify a bijection over a range of n")
-    p.add_argument("kind", choices=("raise", "butterfly", "bar"))
+    p.add_argument("kind", choices=tuple(bijections.BIJECTIONS))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--h", type=_bar_size, default=3)

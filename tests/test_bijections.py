@@ -14,8 +14,8 @@ from butterflyseq.bijections import (
     verify_bijection,
 )
 from butterflyseq.families import (
-    BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, CONSEC_ISOLATED, CONSEC_WITH_ONE, STRICT,
-    Family, count_family, enumerate_family,
+    BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, CONSEC, CONSEC_ISOLATED, CONSEC_WITH_ONE,
+    STRICT, Family, count_family, enumerate_family,
 )
 from butterflyseq.partitions import EnumerationLimitError, Partition
 
@@ -219,3 +219,110 @@ def test_range_is_served_at_the_budget_and_refused_above_it(monkeypatch, kind, l
     with pytest.raises(EnumerationLimitError,
                        match="bij %s on n=%d..%d: %d to list" % (kind, lo, hi, total)):
         verify_bijection(kind, lo, hi)
+
+
+# kind -> its range, its forward and backward maps (names in bijections),
+# the first n of the range with two sources, those sources p0 and p1 in
+# listing order, and their images under the forward map
+FAILURE_RANGES = {
+    "raise": (2, 5, "raise_largest", "lower_largest", 4, (3,), (2, 1), (4,), (3, 1)),
+    "butterfly": (6, 11, "butterfly_forward", "butterfly_backward", 11,
+                  (5, 4, 1), (4, 3, 2, 1), (6, 5), (5, 4, 2)),
+    "bar": (24, 27, "bar_forward", "bar_backward", 27,
+            (9, 8, 7, 3), (7, 6, 5, 4, 3, 2), (10, 9, 8), (8, 7, 6, 4, 2)),
+}
+
+
+def _override(monkeypatch, name, outcomes):
+    """Rebind bijections.<name> so that the partitions in ``outcomes`` map to
+    the given parts, or raise the given error; every other one maps as before."""
+    real = getattr(bijections, name)
+
+    def patched(p, *h):
+        if p.parts not in outcomes:
+            return real(p, *h)
+        out = outcomes[p.parts]
+        if isinstance(out, Exception):
+            raise out
+        return P(list(out))
+
+    monkeypatch.setattr(bijections, name, patched)
+
+
+def _shift_counts(monkeypatch, deltas):
+    """Rebind bijections.count_table so that each family in ``deltas`` counts
+    its given n that many more (or fewer) members."""
+    real = bijections.count_table
+
+    def shifted(N, f, parity=None):
+        table = real(N, f, parity)
+        for n, d in deltas.get(f, {}).items():
+            table[n] += d
+        return table
+
+    monkeypatch.setattr(bijections, "count_table", shifted)
+
+
+@pytest.mark.parametrize("kind, case, failures", [
+    ("raise", "forward_fails", ((4, "forward failed on 3: refused"),)),
+    ("raise", "outside", ((4, "image 3+1+1 of 3 outside the target family"),)),
+    ("raise", "backward_wrong", ((4, "backward did not recover 3"),)),
+    ("raise", "not_injective", ((4, "backward did not recover 3"),
+                                (4, "forward map is not injective"))),
+    ("raise", "count", ((4, "count mismatch: 2 sources vs 3 targets"),)),
+    ("butterfly", "forward_fails", ((11, "forward failed on 5+4+1: refused"),)),
+    ("butterfly", "outside",
+     ((11, "image 5+4+1+1+1 of 5+4+1 outside the target family"),)),
+    ("butterfly", "backward_wrong", ((11, "backward did not recover 5+4+1"),)),
+    ("butterfly", "not_injective", ((11, "backward did not recover 5+4+1"),
+                                    (11, "forward map is not injective"))),
+    ("butterfly", "count", ((11, "count mismatch: 2 sources vs 3 targets"),)),
+    ("bar", "forward_fails", ((27, "forward failed on 9+8+7+3: refused"),)),
+    ("bar", "outside", ((27, "image 9+8+7+3+1+1 of 9+8+7+3 outside the target family"),)),
+    ("bar", "backward_wrong", ((27, "backward did not recover 9+8+7+3"),)),
+    ("bar", "not_injective", ((27, "backward did not recover 9+8+7+3"),
+                              (27, "forward map is not injective"))),
+    ("bar", "count", ((27, "parity-swapped cardinalities differ"),
+                      (27, "count mismatch: 2 sources vs 3 targets"))),
+    ("bar", "halves_swapped", ((24, "parity-swapped cardinalities differ"),)),
+])
+def test_each_failure_is_reported_in_order(monkeypatch, kind, case, failures):
+    """Each check of verify_bijection reports its own message, in a fixed
+    order, when the maps or the target counts it reads from this module are
+    made wrong at one n (n0, whose sources are p0 then p1)."""
+    lo, hi, fwd, back, n0, p0, p1, img0, img1 = FAILURE_RANGES[kind]
+    total = verify_bijection(kind, lo, hi).checked
+    if case == "forward_fails":
+        _override(monkeypatch, fwd, {p0: BijectionError("refused")})
+    elif case == "outside":  # p0 maps to p0 + 1 + 1, in no target, and back
+        _override(monkeypatch, fwd, {p0: p0 + (1, 1)})
+        _override(monkeypatch, back, {p0 + (1, 1): p0})
+    elif case == "backward_wrong":
+        _override(monkeypatch, back, {img0: p1})
+    elif case == "not_injective":
+        _override(monkeypatch, fwd, {p0: img1})
+    elif case == "count":  # one more target at n0; raise counts q minus consec
+        target = {"raise": Family(CONSEC), "butterfly": Family(CONSEC_ISOLATED),
+                  "bar": Family(BAR_BO, 3)}[kind]
+        _shift_counts(monkeypatch, {target: {n0: -1 if kind == "raise" else 1}})
+    else:  # B_e and B_o trade their counts at n = 24 (1 and 0)
+        _shift_counts(monkeypatch, {Family(BAR_BE, 3): {24: -1}, Family(BAR_BO, 3): {24: 1}})
+    rep = verify_bijection(kind, lo, hi)
+    assert rep.failures == failures and not rep.passed
+    assert rep.checked == total - (case == "forward_fails")
+
+
+@pytest.mark.parametrize("kind, least", [("raise", 2), ("butterfly", 6), ("bar", 0)])
+def test_a_range_below_the_least_n_is_refused_before_counting(monkeypatch, kind, least):
+    """verify_bijection refuses a range that starts below its map's least n
+    with the CLI's message, before any table is counted or anything listed
+    (raise on n = 1..5 used to report a count mismatch at n = 1)."""
+    def refuse(*args):
+        raise AssertionError("counted or listed")
+
+    for name in ("count_table", "enumerate_family"):
+        monkeypatch.setattr(bijections, name, refuse)
+    monkeypatch.setattr(bijections.pt, "strict_pentagonal_table", refuse)
+    with pytest.raises(ValueError) as exc:
+        verify_bijection(kind, least - 1, 8)
+    assert str(exc.value) == "bij %s --from must be >= %d, got %d" % (kind, least, least - 1)

@@ -201,6 +201,19 @@ def test_bij_below_its_domain_is_usage_error(capsys, kind, least):
         "bar": (1, "bar bijection on n=0..8: FAIL (0 maps checked)\n")}[kind]
 
 
+def test_unknown_bij_kind_lists_the_kinds_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps its usage line to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(["bij", "nosuch", "--from", "2", "--to", "5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "usage: butterflyseq bij [-h] --from START --to TO [--h H] {raise,butterfly,bar}\n"
+        "butterflyseq bij: error: argument kind: invalid choice: 'nosuch' "
+        "(choose from 'raise', 'butterfly', 'bar')\n")
+
+
 def test_split_merge_round(capsys):
     code, out, _ = run(capsys, "split", "7+6+5+4+3+2", "--variant", "switched")
     assert code == 0 and out.strip() == "13+5+3+3+3"

@@ -76,6 +76,15 @@ def _in_consec(parts):
     return len(parts) >= 2 and is_strict_tuple(parts) and parts[0] == parts[1] + 1
 
 
+def _in_consec_with_one(parts, _=None):
+    return _in_consec(parts) and parts[-1] == 1
+
+
+def _in_consec_isolated(parts, _=None):
+    # no part 1, and the pair sits at least 2 above the rest
+    return _in_consec(parts) and parts[-1] >= 2 and (len(parts) < 3 or parts[1] >= parts[2] + 2)
+
+
 def _in_bar_a(parts, h):
     # smallest part other than 2 equals h; h largest consecutive; at least
     # h parts greater than h
@@ -96,7 +105,7 @@ def _in_bar_b(parts, h):
             and bool(non2) and non2[-1] > h)
 
 
-def _in_equal_triple(parts):
+def _in_equal_triple(parts, _=None):
     # the triple value must be >= 3: it mirrors the middle part of a
     # butterfly head, whose smallest admissible value is 3
     if len(parts) < 3 or parts[0] != parts[1] or parts[1] != parts[2]:
@@ -135,10 +144,10 @@ BY_H = object()  # the param of a bar set's alias: the size h, which enum reads 
 
 
 class _Row(NamedTuple):
-    """One kind of the catalogue.  The callables take (partition, param) or
+    """One kind of the catalogue.  The callables take (part tuple, param) or
     (n, param), and reach every function the benchmark traces through its
     module's namespace at call time, never hold it."""
-    test: object              # membership of a Partition
+    test: object              # membership of a part tuple
     head_tail: object = None  # (shape, parity of the second part, ends), or h -> that
     lister: object = None     # the part tuples of n, for a kind with no head_tail
     counter: object = None    # the count at n, for a kind count_table does not count
@@ -151,8 +160,8 @@ def _butterfly_row(parity, alias):
     # counted by count_butterfly, one value of the butterfly shape's packed
     # table kept in the store, which named_sequence's s_e, s_o and r1''
     # tables, the odd-step rows and parity also read
-    return _Row(lambda p, _: (is_butterfly_tuple(p.parts)
-                              and (parity is None or p.parts[1] % 2 == parity)),
+    return _Row(lambda parts, _: (is_butterfly_tuple(parts)
+                                  and (parity is None or parts[1] % 2 == parity)),
                 (pt.BUTTERFLY_SHAPE, parity, ((),)),
                 counter=lambda n, _: pt.count_butterfly(n, parity), aliases={alias: None})
 
@@ -160,7 +169,7 @@ def _butterfly_row(parity, alias):
 def _odd_step_row(form, parity, alias):
     # merging and splitting: the butterflies whose second part has this
     # parity are in bijection with the form's members
-    return _Row(lambda p, _: splitmerge.matches_form(p, form),
+    return _Row(lambda parts, _: splitmerge.matches_form(Partition._wrap(parts), form),
                 lister=lambda n, _: splitmerge.iter_form_tuples(n, form),
                 counter=lambda n, _: pt.count_butterfly(n, parity),
                 retest=True, aliases={alias: None})
@@ -176,7 +185,7 @@ def _bar_row(vertical, parity, alias):
         return shape, parity, () if h < 3 else ((), (2,)) if vertical else ((h,), (h, 2))
 
     test = _in_bar_b if vertical else _in_bar_a
-    return _Row(lambda p, h: test(p.parts, h) and p.parts[1] % 2 == parity, head_tail,
+    return _Row(lambda parts, h: test(parts, h) and parts[1] % 2 == parity, head_tail,
                 retest=True, aliases={alias: BY_H})
 
 
@@ -188,29 +197,28 @@ def _bar_row(vertical, parity, alias):
 # value of an equal triple and one more than the second part of a butterfly
 _R1_SHAPE = ((1, 0), 2, 1, 2)
 CATALOGUE = {
-    STRICT: _Row(lambda p, _: is_strict_tuple(p.parts), lister=lambda n, _: iter_strict_tuples(n),
+    STRICT: _Row(lambda parts, _: is_strict_tuple(parts), lister=lambda n, _: iter_strict_tuples(n),
                  counter=lambda n, _: pt.strict_pentagonal_table(n)[n], aliases={"strict": None}),
-    CONSEC: _Row(lambda p, _: _in_consec(p.parts), (((1, 0), 1, 1, 1), None, ((),)),
+    CONSEC: _Row(lambda parts, _: _in_consec(parts), (((1, 0), 1, 1, 1), None, ((),)),
                  aliases={"consec": None}),
-    CONSEC_NO_ONE: _Row(lambda p, _: _in_consec(p.parts) and p.parts[-1] >= 2,
+    CONSEC_NO_ONE: _Row(lambda parts, _: _in_consec(parts) and parts[-1] >= 2,
                         (_R1_SHAPE, None, ((),)), aliases={"r1": None}),
-    CONSEC_WITH_ONE: _Row(lambda p, _: _in_consec(p.parts) and p.parts[-1] == 1,
-                          (_R1_SHAPE, None, ((1,),)), retest=True, aliases={"r2": None}),
-    CONSEC_ISOLATED: _Row(lambda p, _: (_in_consec(p.parts) and p.parts[-1] >= 2
-                                        and (len(p.parts) < 3 or p.parts[1] >= p.parts[2] + 2)),
-                          (((1, 0), 2, 2, 2), None, ((),)), aliases={"r1-prime": None}),
+    CONSEC_WITH_ONE: _Row(_in_consec_with_one, (_R1_SHAPE, None, ((1,),)), retest=True,
+                          aliases={"r2": None}),
+    CONSEC_ISOLATED: _Row(_in_consec_isolated, (((1, 0), 2, 2, 2), None, ((),)),
+                          aliases={"r1-prime": None}),
     BUTTERFLY: _butterfly_row(None, "butterfly"),
     BUTTERFLY_EVEN: _butterfly_row(0, "butterfly-even"),
     BUTTERFLY_ODD: _butterfly_row(1, "butterfly-odd"),
-    EQUAL_TRIPLE: _Row(lambda p, _: _in_equal_triple(p.parts), (((0, 0, 0), 3, 2, 2), None, ((),)),
+    EQUAL_TRIPLE: _Row(_in_equal_triple, (((0, 0, 0), 3, 2, 2), None, ((),)),
                        aliases={"equal-triple": None}),
-    STAIRCASE_321: _Row(lambda p, _: _in_staircase(p.parts, (3, 2, 1)),
+    STAIRCASE_321: _Row(lambda parts, _: _in_staircase(parts, (3, 2, 1)),
                         lister=lambda n, _: _iter_staircase(n, 1, (2, 1)),
                         conjugate=(BUTTERFLY, 1), aliases={"staircase-321": None}),
-    STAIRCASE_33: _Row(lambda p, _: _in_staircase(p.parts, (3, 3)),
+    STAIRCASE_33: _Row(lambda parts, _: _in_staircase(parts, (3, 3)),
                        lister=lambda n, _: _iter_staircase(n, 2, ()),
                        conjugate=(EQUAL_TRIPLE, 0), aliases={"staircase-33": None}),
-    ODD_GE: _Row(lambda p, b: all(x % 2 == 1 and x >= b for x in p.parts),
+    ODD_GE: _Row(lambda parts, b: all(x % 2 == 1 and x >= b for x in parts),
                  lister=lambda n, b: _iter_odd_parts(n, b),
                  counter=lambda n, b: pt.count_odd_ge_table(n, b)[n],
                  aliases={"odd-ge-%d" % b: b for b in (1, 3, 5)}),
@@ -222,11 +230,11 @@ CATALOGUE = {
     BAR_AO: _bar_row(False, 1, "bar-ao"),
     BAR_BE: _bar_row(True, 0, "bar-be"),
     BAR_BO: _bar_row(True, 1, "bar-bo"),
-    BUTTERFLY_PLUS_ONES: _Row(lambda p, _: _in_butterfly_plus_ones(p.parts),
+    BUTTERFLY_PLUS_ONES: _Row(lambda parts, _: _in_butterfly_plus_ones(parts),
                               (pt.BUTTERFLY_SHAPE, None, ((), (1,), (1, 1))),
                               aliases={"butterfly-plus-ones": None}),
-    DISTINCT_NOT_POW2: _Row(lambda p, _: (is_strict_tuple(p.parts)
-                                          and all(x & (x - 1) for x in p.parts)),
+    DISTINCT_NOT_POW2: _Row(lambda parts, _: (is_strict_tuple(parts)
+                                              and all(x & (x - 1) for x in parts)),
                             lister=lambda n, _: pt.pool_tuples(pow2_free_parts(n), [(n, None, ())]),
                             counter=lambda n, _: pt.count_distinct_with_parts(
                                 n, pow2_free_parts(n))[n],
@@ -249,8 +257,8 @@ def _head_tail_row(row, param):
 
 
 def in_family(p: Partition, f: Family) -> bool:
-    """Total membership predicate."""
-    return _row(f).test(p, f.param)
+    """Total membership predicate: the row's test of the part tuple."""
+    return _row(f).test(p.parts, f.param)
 
 
 # ---------------------------------------------------------------------------

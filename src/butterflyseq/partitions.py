@@ -117,17 +117,14 @@ class Partition(Record):
 
     @classmethod
     def _of(cls, parts):
-        """The Partition of a tuple of ints the library built: __init__'s
-        check without its per-part int(), and on a violation __init__ itself,
-        so the error is the same."""
-        if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
-            return cls(parts)
-        return cls._wrap(parts)
+        """The Partition of a tuple of ints the library built, after
+        checked_parts."""
+        return cls._wrap(checked_parts(parts))
 
     @classmethod
     def _wrap(cls, parts):
-        """The Partition of a tuple of ints that already passed _of's check
-        (checked_tuples), with no check."""
+        """The Partition of a tuple of ints that already passed
+        checked_parts, with no check."""
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
         return p
@@ -210,14 +207,20 @@ def is_butterfly_tuple(parts):
 
 
 def checked_tuples(tuples):
-    """The list ``tuples``, each passed through Partition._of's check once
-    (parts >= 1, non-increasing); at the first that fails, __init__'s own
-    ValueError."""
+    """The list ``tuples`` of part tuples the library built, each passed
+    through Partition's check once (parts >= 1, non-increasing) without its
+    per-part int(); at the first that fails, __init__'s own ValueError."""
     ge = operator.ge
     for parts in tuples:
         if parts and not (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
             Partition(parts)
     return tuples
+
+
+def checked_parts(parts):
+    """One part tuple through checked_tuples: ``parts``, once it passes."""
+    checked_tuples((parts,))
+    return parts
 
 
 def check_budget(count, what):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from butterflyseq import bijections
+from butterflyseq import bijections, cli
 from butterflyseq.bijections import (
     BijectionError,
     BijectionReport,
@@ -17,7 +17,9 @@ from butterflyseq.families import (
     BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, CONSEC, CONSEC_ISOLATED, CONSEC_WITH_ONE,
     STRICT, Family, count_family, enumerate_family,
 )
-from butterflyseq.partitions import EnumerationLimitError, Partition
+from butterflyseq.partitions import (
+    EnumerationLimitError, Partition, checked_parts, iter_partition_tuples,
+)
 
 P = Partition
 
@@ -215,36 +217,37 @@ def test_range_is_served_at_the_budget_and_refused_above_it(monkeypatch, kind, l
     def refuse(*args):
         raise AssertionError("listed")
 
-    monkeypatch.setattr(bijections, "enumerate_family", refuse)
+    monkeypatch.setattr(bijections, "family_tuples", refuse)
     with pytest.raises(EnumerationLimitError,
                        match="bij %s on n=%d..%d: %d to list" % (kind, lo, hi, total)):
         verify_bijection(kind, lo, hi)
 
 
-# kind -> its range, its forward and backward maps (names in bijections),
+# kind -> its range, its forward and backward cores (names in bijections),
 # the first n of the range with two sources, those sources p0 and p1 in
 # listing order, and their images under the forward map
 FAILURE_RANGES = {
-    "raise": (2, 5, "raise_largest", "lower_largest", 4, (3,), (2, 1), (4,), (3, 1)),
-    "butterfly": (6, 11, "butterfly_forward", "butterfly_backward", 11,
+    "raise": (2, 5, "_raise_largest", "_lower_largest", 4, (3,), (2, 1), (4,), (3, 1)),
+    "butterfly": (6, 11, "_butterfly_forward", "_butterfly_backward", 11,
                   (5, 4, 1), (4, 3, 2, 1), (6, 5), (5, 4, 2)),
-    "bar": (24, 27, "bar_forward", "bar_backward", 27,
+    "bar": (24, 27, "_bar_forward", "_bar_backward", 27,
             (9, 8, 7, 3), (7, 6, 5, 4, 3, 2), (10, 9, 8), (8, 7, 6, 4, 2)),
 }
 
 
 def _override(monkeypatch, name, outcomes):
-    """Rebind bijections.<name> so that the partitions in ``outcomes`` map to
-    the given parts, or raise the given error; every other one maps as before."""
+    """Rebind bijections.<name>, a core on part tuples, so that the tuples in
+    ``outcomes`` map to the given parts, checked as a core checks its image,
+    or raise the given error; every other one maps as before."""
     real = getattr(bijections, name)
 
-    def patched(p, *h):
-        if p.parts not in outcomes:
-            return real(p, *h)
-        out = outcomes[p.parts]
+    def patched(parts, h):
+        if parts not in outcomes:
+            return real(parts, h)
+        out = outcomes[parts]
         if isinstance(out, Exception):
             raise out
-        return P(list(out))
+        return checked_parts(out)
 
     monkeypatch.setattr(bijections, name, patched)
 
@@ -320,9 +323,144 @@ def test_a_range_below_the_least_n_is_refused_before_counting(monkeypatch, kind,
     def refuse(*args):
         raise AssertionError("counted or listed")
 
-    for name in ("count_table", "enumerate_family"):
+    for name in ("count_table", "family_tuples"):
         monkeypatch.setattr(bijections, name, refuse)
     monkeypatch.setattr(bijections.pt, "strict_pentagonal_table", refuse)
     with pytest.raises(ValueError) as exc:
         verify_bijection(kind, least - 1, 8)
     assert str(exc.value) == "bij %s --from must be >= %d, got %d" % (kind, least, least - 1)
+
+
+@pytest.mark.parametrize("kind", FAILURE_RANGES)
+@pytest.mark.parametrize("case", ["outside", "unordered", "backward_unordered"])
+def test_a_wrong_map_alone_is_a_failure_not_a_usage_error(monkeypatch, capsys, kind, case):
+    """Only one map is made wrong, at p0 or at its image: an image outside the
+    target (the backward map refuses it), or a tuple that is not a partition
+    from either map, is reported as a failure, and the CLI exits 1, not 2
+    (the forward cases used to escape as the backward map's BijectionError
+    or the tuple check's ValueError)."""
+    lo, hi, fwd, back, n0, p0, _, img0, _ = FAILURE_RANGES[kind]
+    total = verify_bijection(kind, lo, hi).checked
+    shown = P(list(p0))
+    if case == "outside":
+        _override(monkeypatch, fwd, {p0: p0 + (1, 1)})
+        want = (n0, "image %s of %s outside the target family" % (P(list(p0 + (1, 1))), shown))
+    elif case == "unordered":
+        img = p0 + (p0[0] + 1,)
+        _override(monkeypatch, fwd, {p0: img})
+        want = (n0, "forward failed on %s: parts must be non-increasing: %r" % (shown, img))
+    else:
+        _override(monkeypatch, back, {img0: img0 + (img0[0] + 1,)})
+        want = (n0, "backward did not recover %s" % shown)
+    rep = verify_bijection(kind, lo, hi)
+    assert rep.failures == (want,) and not rep.passed
+    assert rep.checked == total - (case == "unordered")
+    capsys.readouterr()
+    assert cli.main(["bij", kind, "--from", str(lo), "--to", str(hi)]) == 1
+    out, err = capsys.readouterr()
+    assert out == str(rep) + "\n" and err == ""
+
+
+def _outcome(fn, *args):
+    """What a map gives: its image's part tuple, or its BijectionError's text."""
+    try:
+        out = fn(*args)
+    except BijectionError as exc:
+        return "error: %s" % exc
+    return out.parts if isinstance(out, Partition) else out
+
+
+# each public map and its core on part tuples; the bar maps take h
+PUBLIC_AND_CORE = [
+    (raise_largest, "_raise_largest", False), (lower_largest, "_lower_largest", False),
+    (butterfly_forward, "_butterfly_forward", False),
+    (butterfly_backward, "_butterfly_backward", False),
+    (bar_forward, "_bar_forward", True), (bar_backward, "_bar_backward", True),
+]
+
+
+def _assert_public_equals_core(public, core, parts, h=None):
+    args = (h,) if h is not None else ()
+    want = _outcome(public, P(list(parts)), *args)
+    assert _outcome(getattr(bijections, core), parts, *args) == want, (core, parts, h)
+    return want
+
+
+@pytest.mark.parametrize("kind, sources", [
+    ("raise", lambda: [(p, None) for n in range(1, 30)
+                       for p in bijections.family_tuples(n, Family(STRICT))]),
+    ("butterfly", lambda: [(p, None) for n in range(5, 40)
+                           for p in bijections.family_tuples(n, Family(CONSEC_WITH_ONE))]),
+    ("bar", lambda: [(p, h) for h in (3, 4) for n in range(61) for k in (BAR_AE, BAR_AO)
+                     for p in bijections.family_tuples(n, Family(k, h))]),
+])
+def test_each_public_map_equals_its_core_on_every_source(kind, sources):
+    """Raise for n <= 30, butterfly for n <= 40 and bar for n <= 60 with
+    h = 3 and 4: the forward core gives the public map's image, and the
+    backward core gives the public map's preimage of that image."""
+    (fwd, fcore, _), (back, bcore, _) = {
+        "raise": PUBLIC_AND_CORE[0:2], "butterfly": PUBLIC_AND_CORE[2:4],
+        "bar": PUBLIC_AND_CORE[4:6]}[kind]
+    listed = sources()
+    assert listed
+    for parts, h in listed:
+        img = _assert_public_equals_core(fwd, fcore, parts, h)
+        assert _assert_public_equals_core(back, bcore, img, h) == parts
+
+
+@pytest.mark.parametrize("public, core, takes_h", PUBLIC_AND_CORE,
+                         ids=[core for _, core, _ in PUBLIC_AND_CORE])
+def test_each_public_map_equals_its_core_on_invalid_inputs(public, core, takes_h):
+    """The empty partition, non-strict ones and ones outside each map's
+    family (every partition of n <= 12, and a bar size below 3) give the
+    same BijectionError text from the public map and its core."""
+    inputs = [()] + [t for n in range(1, 13) for t in iter_partition_tuples(n)]
+    errors = 0
+    for h in ((2, 3, 4) if takes_h else (None,)):
+        for parts in inputs:
+            errors += isinstance(_assert_public_equals_core(public, core, parts, h), str)
+    assert errors > 0
+    for parts in [(), (3, 3, 1)]:  # empty and non-strict: outside every domain
+        assert isinstance(_outcome(public, P(list(parts)), *((3,) if takes_h else ())), str)
+
+
+@pytest.mark.parametrize("kind, lo, hi, h, test, images", [
+    ("raise", 2, 30, 3, "_gap_two", 1738),
+    ("butterfly", 6, 40, 3, "_in_consec_isolated", 459),
+    ("bar", 6, 60, 3, "_in_bar_b", 463),
+])
+def test_each_image_is_tested_against_its_target_once(monkeypatch, kind, lo, hi, h, test,
+                                                      images):
+    """The target test is the backward map's own domain check, evaluated
+    once per image."""
+    real, calls = getattr(bijections, test), []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(bijections, test, counted)
+    rep = verify_bijection(kind, lo, hi, h)
+    assert rep.passed and rep.checked == images
+    assert len(calls) == images and len(set(calls)) == images
+
+
+@pytest.mark.parametrize("kind, lo, hi, retested", [
+    ("raise", 2, 30, 0), ("butterfly", 6, 40, 459), ("bar", 6, 60, 463)])
+def test_no_partition_is_built_per_map(monkeypatch, kind, lo, hi, retested):
+    """verify_bijection maps part tuples: the only Partitions it builds are
+    those family_tuples wraps to retest each listed r2 or bar source through
+    in_family, one per source (strict sources are not retested)."""
+    real, built = Partition._wrap.__func__, []
+
+    def counted(cls, parts):
+        built.append(parts)
+        return real(cls, parts)
+
+    def refuse(self, *args):
+        raise AssertionError("Partition() called")
+
+    monkeypatch.setattr(Partition, "_wrap", classmethod(counted))
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    rep = verify_bijection(kind, lo, hi)
+    assert rep.passed and len(built) == retested

@@ -22,10 +22,6 @@ BAR_ALIASES = {alias: kind for kind, row in CATALOGUE.items()
                for alias, param in row.aliases.items() if param is BY_H}
 
 
-class UsageError(Exception):
-    """Usage-class error raised after argument parsing."""
-
-
 def _emit(args, command, result, text):
     if args.json:
         print(json.dumps({"command": command, "result": result}, sort_keys=True))
@@ -52,8 +48,8 @@ def _cmd_enum(args):
     elif args.family in FAMILY_ALIASES:
         fam = FAMILY_ALIASES[args.family]
     else:
-        raise UsageError("unknown family %r (choose from %s)"
-                          % (args.family, ", ".join(sorted(FAMILY_ALIASES) + sorted(BAR_ALIASES))))
+        raise ValueError("unknown family %r (choose from %s)"
+                         % (args.family, ", ".join(sorted(FAMILY_ALIASES) + sorted(BAR_ALIASES))))
     # each part value is formatted once per call, not once per occurrence
     digits = [str(x) for x in range(args.n + 1)]
     result = ["+".join([digits[x] for x in t]) for t in family_tuples(args.n, fam)]
@@ -118,7 +114,7 @@ def _cmd_parity(args):
         _emit(args, "parity", inputs, "\n".join(str(n) for n in inputs))
         return 0
     if args.n is None:
-        raise UsageError("parity needs N or --exceptions --to N")
+        raise ValueError("parity needs N or --exceptions --to N")
     w = pentagonal.parity_relation(args.n)
     ok = pentagonal.parity_relation_holds(args.n)
     result = {"n": args.n, "relation": w.relation, "form": w.form, "t": w.t,
@@ -185,7 +181,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("seq", help="print a named sequence as b-file lines")
-    p.add_argument("name", choices=sorted(sequences.SEQUENCE_NAMES))
+    p.add_argument("name", choices=sorted(sequences.ROUTES))
     p.add_argument("--to", type=int, required=True)
     p.set_defaults(fn=_cmd_seq)
 
@@ -250,7 +246,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         # violated merging caps are a domain failure, not a usage error
         return 1 if isinstance(exc, splitmerge.CapsError) else 2

@@ -8,8 +8,9 @@ listed member is checked again; and its CLI aliases.
 
 A head-and-tail row is a shape of consecutive or equal largest parts over a
 strict tail, the parity of the second part, and the fixed ends, one of
-which closes each member (a bar set's row is built from h).  It is listed
-by partitions.iter_head_tail_tuples once per end, and counted by count_table
+which closes each member (a bar set's row is built from h, and has no ends
+up to an n below its least member).  It is listed by
+partitions.iter_head_tail_tuples once per end, and counted by count_table
 from one packed table per end.  Every other listing but the two staircases
 (_iter_staircase) comes from the filler partitions.pool_tuples: the strict
 partitions, the odd parts >= b, the pow2-free parts and the capped odd-step
@@ -148,7 +149,7 @@ class _Row(NamedTuple):
     (n, param), and reach every function the benchmark traces through its
     module's namespace at call time, never hold it."""
     test: object              # membership of a part tuple
-    head_tail: object = None  # (shape, parity of the second part, ends), or h -> that
+    head_tail: object = None  # (shape, parity of the second part, ends), or (h, n) -> that
     lister: object = None     # the part tuples of n, for a kind with no head_tail
     counter: object = None    # the count at n, for a kind count_table does not count
     conjugate: tuple = None   # a staircase's (conjugate kind, parity flip)
@@ -179,10 +180,14 @@ def _bar_row(vertical, parity, alias):
     # a bar set of size h is a head (a+h-1, ..., a) over a strict tail, then
     # an optional 2: A with a >= h + 1, the tail within [h + 1, a - 1], then
     # the part h; B with a >= h + 2, the tail within [h + 1, a - 2].  h < 3
-    # has no ends
-    def head_tail(h):
+    # has no ends, and neither has any h up to an n below 3h(h+1)/2, the
+    # least member's sum (A's least head over h, B's least head), so no
+    # shape of size h is built where it could hold nothing
+    def head_tail(h, n):
+        if h < 3 or 2 * n < 3 * h * (h + 1):
+            return None, parity, ()
         shape = (tuple(range(h - 1, -1, -1)), h + 1 + vertical, 1 + vertical, h + 1)
-        return shape, parity, () if h < 3 else ((), (2,)) if vertical else ((h,), (h, 2))
+        return shape, parity, ((), (2,)) if vertical else ((h,), (h, 2))
 
     test = _in_bar_b if vertical else _in_bar_a
     return _Row(lambda parts, h: test(parts, h) and parts[1] % 2 == parity, head_tail,
@@ -249,11 +254,11 @@ def _row(f):
     return row
 
 
-def _head_tail_row(row, param):
-    """The row's (shape, parity, ends), built from h for a bar set; None for
-    a kind with a lister."""
+def _head_tail_row(row, param, n):
+    """The row's (shape, parity, ends) for the members up to n, built from h
+    for a bar set; None for a kind with a lister."""
     head_tail = row.head_tail
-    return head_tail(param) if callable(head_tail) else head_tail
+    return head_tail(param, n) if callable(head_tail) else head_tail
 
 
 def in_family(p: Partition, f: Family) -> bool:
@@ -306,7 +311,7 @@ def family_tuples(n, f: Family):
     row = _row(f)
     if n > pt.FITS_BUDGET_N:
         pt.check_budget(count_family(n, f), "%s at n=%d" % (f, n))
-    head_tail = _head_tail_row(row, f.param)
+    head_tail = _head_tail_row(row, f.param, n)
     if head_tail is None:
         tuples = row.lister(n, f.param)
     else:
@@ -348,7 +353,7 @@ def count_table(N, f: Family, parity=None):
     kind, flip = _row(f).conjugate or (f.kind, 0)
     if CATALOGUE[kind].head_tail is None:
         raise ValueError("count_table counts no %s: it has no head-and-tail row" % kind)
-    shape, fixed, ends = _head_tail_row(CATALOGUE[kind], f.param)
+    shape, fixed, ends = _head_tail_row(CATALOGUE[kind], f.param, N)
     fixed = fixed if parity is None else parity ^ flip
     table = [0] * (N + 1)
     for end in ends:  # an end above N adds nothing

@@ -116,12 +116,6 @@ class Partition(Record):
         object.__setattr__(self, "parts", parts)
 
     @classmethod
-    def _of(cls, parts):
-        """The Partition of a tuple of ints the library built, after
-        checked_parts."""
-        return cls._wrap(checked_parts(parts))
-
-    @classmethod
     def _wrap(cls, parts):
         """The Partition of a tuple of ints that already passed
         checked_parts, with no check."""

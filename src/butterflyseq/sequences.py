@@ -4,6 +4,13 @@ Tables carry an explicit offset (the first meaningful input) because most of
 the sequences here start late: the consecutive-pair refinements at n = 3, the
 isolated/butterfly refinements at n = 5, the even/odd butterfly subsequences
 at n = 6.
+
+Each of the 19 named sequences has one row in ROUTES: its offset, its
+production route, which named_sequence runs, and its check routes, which
+crosscheck_table compares the table against and counting_dp reads for p,
+dp and d2p.  q, r, s, t, p, dp and d2p come from the pentagonal kernel,
+and the twelve family tables from the catalogue of families, counted, not
+listed.  SEQUENCE_NAMES, and the CLI's seq choices, are the table's names.
 """
 
 import math
@@ -20,6 +27,7 @@ from .families import (
     EQUAL_TRIPLE,
     STAIRCASE_321,
     STAIRCASE_33,
+    CATALOGUE,
     Family,
     count_family,
     count_table,
@@ -31,28 +39,6 @@ RECURRENCE = "recurrence"
 # r, s and t are q times the difference polynomials (1 - x), (1 - x)^2 and
 # (1 + x + x^2)(1 - x)^2: name -> coefficients of x^0, x^1, ...
 DIFF_WEIGHTS = {"q": (1,), "r": (1, -1), "s": (1, -2, 1), "t": (1, -1, 0, -1, 1)}
-
-# dp and d2p are p times (1 - x) and (1 - x)^2, and d2p adds x - x^2: no
-# partition of 1 or 2 is free of 1s with a repeated largest part, where the
-# second difference of p reads -1 and +1
-_P_WEIGHTS = {"p": (1,), "dp": (1, -1), "d2p": (1, -2, 1)}
-
-# the tables counted from one packed head-and-tail table (families.count_table):
-# name -> (family, parity of its split key).  e, o split the equal triples by
-# their repeated value, the primed tables the staircases by their number of
-# parts, so by conjugation e'' = e, o'' = o, e' = s_o and o' = s_e
-_COUNTED = {
-    "r1": (Family(CONSEC_NO_ONE), None), "r2": (Family(CONSEC_WITH_ONE), None),
-    "r1_prime": (Family(CONSEC_ISOLATED), None),
-    "e": (Family(EQUAL_TRIPLE), 0), "o": (Family(EQUAL_TRIPLE), 1),
-    "e_prime": (Family(STAIRCASE_321), 0), "o_prime": (Family(STAIRCASE_321), 1),
-    "e_dprime": (Family(STAIRCASE_33), 0), "o_dprime": (Family(STAIRCASE_33), 1),
-}
-
-# p, dp and d2p -> the part-by-part counting DP in partitions that checks
-# them, by name, so that a rebound partitions function is the one called
-_COUNTING_DPS = {"p": "count_partitions_table", "dp": "count_no_ones_table",
-                 "d2p": "count_no_ones_repeated_top_table"}
 
 
 class SequenceTable(pt.Record):
@@ -92,57 +78,111 @@ def difference(t: SequenceTable) -> SequenceTable:
 # The catalogue
 # ---------------------------------------------------------------------------
 
-_OFFSETS = {
-    "q": 0, "r": 0, "s": 0, "t": 0,
-    "p": 0, "dp": 0, "d2p": 0,
-    "r1": 3, "r2": 3, "r1_prime": 5, "r1_dprime": 5,
-    "s_e": 6, "s_o": 6,
-    "e": 6, "o": 6, "e_prime": 6, "o_prime": 6, "e_dprime": 6, "o_dprime": 6,
+# Each route reaches every function it runs through its module's namespace
+# at call time, never holds it, so that a rebound function is the one called.
+
+def _q_times(name):
+    """The production route of q, r, s or t: the stored pentagonal q times
+    the name's difference polynomial (DIFF_WEIGHTS)."""
+    return lambda N, offset: _weighted(DIFF_WEIGHTS[name], pt.strict_pentagonal_table(N))
+
+
+def _p_times(weights, plus=()):
+    """The production route of p, dp or d2p: the stored pentagonal p times
+    the polynomial ``weights``, plus x times the polynomial ``plus``."""
+    def build(N, offset):
+        vals = _weighted(weights, pt.solved_prefix(
+            "p", N, lambda head: pt.pentagonal_solve([1] + [0] * N, 1, head)))
+        vals[1:1 + len(plus)] = map(add, vals[1:1 + len(plus)], plus)
+        return vals
+    return build
+
+
+def _counted(kind, parity=None):
+    """The production route of a family table: a kind whose catalogue row
+    has a counter is read n by n through count_family, largest n first (the
+    first read builds its stored table through N once and every later one
+    reads it, where smallest first would rebuild it whole at each n past its
+    end); any other is one count_table, split by the parity of its key."""
+    family = Family(kind)
+    if CATALOGUE[kind].counter is None:
+        return lambda N, offset: count_table(N, family, parity)[offset:]
+    return lambda N, offset: [count_family(n, family) for n in range(N, offset - 1, -1)][::-1]
+
+
+# name -> (offset, production route, check routes).  The production route
+# gives the values at offset..N from (N, offset); each check route is (route,
+# first n checked, N -> the route's values at 0..N), and none of them runs
+# the production route.  q, r, s and t are the pentagonal q times their
+# difference polynomials: q is checked against strict enumeration (through
+# n = 45), the odd-parts counts and the strict DP; r and s against the
+# differences of the DP's q, r against the odd-parts >= 3 counts and s
+# against a packed butterfly table built apart from the store (count_table,
+# not count_butterfly's); t against the odd-parts >= 5 counts.  p, dp and d2p
+# are the pentagonal p times (1 - x)^i, checked against their part-by-part
+# counting DPs; d2p adds x - x^2, since no partition of 1 or 2 is free of 1s
+# with a repeated largest part, where the second difference of p reads -1
+# and +1.  The twelve family tables come from the catalogue: r1, r2 and r1'
+# count the consecutive pairs, e and o split the equal triples by their
+# repeated value, the primed tables the staircases by their number of parts
+# (so by conjugation e'' = e, o'' = o, e' = s_o and o' = s_e), and r1'', s_e
+# and s_o count the butterflies, whose store also serves parity and the
+# odd-step kinds; s_e and s_o are checked against (s +- delta)/2.  The other
+# ten family tables have no check route yet.
+ROUTES = {
+    "q": (0, _q_times("q"), (
+        ("listing", 0, lambda N: [len(list(pt.iter_strict_tuples(n)))
+                                  for n in range(min(N, 45) + 1)]),
+        ("odd-parts", 0, lambda N: pt.count_odd_ge_table(N, 1)),
+        ("strict-dp", 0, lambda N: pt.count_strict_table(N)))),
+    "r": (0, _q_times("r"), (("difference", 0, lambda N: _strict_dp_difference("r", N)),
+                             ("odd-ge-3", 0, lambda N: pt.count_odd_ge_table(N, 3)))),
+    "s": (0, _q_times("s"), (("difference", 0, lambda N: _strict_dp_difference("s", N)),
+                             ("butterfly", 6, lambda N: count_table(N, Family(BUTTERFLY))))),
+    "t": (0, _q_times("t"), (("odd-ge-5", 0, lambda N: pt.count_odd_ge_table(N, 5)),)),
+    "p": (0, _p_times((1,)), (("counting-dp", 0, lambda N: pt.count_partitions_table(N)),)),
+    "dp": (0, _p_times((1, -1)), (("counting-dp", 0, lambda N: pt.count_no_ones_table(N)),)),
+    "d2p": (0, _p_times((1, -2, 1), (1, -1)),
+            (("counting-dp", 0, lambda N: pt.count_no_ones_repeated_top_table(N)),)),
+    "r1": (3, _counted(CONSEC_NO_ONE), ()), "r2": (3, _counted(CONSEC_WITH_ONE), ()),
+    "r1_prime": (5, _counted(CONSEC_ISOLATED), ()), "r1_dprime": (5, _counted(BUTTERFLY), ()),
+    "s_e": (6, _counted(BUTTERFLY_EVEN), (
+        ("butterfly-parity", 6, lambda N: _butterfly_parity(1, N)),)),
+    "s_o": (6, _counted(BUTTERFLY_ODD), (
+        ("butterfly-parity", 6, lambda N: _butterfly_parity(-1, N)),)),
+    "e": (6, _counted(EQUAL_TRIPLE, 0), ()), "o": (6, _counted(EQUAL_TRIPLE, 1), ()),
+    "e_prime": (6, _counted(STAIRCASE_321, 0), ()), "o_prime": (6, _counted(STAIRCASE_321, 1), ()),
+    "e_dprime": (6, _counted(STAIRCASE_33, 0), ()), "o_dprime": (6, _counted(STAIRCASE_33, 1), ()),
 }
 
-SEQUENCE_NAMES = tuple(_OFFSETS)
+SEQUENCE_NAMES = tuple(ROUTES)
 
 
 def named_sequence(name, N) -> SequenceTable:
-    """Values of the named sequence for inputs offset..N.
+    """Values of the named sequence for inputs offset..N, by the production
+    route of its row in ROUTES.
 
     q and p come from the pentagonal kernel (partitions.pentagonal_solve,
     O(N^{3/2}) additions): q solves Q(x) E(x) = E(x^2) and p solves
     P(x) E(x) = 1, with E(x) = prod (1 - x^j).  Each is read off its table
     in the process's store (partitions.solved_prefix), so a call at or below
     the longest N asked for so far solves nothing.  r, s and t apply their
-    difference polynomials (DIFF_WEIGHTS) to q, and dp and d2p theirs
-    (_P_WEIGHTS) to p, by construction here.  The O(N^2) counting DPs and the
-    family enumerations they are cross-checked against live in
-    crosscheck_table, counting_dp and the test suite.  The _COUNTED tables are
-    one packed head-and-tail table each, not listings, so the listing budget
-    spares them; r1'', s_e and s_o are read n by n through count_family from
-    count_butterfly's table of the butterfly shape, which the process's
-    store keeps, so no recursion bounds N.
+    difference polynomials to q, and dp and d2p theirs to p.  The O(N^2)
+    counting DPs and the family enumerations they are cross-checked against
+    live in the rows' check routes (crosscheck_table, counting_dp) and the
+    test suite.  The twelve family tables are counted from the catalogue,
+    not listed, so the listing budget spares them: each is one packed
+    head-and-tail table (families.count_table), or, for the butterfly kinds,
+    read n by n through count_family from count_butterfly's table of the
+    butterfly shape, which the process's store keeps, so no recursion
+    bounds N.
     """
-    if name not in _OFFSETS:
+    if name not in ROUTES:
         raise ValueError("unknown sequence %r" % name)
-    offset = _OFFSETS[name]
+    offset, build, _ = ROUTES[name]
     if N < offset:
         raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
-    if name in DIFF_WEIGHTS:
-        q = pt.strict_pentagonal_table(N)
-        return SequenceTable(name, 0, _weighted(DIFF_WEIGHTS[name], q))
-    if name in _P_WEIGHTS:
-        p = pt.solved_prefix("p", N, lambda head: pt.pentagonal_solve([1] + [0] * N, 1, head))
-        vals = _weighted(_P_WEIGHTS[name], p)
-        if name == "d2p":  # + x - x^2
-            vals[1:3] = [v + c for v, c in zip(vals[1:3], (1, -1))]
-        return SequenceTable(name, 0, vals)
-
-    if name in _COUNTED:
-        return SequenceTable(name, offset, count_table(N, *_COUNTED[name])[offset:])
-    family = Family({"r1_dprime": BUTTERFLY, "s_e": BUTTERFLY_EVEN, "s_o": BUTTERFLY_ODD}[name])
-    # n by n through count_butterfly, largest n first: the first read builds
-    # the stored table through N once and every later one reads it, where
-    # smallest first would rebuild it whole at each n past its end
-    vals = [count_family(n, family) for n in range(N, offset - 1, -1)]
-    return SequenceTable(name, offset, vals[::-1])
+    return SequenceTable(name, offset, build(N, offset))
 
 
 def _weighted(weights, series):
@@ -160,8 +200,9 @@ def _weighted(weights, series):
 
 def counting_dp(name, N):
     """[name(0..N)] for p, dp or d2p from its O(N^2) part-by-part counting DP
-    in partitions: the oracle of the pentagonal route of named_sequence."""
-    return getattr(pt, _COUNTING_DPS[name])(N)
+    in partitions, the "counting-dp" check route of its row in ROUTES: the
+    oracle of the pentagonal route of named_sequence."""
+    return {route: values for route, _, values in ROUTES[name][2]}["counting-dp"](N)
 
 
 def mod3_slices(s: SequenceTable, residue, m0) -> SequenceTable:
@@ -259,39 +300,16 @@ def _butterfly_parity(sign, N):
     return [t // 2 if t % 2 == 0 else None for t in twice]
 
 
-# name -> its cross-check routes, each (route, first n checked, the route's
-# values at 0..N from N), none of them the route of named_sequence: q against
-# strict enumeration (through n = 45), the odd-parts counts and the strict DP;
-# r and s against the differences of the DP's q, r against the odd-parts >= 3
-# counts and s against a packed butterfly table built apart from the store
-# (count_table, not count_butterfly's); t against the odd-parts >= 5 counts;
-# s_e and s_o against (s +- delta)/2; p, dp and d2p against their counting DPs
-_CROSSCHECKS = {
-    "q": (("listing", 0, lambda N: [len(list(pt.iter_strict_tuples(n)))
-                                    for n in range(min(N, 45) + 1)]),
-          ("odd-parts", 0, lambda N: pt.count_odd_ge_table(N, 1)),
-          ("strict-dp", 0, lambda N: pt.count_strict_table(N))),
-    "r": (("difference", 0, lambda N: _strict_dp_difference("r", N)),
-          ("odd-ge-3", 0, lambda N: pt.count_odd_ge_table(N, 3))),
-    "s": (("difference", 0, lambda N: _strict_dp_difference("s", N)),
-          ("butterfly", 6, lambda N: count_table(N, Family(BUTTERFLY)))),
-    "t": (("odd-ge-5", 0, lambda N: pt.count_odd_ge_table(N, 5)),),
-    "s_e": (("butterfly-parity", 6, lambda N: _butterfly_parity(1, N)),),
-    "s_o": (("butterfly-parity", 6, lambda N: _butterfly_parity(-1, N)),),
-    **{name: (("counting-dp", 0, lambda N, name=name: counting_dp(name, N)),)
-       for name in _COUNTING_DPS},
-}
-
-
 def crosscheck_table(name, N) -> list:
-    """Independent recomputation of a named table by each of its routes in
-    _CROSSCHECKS; returns the mismatches (name, n, route, expected, got),
+    """Independent recomputation of a named table by each check route of its
+    row in ROUTES; returns the mismatches (name, n, route, expected, got),
     route by route.  An odd s +- delta is a mismatch (expected None)."""
     table = named_sequence(name, N)
-    if name not in _CROSSCHECKS:
+    checks = ROUTES[name][2]
+    if not checks:
         raise ValueError("no cross-check route for %r" % name)
     mismatches = []
-    for route, lo, build in _CROSSCHECKS[name]:
+    for route, lo, build in checks:
         values = build(N)
         mismatches += [(name, n, route, values[n], table[n])
                        for n in range(lo, len(values)) if values[n] != table[n]]

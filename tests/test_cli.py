@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,8 +101,7 @@ def test_enum_makes_no_partition_per_member(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Partition, "__init__", counted("__init__", Partition.__init__))
-    for name in ("_of", "_wrap"):
-        monkeypatch.setattr(Partition, name, staticmethod(counted(name, getattr(Partition, name))))
+    monkeypatch.setattr(Partition, "_wrap", staticmethod(counted("_wrap", Partition._wrap)))
     code, out = _stdout("enum", "strict", "30")
     assert code == 0 and len(out.splitlines()) == 296
     assert built == []
@@ -182,6 +182,21 @@ def test_bij_raise_below_its_domain_is_usage_error(capsys):
     assert "--from must be >= 2" in err
     code, out, _ = run(capsys, "bij", "raise", "--from", "2", "--to", "5")
     assert code == 0 and "pass" in out
+
+
+def test_a_huge_bar_size_is_answered_without_its_shape(capsys):
+    """No bar set of size h has a member below 3h(h+1)/2: at --h 10^6, enum
+    and bij answer as at --h 40, and enum allocates nothing of size h."""
+    tracemalloc.start()
+    try:
+        code = main(["enum", "bar-ae", "20", "--h", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "\n")
+    assert peak < 1 << 20, peak
+    assert run(capsys, "bij", "bar", "--from", "6", "--to", "30", "--h", "1000000") == (
+        1, "bar bijection on n=6..30: FAIL (0 maps checked)\n", "")
 
 
 @pytest.mark.parametrize("kind, least", [("butterfly", 6), ("bar", 0)])

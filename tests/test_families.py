@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from butterflyseq import families
+from butterflyseq import partitions as pt
 from butterflyseq.families import (
     BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, BUTTERFLY_EVEN, BUTTERFLY_ODD,
     BAR_KINDS, BUTTERFLY_PLUS_ONES, CONSEC, CONSEC_ISOLATED, CONSEC_NO_ONE,
@@ -415,6 +417,37 @@ def test_bar_sets_below_size_three_are_empty():
             assert count_table(60, fam) == [0] * 61, fam
             for n in range(61):
                 assert family_tuples(n, fam) == [] and count_family(n, fam) == 0, (fam, n)
+
+
+def test_a_bar_set_has_no_member_below_its_least_n(monkeypatch):
+    """A bar set of size h has no member below 3h(h+1)/2, so at h = 40 and
+    n <= 200 every bar kind counts zeros and lists nothing without reaching
+    the head-and-tail table or listing, whose shape alone takes O(h)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached the head-and-tail kernel")
+
+    monkeypatch.setattr(pt, "count_head_tail_table", refuse)
+    for module in (pt, families):
+        monkeypatch.setattr(module, "iter_head_tail_tuples", refuse)
+    for kind in BAR_KINDS:
+        fam = Family(kind, 40)
+        assert count_table(200, fam) == [0] * 201, fam
+        for n in range(201):
+            assert family_tuples(n, fam) == [] and count_family(n, fam) == 0, (fam, n)
+
+
+@pytest.mark.parametrize("h", range(3, 8))
+def test_a_bar_set_starts_at_its_least_n(h):
+    """3h(h+1)/2 is the least n exactly: A's least member is the head
+    (2h, ..., h + 1) over the part h, of odd second part, and B's is the head
+    (2h + 1, ..., h + 2), of even second part; nothing lies below them."""
+    least = 3 * h * (h + 1) // 2
+    heads = {BAR_AO: tuple(range(2 * h, h, -1)) + (h,), BAR_BE: tuple(range(2 * h + 1, h + 1, -1))}
+    for kind in BAR_KINDS:
+        fam = Family(kind, h)
+        assert count_table(least - 1, fam) == [0] * least, fam
+        assert family_tuples(least, fam) == ([heads[kind]] if kind in heads else []), fam
+        assert count_family(least, fam) == (kind in heads), fam
 
 
 @pytest.mark.parametrize("variant, forms", [(STANDARD, (ODD_STEP1, ODD_STEP2)),

@@ -22,7 +22,7 @@ from butterflyseq import series
 from butterflyseq.families import CATALOGUE, pow2_free_parts
 from butterflyseq.recurrences import recursive_solve
 from butterflyseq.sequences import (
-    _P_WEIGHTS, DIFF_WEIGHTS, SequenceTable, _weighted, counting_dp, difference, named_sequence,
+    DIFF_WEIGHTS, SequenceTable, _weighted, counting_dp, difference, named_sequence,
     to_bfile)
 from butterflyseq.series import TruncSeries
 
@@ -503,7 +503,8 @@ def test_weighted_equals_the_per_coefficient_sum():
     through a longer one, so one reference at length 300 serves every
     length."""
     rng = random.Random(13)
-    weight_sets = list(DIFF_WEIGHTS.values()) + list(_P_WEIGHTS.values()) + [
+    weight_sets = list(DIFF_WEIGHTS.values()) + [
+        (1,), (1, -1), (1, -2, 1),  # p's, dp's and d2p's
         (1, 1, 1), (0,), (-1,), (3,), (0, 1), (1, 0, 0, -1), (2, 0, -3, 0, 0),
         (0, 0, 0, 0, 0, 0, 5)]
     weight_sets += [tuple(rng.choice((0, 0, 1, -1, 2, -2, 7, -40)) for _ in range(rng.randint(1, 9)))
@@ -622,7 +623,7 @@ def test_store_holds_one_table_per_key_as_long_as_the_longest_call():
     longest = {}
     calls = [("q", pt.strict_pentagonal_table)] + [
         ("q", lambda N, name=name: named_sequence(name, N)) for name in DIFF_WEIGHTS] + [
-        ("p", lambda N, name=name: named_sequence(name, N)) for name in _P_WEIGHTS] + [
+        ("p", lambda N, name=name: named_sequence(name, N)) for name in ("p", "dp", "d2p")] + [
         ("theta", lambda N, name=name: recursive_solve(name, N)) for name in DIFF_WEIGHTS]
     for _ in range(60):
         key, call = rng.choice(calls)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from butterflyseq.partitions import (
     EnumerationLimitError,
     Partition,
+    checked_parts,
     count_butterfly,
     count_distinct_with_parts,
     count_head_tail,
@@ -80,11 +81,11 @@ def test_parse_inverts_str(parts):
 
 
 def test_private_constructor_is_partition():
-    """Partition._of, the constructor for tuples the library built, gives the
-    Partition that __init__ gives and refuses what __init__ refuses, with the
-    same message."""
+    """Partition._wrap(checked_parts(t)), how the library wraps the tuples it
+    built, gives the Partition that __init__ gives and refuses what __init__
+    refuses, with the same message."""
     for t in ((), (1,), (5, 3), (7, 6, 5, 2), (3, 3, 1)):
-        p = Partition._of(t)
+        p = Partition._wrap(checked_parts(t))
         assert type(p) is Partition
         assert p == Partition(t) and hash(p) == hash(Partition(t))
         assert str(p) == str(Partition(t)) and repr(p) == repr(Partition(t))
@@ -92,7 +93,7 @@ def test_private_constructor_is_partition():
         with pytest.raises(ValueError) as want:
             Partition(bad)
         with pytest.raises(ValueError) as got:
-            Partition._of(bad)
+            Partition._wrap(checked_parts(bad))
         assert str(got.value) == str(want.value)
 
 

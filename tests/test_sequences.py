@@ -1,4 +1,5 @@
 import collections
+import re
 
 import pytest
 
@@ -310,6 +311,36 @@ def test_s_crosscheck_never_reaches_the_memo(monkeypatch):
         monkeypatch.setattr(sequences.pt, fn, refuse)
     for N in (50, 2000):
         assert crosscheck_table("s", N) == []
+
+
+# the ten family tables that have no check route yet
+UNROUTED = {"r1", "r2", "r1_prime", "r1_dprime", "e", "o", "e_prime", "o_prime", "e_dprime",
+            "o_dprime"}
+
+
+@pytest.mark.parametrize("name", sequences.SEQUENCE_NAMES)
+def test_each_row_is_checked_apart_from_its_production_route(monkeypatch, name):
+    """With named_sequence pinned to a table built beforehand and every
+    production callee refused (the pentagonal kernel, its store, the
+    butterfly counts), each check route of the name's row in ROUTES agrees
+    with its table at N = 300 and 2000, and a name with no check route is
+    refused."""
+    assert bool(sequences.ROUTES[name][2]) == (name not in UNROUTED)
+    tables = {N: named_sequence(name, N) for N in (300, 2000)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a production route")
+
+    for fn in ("strict_pentagonal_table", "pentagonal_solve", "solved_prefix", "count_butterfly"):
+        monkeypatch.setattr(sequences.pt, fn, refuse)
+    monkeypatch.setattr(sequences, "count_family", refuse)
+    monkeypatch.setattr(sequences, "named_sequence", lambda seq_name, N: tables[N])
+    for N in (300, 2000):
+        if name in UNROUTED:
+            with pytest.raises(ValueError, match=re.escape("no cross-check route for %r" % name)):
+                crosscheck_table(name, N)
+        else:
+            assert crosscheck_table(name, N) == [], (name, N)
 
 
 def test_exports():

@@ -12,12 +12,15 @@ repeated as often as it may occur (a strict range once each; odd parts, the
 pow2-free parts and the capped tails of splitmerge as the families module
 and splitmerge build them).  It fills one list with the partitions of n into
 a sub-multiset of the pool, a prefix put before each, and stops at the first
-part below which the rest no longer fits.  iter_strict_tuples lists from the
-pool low..top, and iter_head_tail_tuples, from one pool per call, every
-family shaped as a head of consecutive or equal largest parts over a strict
-tail (consecutive pairs, butterflies, equal triples); count_head_tail_table
-counts over the same heads every n <= N at once, and count_head_tail one n
-through a memo, the tests' per-n oracle of the table.
+part below which the rest no longer fits; a rest of one part, or of copies
+of the pool's smallest value, is placed in one step.  checked_tuples passes
+each listed tuple through Partition's check with one sort and compare.
+iter_strict_tuples lists from the pool low..top, and iter_head_tail_tuples,
+from one pool per call, every family shaped as a head of consecutive or
+equal largest parts over a strict tail (consecutive pairs, butterflies,
+equal triples); count_head_tail_table counts over the same heads every
+n <= N at once, and count_head_tail one n through a memo, the tests' per-n
+oracle of the table.
 The pentagonal kernel (pentagonal_solve) is the production route for the
 strict-partition counts, the partition counts p and their differences, and
 the checksum solver; the part-by-part DPs stay as the independent oracles it
@@ -34,7 +37,8 @@ keeps the tables built so far under a closed set of keys: the pentagonal
 kernel's three (q, p and the checksum base), each extended on demand from
 its stored head, and the product and filtration-sum sides of the series
 identities and the butterfly counts of count_butterfly, each rebuilt whole
-when a call asks past it.
+when a call asks past it (a butterfly table through at least twice its
+stored length).
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -203,18 +207,19 @@ def is_butterfly_tuple(parts):
 def checked_tuples(tuples):
     """The list ``tuples`` of part tuples the library built, each passed
     through Partition's check once (parts >= 1, non-increasing) without its
-    per-part int(); at the first that fails, __init__'s own ValueError."""
-    ge = operator.ge
+    per-part int(); at the first that fails, __init__'s own ValueError.
+    A tuple is non-increasing when sorting it in decreasing order leaves it
+    as it is: one C-level sort and compare, which beats a pairwise scan from
+    three parts on (the sort of a sorted run is one pass)."""
     for parts in tuples:
-        if parts and not (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
+        if parts and not (parts[-1] >= 1 and [*parts] == sorted(parts, reverse=True)):
             Partition(parts)
     return tuples
 
 
 def checked_parts(parts):
     """One part tuple through checked_tuples: ``parts``, once it passes."""
-    checked_tuples((parts,))
-    return parts
+    return checked_tuples((parts,))[0]
 
 
 def check_budget(count, what):
@@ -251,9 +256,13 @@ def pool_tuples(pool, jobs):
     the pool below that copy (so further copies come first); then the filler
     jumps below the value's first copy, so no partition comes out twice.  The
     parts below index i sum to below[i], so once they cannot make up the
-    rest, neither can those below a smaller index.  A rest below the sum of
-    the two smallest parts can only be one part, so it is placed at once,
-    with no further call: when a copy of it lies below the value's copy.
+    rest, neither can those below a smaller index.  Two rests are placed at
+    once, with no further call.  A rest below the sum of the two smallest
+    parts can only be one part: it is placed when a copy of it lies below
+    the value's copy.  Below a copy of the pool's smallest value lie only
+    its copies, so a rest they divide is that many more copies (enough of
+    them lie below, since their sum covers the rest), and any other rest
+    has no partition.
 
     The filler calls itself through its closure cell, and holds the list it
     fills, so the cell is cleared before returning: the cycle would
@@ -272,7 +281,10 @@ def pool_tuples(pool, jobs):
             x = pool[i - 1]
             r = n - x
             if r >= pair:
-                fill(r, i - 1, prefix + (x,))
+                if x > pool[0]:
+                    fill(r, i - 1, prefix + (x,))
+                elif not r % x:  # below the least value's copy lie only its copies
+                    append(prefix + (x,) * (n // x))
             elif not r:
                 append(prefix + (x,))
             elif first.get(r, i) < i - 1:
@@ -451,7 +463,9 @@ def pentagonal_solve(rhs, step, head=()):
 # is q), and the filtration sums ("sum", c, j0, k_lo) of
 # x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j) over k >= k_lo, and the butterfly
 # counts ("butterfly", parity of the second part or None) of
-# count_butterfly.  Each is the longest table a single call asked for.
+# count_butterfly.  Each is the longest table a single call asked for,
+# except a butterfly table, which a build takes through at least twice its
+# stored length.
 SOLVED_KEYS = ("q", "p", "theta") + tuple(
     ("product", kind, param) for kind, param in (
         ("partitions", None), ("odd_reciprocal", 1), ("odd_reciprocal", 3),
@@ -471,8 +485,9 @@ def _stored(key, N, build):
     (empty at first), for v(0..N), and stores the result in its place: the
     pentagonal tables resume from head (pentagonal_solve), the packed ones
     ignore it and are built whole.  A build that raises leaves the store as
-    it was.  So the store holds at most one table per key of SOLVED_KEYS,
-    none longer than the longest one asked for.
+    it was.  So the store holds at most one table per key of SOLVED_KEYS:
+    the pentagonal tables and the series sides as long as the longest one
+    asked for, a butterfly table at most twice as long (count_butterfly).
     """
     if key not in SOLVED_KEYS:
         raise ValueError("no stored table %r" % (key,))
@@ -818,9 +833,11 @@ def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
     of the second-largest part), without listing them: one value of the
     butterfly shape's count_head_tail_table, kept in the store under
-    ("butterfly", second_parity) and rebuilt whole only past its end.  The
-    value is read in place, so n by n over a stored table costs O(1) each."""
+    ("butterfly", second_parity) and rebuilt whole only past its end, through
+    max(n, twice its stored length), so that reads n by n ascending make
+    O(log N) builds.  The value is read in place, so n by n over a stored
+    table costs O(1) each."""
     if n < 0:
         return 0
     return _stored(("butterfly", second_parity), n, lambda head: count_head_tail_table(
-        n, BUTTERFLY_SHAPE, second_parity))[n]
+        max(n, 2 * len(head)), BUTTERFLY_SHAPE, second_parity))[n]

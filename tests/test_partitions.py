@@ -6,10 +6,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from butterflyseq import partitions as pt
 from butterflyseq.partitions import (
     EnumerationLimitError,
     Partition,
     checked_parts,
+    checked_tuples,
     count_butterfly,
     count_distinct_with_parts,
     count_head_tail,
@@ -97,6 +99,56 @@ def test_private_constructor_is_partition():
         assert str(got.value) == str(want.value)
 
 
+def test_checked_tuples_passes_good_lists_and_reports_the_first_bad_tuple():
+    """checked_tuples gives back a list of good tuples as the same object,
+    and on a list with a bad tuple (first, in the middle or last among good
+    ones, with a second bad one after it) raises Partition's ValueError for
+    the first.  The bad ones break each rule at 1 to 21 parts: a 20-part
+    decreasing run with one swapped pair at its start, middle or end, and a
+    long run ending in 0."""
+    good = [(), (1,), (9,), (5, 5), (7, 6, 5, 2), (3, 3, 1)] + list(iter_partition_tuples(9))
+    good.append(tuple(range(40, 20, -1)))
+    assert checked_tuples(good) is good
+    run = list(range(40, 20, -1))
+    swapped = []
+    for i in (0, 9, 18):
+        bad = run[:]
+        bad[i], bad[i + 1] = bad[i + 1], bad[i]
+        swapped.append(tuple(bad))
+    for bad in [(0,), (2, 3), (3, -1), (3, 3, 0), *swapped, tuple(range(20, -1, -1))]:
+        with pytest.raises(ValueError) as want:
+            Partition(bad)
+        for at in (0, len(good) // 2, len(good)):
+            listing = good[:at] + [bad] + good[at:] + [(1, 2)]
+            with pytest.raises(ValueError) as got:
+                checked_tuples(listing)
+            assert str(got.value) == str(want.value), (bad, at)
+
+
+def test_count_butterfly_grows_its_table_geometrically(monkeypatch):
+    """Reading count_butterfly n by n ascending to 1000 builds each stored
+    table 10 times, through max(n, twice its stored length), and gives the
+    values of a fresh store built once through 1000."""
+    N = 1000
+    want = {parity: [count_butterfly(n, parity) for n in range(N, -1, -1)][::-1]
+            for parity in (None, 0, 1)}
+    assert want[None] == pt.count_head_tail_table(N, pt.BUTTERFLY_SHAPE)
+    pt._SOLVED.clear()
+    builds = []
+    real = pt.count_head_tail_table
+
+    def counted(N, shape, second_parity=None):
+        builds.append((second_parity, N))
+        return real(N, shape, second_parity)
+
+    monkeypatch.setattr(pt, "count_head_tail_table", counted)
+    for parity in (None, 0, 1):
+        assert [count_butterfly(n, parity) for n in range(N + 1)] == want[parity]
+    ends = [2 ** k - 2 for k in range(1, 11)]  # 0, 2, 6, ..., 1022
+    assert builds == [(parity, end) for parity in (None, 0, 1) for end in ends]
+    assert {len(v) for v in pt._SOLVED.values()} == {1023}
+
+
 def test_strict_lister_equals_the_strict_partitions():
     """iter_strict_tuples(n, max_part, min_part) lists the strict members of
     the unrestricted lister iter_partition_tuples(n, max_part, min_part), in
@@ -141,14 +193,45 @@ def test_pool_lister_equals_the_filtered_partitions():
     for _ in range(12):
         values = sorted(rng.sample(range(1, 13), rng.randint(1, 8)))
         pools.append([x for x in values for _ in range(rng.randint(1, 4))])
-    listed = [[(t, Counter(t).items()) for t in iter_partition_tuples(n)] for n in range(N + 1)]
     for pool in pools:
         for stop, prefix in ((None, ()), (len(pool) // 2, (40, 35)), (1, (31,))):
-            avail = Counter(pool[:stop])
-            want = [prefix + t for n in range(N + 1) for t, counts in listed[n]
-                    if all(c <= avail[x] for x, c in counts)]
-            got = pool_tuples(pool, [(n, stop, prefix) for n in range(N + 1)])
-            assert got == want, (pool, stop)
+            assert_pool_lists(pool, stop, prefix, N)
+
+
+@lru_cache(maxsize=None)
+def _listed(n):
+    return [(t, Counter(t).items()) for t in iter_partition_tuples(n)]
+
+
+def assert_pool_lists(pool, stop, prefix, N):
+    """pool_tuples over the jobs (n, stop, prefix) for n = 0..N lists prefix
+    + each partition of n into a sub-multiset of pool[:stop], in the order
+    of iter_partition_tuples."""
+    avail = Counter(pool[:stop])
+    want = [prefix + t for n in range(N + 1) for t, counts in _listed(n)
+            if all(c <= avail[x] for x, c in counts)]
+    got = pool_tuples(pool, [(n, stop, prefix) for n in range(N + 1)])
+    assert got == want, (pool, stop, prefix)
+
+
+def test_pool_lister_places_the_smallest_values_copies_at_once():
+    """A rest that only copies of the pool's smallest value lie below is
+    placed in one step: the partitions of n <= 30 come out as the
+    unrestricted lister's, also where that value has fewer copies than the
+    rest needs (n up to 30 over one to three copies), with stops that cut
+    through its copies or the next value's and under prefixes."""
+    N = 30
+    pools = [[1, 1, 3, 3, 5], [3, 3, 5, 5, 5, 5], [2, 2, 2, 7, 7], [1, 4, 4, 9],
+             [5, 5, 5, 6, 6], [2, 2, 3, 3, 3, 3, 3]]
+    for pool in pools:
+        for stop in range(len(pool) + 1):
+            for prefix in ((), (31,), (40, 33)):
+                assert_pool_lists(pool, stop, prefix, N)
+    # the smallest value alone: n is placed when it divides n and enough
+    # copies lie below the stop, and is not otherwise
+    for stop in range(6):
+        got = pool_tuples([3] * 5, [(n, stop, (8,)) for n in range(20)])
+        assert got == [(8,) + (3,) * k for k in range(stop + 1)], stop
 
 
 def test_consecutive_run():

@@ -20,6 +20,7 @@ from butterflyseq.families import (
 )
 from butterflyseq.sequences import (
     SequenceTable,
+    counting_dp,
     crosscheck_table,
     difference,
     exception_form_of,
@@ -341,6 +342,45 @@ def test_each_row_is_checked_apart_from_its_production_route(monkeypatch, name):
                 crosscheck_table(name, N)
         else:
             assert crosscheck_table(name, N) == [], (name, N)
+
+
+def test_crosscheck_refuses_a_name_without_a_check_route_before_building(monkeypatch):
+    """crosscheck_table refuses a name with no check route before it builds
+    the table (count_table and count_family are not reached), after the
+    refusals named_sequence makes, in their order and words: an unknown name
+    first, then an N below the name's offset."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the table")
+
+    monkeypatch.setattr(sequences, "count_table", refuse)
+    monkeypatch.setattr(sequences, "count_family", refuse)
+    for name in sorted(UNROUTED):
+        offset = sequences.ROUTES[name][0]
+        with pytest.raises(ValueError, match=re.escape("no cross-check route for %r" % name)):
+            crosscheck_table(name, 4000)
+        for call in (named_sequence, crosscheck_table):
+            with pytest.raises(ValueError) as exc:
+                call(name, offset - 1)
+            assert str(exc.value) == "N=%d below the offset %d of %s" % (offset - 1, offset, name)
+    for call in (named_sequence, crosscheck_table):
+        with pytest.raises(ValueError) as exc:
+            call("zz", -1)
+        assert str(exc.value) == "unknown sequence 'zz'"
+        with pytest.raises(ValueError) as exc:
+            call("q", -1)
+        assert str(exc.value) == "N=-1 below the offset 0 of q"
+
+
+def test_counting_dp_refuses_a_sequence_without_one():
+    """counting_dp answers p, dp and d2p from their counting DPs and refuses
+    any other name with a ValueError that names it."""
+    assert counting_dp("p", 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    for name in ("q", "s", "s_e", "r1"):
+        with pytest.raises(ValueError) as exc:
+            counting_dp(name, 10)
+        assert str(exc.value) == "no counting DP for %r" % name
+    with pytest.raises(ValueError, match="unknown sequence 'zz'"):
+        counting_dp("zz", 10)
 
 
 def test_exports():

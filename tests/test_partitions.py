@@ -227,8 +227,8 @@ def test_pool_lister_places_the_smallest_values_copies_at_once():
         for stop in range(len(pool) + 1):
             for prefix in ((), (31,), (40, 33)):
                 assert_pool_lists(pool, stop, prefix, N)
-    # the smallest value alone: n is placed when it divides n and enough
-    # copies lie below the stop, and is not otherwise
+    # the smallest value alone: n is placed as its copies when the value
+    # divides n and enough copies lie below the stop, and not otherwise
     for stop in range(6):
         got = pool_tuples([3] * 5, [(n, stop, (8,)) for n in range(20)])
         assert got == [(8,) + (3,) * k for k in range(stop + 1)], stop

@@ -37,8 +37,7 @@ keeps the tables built so far under a closed set of keys: the pentagonal
 kernel's three (q, p and the checksum base), each extended on demand from
 its stored head, and the product and filtration-sum sides of the series
 identities and the butterfly counts of count_butterfly, each rebuilt whole
-when a call asks past it (a butterfly table through at least twice its
-stored length).
+when a call asks past it.
 Each kernel sizes its slots from its own arguments (_slot_bytes): every
 table counts at most p(n) < exp(pi sqrt(2n/3)) at n, and the strict-type
 ones (distinct, odd or even parts; the filtration sums and head-and-tail
@@ -463,9 +462,7 @@ def pentagonal_solve(rhs, step, head=()):
 # is q), and the filtration sums ("sum", c, j0, k_lo) of
 # x^{k(k+c)/2} / prod_{j=j0..k} (1 - x^j) over k >= k_lo, and the butterfly
 # counts ("butterfly", parity of the second part or None) of
-# count_butterfly.  Each is the longest table a single call asked for,
-# except a butterfly table, which a build takes through at least twice its
-# stored length.
+# count_butterfly.  Each is the longest table a single call asked for.
 SOLVED_KEYS = ("q", "p", "theta") + tuple(
     ("product", kind, param) for kind, param in (
         ("partitions", None), ("odd_reciprocal", 1), ("odd_reciprocal", 3),
@@ -485,9 +482,8 @@ def _stored(key, N, build):
     (empty at first), for v(0..N), and stores the result in its place: the
     pentagonal tables resume from head (pentagonal_solve), the packed ones
     ignore it and are built whole.  A build that raises leaves the store as
-    it was.  So the store holds at most one table per key of SOLVED_KEYS:
-    the pentagonal tables and the series sides as long as the longest one
-    asked for, a butterfly table at most twice as long (count_butterfly).
+    it was.  So the store holds at most one table per key of SOLVED_KEYS,
+    none longer than the longest one asked for.
     """
     if key not in SOLVED_KEYS:
         raise ValueError("no stored table %r" % (key,))
@@ -833,11 +829,9 @@ def count_butterfly(n, second_parity=None):
     """Number of butterfly partitions of n (optionally filtered by the parity
     of the second-largest part), without listing them: one value of the
     butterfly shape's count_head_tail_table, kept in the store under
-    ("butterfly", second_parity) and rebuilt whole only past its end, through
-    max(n, twice its stored length), so that reads n by n ascending make
-    O(log N) builds.  The value is read in place, so n by n over a stored
-    table costs O(1) each."""
+    ("butterfly", second_parity) and rebuilt whole only past its end.  The
+    value is read in place, so n by n over a stored table costs O(1) each."""
     if n < 0:
         return 0
     return _stored(("butterfly", second_parity), n, lambda head: count_head_tail_table(
-        max(n, 2 * len(head)), BUTTERFLY_SHAPE, second_parity))[n]
+        n, BUTTERFLY_SHAPE, second_parity))[n]

@@ -65,6 +65,9 @@ class SequenceTable(pt.Record):
             raise IndexError("n=%d beyond table %s (last %d)" % (n, self.name, self.last_n))
         return self.values[n - self.offset]
 
+    def slice(self, lo, hi):
+        return [self[n] for n in range(lo, hi + 1)]
+
 
 def difference(t: SequenceTable) -> SequenceTable:
     """First difference, with values below the offset treated as 0."""
@@ -99,8 +102,8 @@ def _counted(kind, parity=None):
     """The production route of a family table: a kind whose catalogue row
     has a counter is read n by n through count_family, largest n first (the
     first read builds its stored table through N once and every later one
-    reads it, where smallest first would rebuild it whole about log2 N
-    times); any other is one count_table, split by the parity of its key."""
+    reads it, where smallest first would rebuild it whole at each n past its
+    end); any other is one count_table, split by the parity of its key."""
     family = Family(kind)
     if CATALOGUE[kind].counter is None:
         return lambda N, offset: count_table(N, family, parity)[offset:]
@@ -174,18 +177,12 @@ def named_sequence(name, N) -> SequenceTable:
     butterfly shape, which the process's store keeps, so no recursion
     bounds N.
     """
-    offset, build, _ = _row(name, N)
-    return SequenceTable(name, offset, build(N, offset))
-
-
-def _row(name, N):
-    """The row of ``name`` in ROUTES, refused for an unknown name or an N
-    below its offset."""
     if name not in ROUTES:
         raise ValueError("unknown sequence %r" % name)
-    if N < ROUTES[name][0]:
-        raise ValueError("N=%d below the offset %d of %s" % (N, ROUTES[name][0], name))
-    return ROUTES[name]
+    offset, build, _ = ROUTES[name]
+    if N < offset:
+        raise ValueError("N=%d below the offset %d of %s" % (N, offset, name))
+    return SequenceTable(name, offset, build(N, offset))
 
 
 def _weighted(weights, series):
@@ -204,8 +201,9 @@ def _weighted(weights, series):
 def counting_dp(name, N):
     """[name(0..N)] for p, dp or d2p from its O(N^2) part-by-part counting DP
     in partitions, the "counting-dp" check route of its row in ROUTES: the
-    oracle of the pentagonal route of named_sequence."""
-    checks = {route: values for route, _, values in _row(name, N)[2]}
+    oracle of the pentagonal route of named_sequence; any other name is
+    refused."""
+    checks = {route: values for route, _, values in ROUTES.get(name, (0, None, ()))[2]}
     if "counting-dp" not in checks:
         raise ValueError("no counting DP for %r" % name)
     return checks["counting-dp"](N)
@@ -310,13 +308,14 @@ def crosscheck_table(name, N) -> list:
     """Independent recomputation of a named table by each check route of its
     row in ROUTES; returns the mismatches (name, n, route, expected, got),
     route by route.  An odd s +- delta is a mismatch (expected None).  A
-    name with no check route is refused before its table is built."""
-    checks = _row(name, N)[2]
-    if not checks:
+    name with no check route is refused before its table is built, after
+    named_sequence's refusals of an unknown name and an N below the offset."""
+    row = ROUTES.get(name)
+    if row and N >= row[0] and not row[2]:
         raise ValueError("no cross-check route for %r" % name)
     table = named_sequence(name, N)
     mismatches = []
-    for route, lo, build in checks:
+    for route, lo, build in row[2]:
         values = build(N)
         mismatches += [(name, n, route, values[n], table[n])
                        for n in range(lo, len(values)) if values[n] != table[n]]

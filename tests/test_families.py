@@ -141,7 +141,7 @@ def test_staircase_examples():
 def test_butterfly_plus_ones_counts_three_term_sums():
     # for n >= 9 the number equals t(n) = s(n) + s(n-1) + s(n-2)
     from butterflyseq.partitions import count_butterfly
-    for n in range(9, 45):
+    for n in range(44, 8, -1):
         want = count_butterfly(n) + count_butterfly(n - 1) + count_butterfly(n - 2)
         assert count_family(n, Family(BUTTERFLY_PLUS_ONES)) == want
         assert want == count_family(n, Family(ODD_GE, 5))

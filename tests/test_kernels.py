@@ -711,8 +711,7 @@ def test_butterfly_counts_at_shuffled_sizes_equal_a_fresh_store():
     """s_e, s_o and r1'' tables and count_family of the butterfly and
     odd-step kinds, asked in a shuffled order of sizes, equal the answers
     of a fresh store (which equal count_table's, built apart from it), and
-    each butterfly key then holds one table through the largest n read, at
-    most twice as long (a build reaches twice the stored length)."""
+    each butterfly key then holds one table through the largest n read."""
     from butterflyseq import families as fam
     from butterflyseq.families import BUTTERFLY, Family, count_family, count_table
 
@@ -738,5 +737,5 @@ def test_butterfly_counts_at_shuffled_sizes_equal_a_fresh_store():
     random.Random(26).shuffle(requests)
     for name, N in requests:
         assert answer(name, N) == fresh[name, N], (name, N)
-    assert set(pt._SOLVED) == {("butterfly", None), ("butterfly", 0), ("butterfly", 1)}
-    assert all(1201 <= len(v) <= 2401 for v in pt._SOLVED.values())
+    assert {key: len(v) for key, v in pt._SOLVED.items()} == {
+        ("butterfly", None): 1201, ("butterfly", 0): 1201, ("butterfly", 1): 1201}

@@ -125,15 +125,12 @@ def test_checked_tuples_passes_good_lists_and_reports_the_first_bad_tuple():
             assert str(got.value) == str(want.value), (bad, at)
 
 
-def test_count_butterfly_grows_its_table_geometrically(monkeypatch):
-    """Reading count_butterfly n by n ascending to 1000 builds each stored
-    table 10 times, through max(n, twice its stored length), and gives the
-    values of a fresh store built once through 1000."""
+def test_count_butterfly_builds_once_when_read_largest_first(monkeypatch):
+    """Reading count_butterfly n by n from 1000 down, as named_sequence
+    reads, builds each stored table once, through 1000; a read past its end
+    rebuilds it through that n exactly; and the values equal the packed
+    table built apart from the store."""
     N = 1000
-    want = {parity: [count_butterfly(n, parity) for n in range(N, -1, -1)][::-1]
-            for parity in (None, 0, 1)}
-    assert want[None] == pt.count_head_tail_table(N, pt.BUTTERFLY_SHAPE)
-    pt._SOLVED.clear()
     builds = []
     real = pt.count_head_tail_table
 
@@ -143,10 +140,13 @@ def test_count_butterfly_grows_its_table_geometrically(monkeypatch):
 
     monkeypatch.setattr(pt, "count_head_tail_table", counted)
     for parity in (None, 0, 1):
-        assert [count_butterfly(n, parity) for n in range(N + 1)] == want[parity]
-    ends = [2 ** k - 2 for k in range(1, 11)]  # 0, 2, 6, ..., 1022
-    assert builds == [(parity, end) for parity in (None, 0, 1) for end in ends]
-    assert {len(v) for v in pt._SOLVED.values()} == {1023}
+        got = [count_butterfly(n, parity) for n in range(N, -1, -1)][::-1]
+        assert got == real(N, pt.BUTTERFLY_SHAPE, parity), parity
+    assert builds == [(None, N), (0, N), (1, N)]
+    assert count_butterfly(N + 1) == real(N + 1, pt.BUTTERFLY_SHAPE)[N + 1]
+    assert builds[3:] == [(None, N + 1)]
+    assert {key: len(v) for key, v in pt._SOLVED.items()} == {
+        ("butterfly", None): N + 2, ("butterfly", 0): N + 1, ("butterfly", 1): N + 1}
 
 
 def test_strict_lister_equals_the_strict_partitions():

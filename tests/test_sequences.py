@@ -373,13 +373,13 @@ def test_crosscheck_refuses_a_name_without_a_check_route_before_building(monkeyp
 
 def test_counting_dp_refuses_a_sequence_without_one():
     """counting_dp answers p, dp and d2p from their counting DPs and refuses
-    any other name with a ValueError that names it."""
+    any other name, known or not, with a ValueError that names it."""
     assert counting_dp("p", 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for name in ("q", "s", "s_e", "r1"):
         with pytest.raises(ValueError) as exc:
             counting_dp(name, 10)
         assert str(exc.value) == "no counting DP for %r" % name
-    with pytest.raises(ValueError, match="unknown sequence 'zz'"):
+    with pytest.raises(ValueError, match="no counting DP for 'zz'"):
         counting_dp("zz", 10)
 
 

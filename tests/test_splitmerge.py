@@ -136,7 +136,7 @@ def test_count_capped_examples():
 
 @pytest.mark.parametrize("variant", [STANDARD, SWITCHED])
 def test_count_capped_matches_enumeration(variant):
-    for n in range(6, 56):
+    for n in range(55, 5, -1):
         assert count_capped(n, variant) == (count_butterfly(n, 0),
                                             count_butterfly(n, 1))
 
@@ -198,4 +198,4 @@ def test_merge_routing_and_caps_agree_on_every_odd_partition(variant, forms):
                     caps_of(q, variant)
             else:
                 assert caps_of(q, variant).form == accepted[0], q
-    assert merged == sum(count_butterfly(n) for n in range(46))
+    assert merged == sum(count_butterfly(n) for n in range(45, -1, -1))

@@ -41,16 +41,11 @@ from .families import (
     count_table,
     family_tuples,
 )
-from .partitions import Partition, checked_parts, is_strict_tuple
+from .partitions import Partition, checked_parts, is_strict_tuple, shown
 
 
 class BijectionError(ValueError):
     """A map was given a partition outside its domain."""
-
-
-def _shown(parts):
-    """The part tuple as str(Partition) prints it: 5+3+1."""
-    return "+".join(map(str, parts))
 
 
 # The cores take a part tuple and h, which only the bar maps read, and
@@ -60,7 +55,7 @@ def _raise_largest(parts, h=None):
     if not parts:
         raise BijectionError("empty partition has no largest part")
     if not is_strict_tuple(parts):
-        raise BijectionError("input must be strict: %s" % _shown(parts))
+        raise BijectionError("input must be strict: %s" % shown(parts))
     return checked_parts((parts[0] + 1,) + parts[1:])
 
 
@@ -72,23 +67,23 @@ def _gap_two(parts):
 
 def _lower_largest(parts, h=None):
     if not parts or parts[0] == 1:
-        raise BijectionError("no unit to remove from the largest part: %s" % _shown(parts))
+        raise BijectionError("no unit to remove from the largest part: %s" % shown(parts))
     if not _gap_two(parts):
-        raise BijectionError("two largest parts must differ by at least 2: %s" % _shown(parts))
+        raise BijectionError("two largest parts must differ by at least 2: %s" % shown(parts))
     return checked_parts((parts[0] - 1,) + parts[1:])
 
 
 def _butterfly_forward(parts, h=None):
     if len(parts) < 3 or not _in_consec_with_one(parts):
         raise BijectionError("input must have >= 3 parts, two largest consecutive, "
-                             "smallest 1: %s" % _shown(parts))
+                             "smallest 1: %s" % shown(parts))
     return checked_parts((parts[0] + 1, parts[1] + 1) + parts[2:-1])
 
 
 def _butterfly_backward(parts, h=None):
     if not _in_consec_isolated(parts):
         raise BijectionError("input must be a consecutive-pair partition with the "
-                             "pair isolated and no part 1: %s" % _shown(parts))
+                             "pair isolated and no part 1: %s" % shown(parts))
     return checked_parts((parts[0] - 1, parts[1] - 1) + parts[2:] + (1,))
 
 
@@ -97,7 +92,7 @@ def _bar_domain(parts, h, test, bar):
     if h < 3:
         raise BijectionError("h must be >= 3")
     if not test(parts, h):
-        raise BijectionError("input is not a %s-bar-%d partition: %s" % (bar, h, _shown(parts)))
+        raise BijectionError("input is not a %s-bar-%d partition: %s" % (bar, h, shown(parts)))
 
 
 def _bar_forward(parts, h):
@@ -235,7 +230,7 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
                 try:
                     img = forward(parts, h)
                 except ValueError as exc:
-                    failures.append((n, "forward failed on %s: %s" % (_shown(parts), exc)))
+                    failures.append((n, "forward failed on %s: %s" % (shown(parts), exc)))
                     continue
                 checked += 1
                 try:
@@ -246,9 +241,9 @@ def verify_bijection(kind, lo, hi, h=3) -> BijectionReport:
                     back = exc
                 if back is None or sum(img) != n or parity is not None and img[1] % 2 != parity:
                     failures.append((n, "image %s of %s outside the target family"
-                                     % (_shown(img), _shown(parts))))
+                                     % (shown(img), shown(parts))))
                 if back is not None and back != parts:
-                    failures.append((n, "backward did not recover %s" % _shown(parts)))
+                    failures.append((n, "backward did not recover %s" % shown(parts)))
                 images.append(img)
         if len(set(images)) != len(images):
             failures.append((n, "forward map is not injective"))

@@ -121,7 +121,8 @@ class Partition(Record):
     @classmethod
     def _wrap(cls, parts):
         """The Partition of a tuple of ints that already passed
-        checked_parts, with no check."""
+        checked_parts, or that a core built positive and non-increasing,
+        with no check."""
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
         return p
@@ -153,7 +154,7 @@ class Partition(Record):
         return "Partition(%r)" % list(self.parts)
 
     def __str__(self):
-        return "+".join(map(str, self.parts))
+        return shown(self.parts)
 
     @classmethod
     def parse(cls, text):
@@ -181,6 +182,11 @@ class Partition(Record):
 # ---------------------------------------------------------------------------
 # Shape predicates on non-increasing part tuples
 # ---------------------------------------------------------------------------
+
+def shown(parts):
+    """The part tuple in the "+"-joined form that parse reads: 5+3+1."""
+    return "+".join(map(str, parts))
+
 
 def is_strict_tuple(parts):
     """True when all parts are distinct."""
@@ -574,7 +580,7 @@ def _unpack(C, N, w):
     return [frm(b[i:i + w], "big") for i in range(0, len(b), w)]
 
 
-def _checked_parts(parts):
+def _part_sizes(parts):
     """The part sizes, checked: a range stays a range (its sizes never
     repeat), so that _packed_product can read its octaves; anything else
     becomes a list."""
@@ -654,6 +660,21 @@ def _one_parity(parts):
     return len({m & 1 for m in parts}) < 2
 
 
+def _times_factors(C, bits, sizes, top, repeated):
+    """The packed table C (slots of ``bits`` bits) times 1/(1 - x^m)
+    (``repeated``) or (1 + x^m) for each size m, through degree ``top``,
+    one shift-add per factor 1 + x^s: 1/(1 - x^m) is the product of the
+    factors for s = m, 2m, 4m, ... <= top through that degree."""
+    for m in sizes:
+        s = m
+        while s <= top:
+            C += C >> bits * s
+            if not repeated:
+                break
+            s += s
+    return C
+
+
 def _packed_product(N, parts, repeated):
     """[c[0..N]] of prod over the part sizes m of 1/(1 - x^m) (``repeated``)
     or of (1 + x^m): partitions of 0..N into those sizes, with or without
@@ -673,13 +694,7 @@ def _packed_product(N, parts, repeated):
     if isinstance(parts, range) and len(parts) >= _RUN_PARTS:
         segments, runs = _octave_runs(N, parts, repeated)
     for top, piece in segments:
-        for m in piece:
-            s = m
-            while s <= top:
-                C += C >> bits * s
-                if not repeated:
-                    break
-                s += s
+        C = _times_factors(C, bits, piece, top, repeated)
     base = C
     for s0, stride in runs:
         run = base >> bits * s0
@@ -726,13 +741,7 @@ def _packed_nested_sum(N, j0, k_lo, exponent, repeated=True, keep=None):
     for k, e in _exponents(N, k_lo, exponent):
         run >>= bits * (e - shift)
         shift = e
-        for j in range(new, k + 1):  # times the factor of j, through degree N - e
-            s = j
-            while s <= N - e:
-                run += run >> bits * s
-                if not repeated:
-                    break
-                s += s
+        run = _times_factors(run, bits, range(new, k + 1), N - e, repeated)
         new = max(new, k + 1)
         if keep is None or keep(k):
             total += run
@@ -747,13 +756,13 @@ def count_partitions_table(N):
 def count_with_parts(N, parts):
     """Counts of partitions of 0..N with parts drawn (with repetition) from
     ``parts``, which must be distinct positive sizes."""
-    return _packed_product(N, _checked_parts(parts), True)
+    return _packed_product(N, _part_sizes(parts), True)
 
 
 def count_distinct_with_parts(N, parts):
     """Counts of partitions of 0..N into distinct parts drawn from ``parts``,
     which must be distinct positive sizes."""
-    return _packed_product(N, _checked_parts(parts), False)
+    return _packed_product(N, _part_sizes(parts), False)
 
 
 def count_strict_table(N):

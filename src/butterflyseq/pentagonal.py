@@ -8,6 +8,14 @@ consecutive) or a removable vertical bar (exactly h consecutive largest
 parts, everything but an optional 2 above h); the bar bijections pair these
 across the parity of the second-largest part, which is what forces the
 even/odd butterfly counts to agree away from the four closed-form inputs.
+
+The four pentagonal shapes are the rows of sequences.PENTAGONAL_SHAPES:
+make_pentagonal builds a row's part tuple at h, and classify compares the
+part tuple of its argument with each row in one loop.  The bar pairing
+leaves those shapes unpaired, so, counted +1 for an even second part and
+-1 for an odd one, the shapes of n sum to s_e(n) - s_o(n), the sign of
+the closed form n matches: Franklin's pattern for Euler's pentagonal
+theorem, which the tests check for n <= 90.
 """
 
 from typing import NamedTuple
@@ -16,14 +24,15 @@ from . import partitions as pt
 from .families import (
     BAR_KINDS, BUTTERFLY, Family, _in_bar_a, _in_bar_b, enumerate_family, in_family)
 from .partitions import Partition
-from .sequences import EXCEPTION_SIGNS, exception_form_of, named_sequence
+from .sequences import (
+    EXCEPTION_SIGNS, GEN_PENTAGONAL, GEN_PENTAGONAL_DOMINO, PENTAGONAL, PENTAGONAL_DOMINO,
+    PENTAGONAL_SHAPES, exception_form_of, named_sequence)
 
-PENTAGONAL = "pentagonal"
-GEN_PENTAGONAL = "gen_pentagonal"
-PENTAGONAL_DOMINO = "pentagonal_domino"
-GEN_PENTAGONAL_DOMINO = "gen_pentagonal_domino"
 NONPENT_HBAR = "nonpent_hbar"
 NONPENT_VBAR = "nonpent_vbar"
+
+_SHAPE_OF_KIND = {shape.kind: shape for shape in PENTAGONAL_SHAPES.values()}
+
 
 class PentClass(NamedTuple):
     kind: str
@@ -36,44 +45,37 @@ def make_pentagonal(kind, h) -> Partition:
     Sums: h(3h-1)/2 for the pentagonal staircase, h(3h+1)/2 for the
     generalized one, plus 2 for the domino kinds.  The domino on the
     generalized staircase exists from h = 2 (its bare staircase would only
-    have two parts); all other kinds need h >= 3.
+    have two parts); all other kinds need h >= 3.  That is t >= 2 in the
+    shape's closed form (sequences.PENTAGONAL_SHAPES), h = t + h_minus_t.
     """
-    min_h = 2 if kind == GEN_PENTAGONAL_DOMINO else 3
+    shape = _SHAPE_OF_KIND.get(kind)
+    min_h = 2 + (shape.h_minus_t if shape else 1)
     if h < min_h:
         raise ValueError("%s requires h >= %d" % (kind, min_h))
-    if kind == PENTAGONAL:
-        return Partition(range(2 * h - 1, h - 1, -1))
-    if kind == GEN_PENTAGONAL:
-        return Partition(range(2 * h, h, -1))
-    if kind == PENTAGONAL_DOMINO:
-        return Partition(tuple(range(2 * h - 1, h - 1, -1)) + (2,))
-    if kind == GEN_PENTAGONAL_DOMINO:
-        return Partition(tuple(range(2 * h, h, -1)) + (2,))
-    raise ValueError("unknown pentagonal kind %r" % kind)
+    if shape is None:
+        raise ValueError("unknown pentagonal kind %r" % kind)
+    return Partition._wrap(shape.parts_at(h))
 
 
 def classify(p: Partition) -> PentClass:
     """The five-way classification, total and exclusive on butterfly partitions.
 
+    A pentagonal shape is matched at the h its length gives; on a butterfly
+    (three parts or more, distinct) that h is at least the shape's least h.
     Non-pentagonal partitions get the smallest h >= 3 admitting them into a
     bar set, horizontal before vertical at equal h.
     """
     if not in_family(p, Family(BUTTERFLY)):
         raise ValueError("not a butterfly partition: %s" % p)
-    h = len(p)
-    if h >= 3 and p[0] in (2 * h - 1, 2 * h):
-        kind = PENTAGONAL if p[0] == 2 * h - 1 else GEN_PENTAGONAL
-        if p == make_pentagonal(kind, h):
-            return PentClass(kind, h)
-    h = len(p) - 1
-    if h >= 3 and p[0] == 2 * h - 1 and p == make_pentagonal(PENTAGONAL_DOMINO, h):
-        return PentClass(PENTAGONAL_DOMINO, h)
-    if h >= 2 and p[0] == 2 * h and p == make_pentagonal(GEN_PENTAGONAL_DOMINO, h):
-        return PentClass(GEN_PENTAGONAL_DOMINO, h)
-    for h in range(3, p[0] + 1):
-        if _in_bar_a(p.parts, h):
+    parts = p.parts
+    for shape in PENTAGONAL_SHAPES.values():
+        h = len(parts) - len(shape.ends)
+        if parts[0] == 2 * h + shape.lift and parts == shape.parts_at(h):
+            return PentClass(shape.kind, h)
+    for h in range(3, parts[0] + 1):
+        if _in_bar_a(parts, h):
             return PentClass(NONPENT_HBAR, h)
-        if _in_bar_b(p.parts, h):
+        if _in_bar_b(parts, h):
             return PentClass(NONPENT_VBAR, h)
     raise AssertionError("unclassifiable butterfly partition: %s" % p)
 

@@ -11,10 +11,20 @@ crosscheck_table compares the table against and counting_dp reads for p,
 dp and d2p.  q, r, s, t, p, dp and d2p come from the pentagonal kernel,
 and the twelve family tables from the catalogue of families, counted, not
 listed.  SEQUENCE_NAMES, and the CLI's seq choices, are the table's names.
+
+The parity-exception inputs, where s_e(n) - s_o(n) = delta(n) is not 0,
+are the sizes of the four pentagonal shapes, one row each of
+PENTAGONAL_SHAPES: a shape is h consecutive parts from 2h + lift down and
+then its ends, () or (2,); its closed form in t is its size at h = t +
+h_minus_t, and its sign, delta at those inputs, is +1 exactly when its
+second part is even.  EXCEPTION_FORMS and EXCEPTION_SIGNS are read off
+the rows, and pentagonal.make_pentagonal and classify build and match the
+same rows.
 """
 
 import math
 from operator import add, sub
+from typing import NamedTuple
 
 from . import partitions as pt
 from .families import (
@@ -225,26 +235,53 @@ def mod3_slices(s: SequenceTable, residue, m0) -> SequenceTable:
 # Parity-exception inputs (the four closed forms, with t >= 2)
 # ---------------------------------------------------------------------------
 
-EXCEPTION_FORMS = {
-    # form name -> closed expression in t
-    "gen_pentagonal_plus_two": lambda t: (3 * t * t + t + 4) // 2,
-    "pentagonal": lambda t: (3 * (t + 1) ** 2 - t - 1) // 2,
-    "pentagonal_plus_two": lambda t: (3 * (t + 1) ** 2 - t + 3) // 2,
-    "gen_pentagonal": lambda t: (3 * (t + 1) ** 2 + t + 1) // 2,
+PENTAGONAL = "pentagonal"
+GEN_PENTAGONAL = "gen_pentagonal"
+PENTAGONAL_DOMINO = "pentagonal_domino"
+GEN_PENTAGONAL_DOMINO = "gen_pentagonal_domino"
+
+
+class PentagonalShape(NamedTuple):
+    """One of the four pentagonal shapes: h consecutive parts from 2h + lift
+    down, then the parts ``ends``.  Its closed form is its size at
+    h = t + h_minus_t, and ``sign``, +1 when the second part 2h + lift - 1
+    is even, is s_e - s_o at those sizes."""
+
+    kind: str        # the pentagonal.classify kind
+    lift: int
+    ends: tuple
+    h_minus_t: int
+    sign: int
+
+    def parts_at(self, h):
+        return tuple(range(2 * h + self.lift, h + self.lift, -1)) + self.ends
+
+    def size_at(self, t):
+        h = t + self.h_minus_t
+        return h * (3 * h + 1) // 2 + self.lift * h + sum(self.ends)
+
+
+# closed-form name -> shape: (3t^2+t+4)/2, (3(t+1)^2-t-1)/2, (3(t+1)^2-t+3)/2
+# and (3(t+1)^2+t+1)/2 in the paper's order
+PENTAGONAL_SHAPES = {
+    "gen_pentagonal_plus_two": PentagonalShape(GEN_PENTAGONAL_DOMINO, 0, (2,), 0, -1),
+    "pentagonal": PentagonalShape(PENTAGONAL, -1, (), 1, 1),
+    "pentagonal_plus_two": PentagonalShape(PENTAGONAL_DOMINO, -1, (2,), 1, 1),
+    "gen_pentagonal": PentagonalShape(GEN_PENTAGONAL, 0, (), 1, -1),
 }
 
-# form name -> s_e - s_o at its inputs: the even-second-part count trails by
-# one or leads by one (and e - o, e'' - o'' agree with it, e' - o' is its negative)
-EXCEPTION_SIGNS = {"gen_pentagonal_plus_two": -1, "pentagonal": 1,
-                   "pentagonal_plus_two": 1, "gen_pentagonal": -1}
+# form name -> closed expression in t, and -> s_e - s_o at its inputs (e - o
+# and e'' - o'' agree with it, e' - o' is its negative)
+EXCEPTION_FORMS = {form: shape.size_at for form, shape in PENTAGONAL_SHAPES.items()}
+EXCEPTION_SIGNS = {form: shape.sign for form, shape in PENTAGONAL_SHAPES.items()}
 
 
 def _exception_values(N):
     """(value, form name, t) for each closed form with t >= 2 and value <= N."""
     for name, f in EXCEPTION_FORMS.items():
         t = 2
-        while f(t) <= N:
-            yield f(t), name, t
+        while (v := f(t)) <= N:
+            yield v, name, t
             t += 1
 
 

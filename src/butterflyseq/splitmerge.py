@@ -17,11 +17,18 @@ sentinel.  The switched variant exchanges the two target shapes (the even
 route then carries the sentinel on the gap-two shape).  For the smallest
 heads (second part 4) the switched even route coincides with the standard
 one, which keeps the correspondence total.
+
+Splitting is one core on part tuples, _split; split, split_even, split_odd
+and split_switched wrap its result with Partition._wrap.  merge_odd checks
+its reconstruction by splitting the rebuilt tuple with the same core, so a
+split or a merge builds no Partition but the one it returns.  caps_of and
+merge_odd read the parts of their argument and share one check that every
+part is odd and >= 3.
 """
 
 from typing import NamedTuple
 
-from .partitions import Partition, is_butterfly_tuple, pool_tuples
+from .partitions import Partition, is_butterfly_tuple, pool_tuples, shown
 
 STANDARD = "standard"
 SWITCHED = "switched"
@@ -71,6 +78,13 @@ class CapsError(SplitMergeError):
     """A merging cap is violated; the partition is outside the bijection's range."""
 
 
+def _odd_parts(q):
+    """The part tuple of ``q``, whose parts must be odd and >= 3."""
+    if any(x % 2 == 0 or x < 3 for x in q.parts):
+        raise ShapeError("parts must be odd and >= 3: %s" % q)
+    return q.parts
+
+
 def _pow2_floor(x):
     return 1 << (x.bit_length() - 1)
 
@@ -108,9 +122,7 @@ def caps_of(q: Partition, variant=STANDARD, form=None) -> MergeCaps:
     form, and 3+3+3 against step2, whose head it does not have, so it is
     refused.  All comparisons are exact integer arithmetic.
     """
-    parts = q.parts
-    if any(x % 2 == 0 or x < 3 for x in parts):
-        raise ShapeError("parts must be odd and >= 3: %s" % q)
+    parts = _odd_parts(q)
     if form is None:
         form = _route(parts, variant)
     if form not in _FORMS:
@@ -167,7 +179,7 @@ def _route(parts, variant):
     for form in forms:
         if parts[1] - parts[2] == _FORMS[form].gap:
             return form
-    raise ShapeError("head shape matches neither routed form: %s" % Partition(parts))
+    raise ShapeError("head shape matches neither routed form: %s" % shown(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -175,61 +187,58 @@ def _route(parts, variant):
 # ---------------------------------------------------------------------------
 
 def _split_tail(tail):
-    """Fold power-of-two parts into 2t, Euler-split even non-powers of two."""
+    """Fold power-of-two parts into 2t; Euler-split every other part x =
+    c 2^e, c odd, into 2^e copies of c (an odd part is its own one copy)."""
     two_t = 0
     odd = []
     for x in tail:
-        if x % 2 == 1:
-            odd.append(x)
-        elif x & (x - 1) == 0:
+        low = x & -x  # 2^e, the largest power of two dividing x
+        if low == x:
             two_t += x
         else:
-            val = x
-            exp = 0
-            while val % 2 == 0:
-                val //= 2
-                exp += 1
-            odd.extend([val] * (1 << exp))
+            odd += [x // low] * low
     return two_t, odd
 
 
-def _split_route(p: Partition, variant, parity=None) -> Partition:
-    """Split a butterfly partition along the variant's route for the parity
-    of its second part (which must be ``parity`` when given)."""
+def _split(parts, variant, parity=None):
+    """The split of a butterfly part tuple along the variant's route for the
+    parity of its second part (which must be ``parity`` when given), as a
+    part tuple."""
     forms = _forms_of(variant)
-    if not is_butterfly_tuple(p.parts):
-        raise SplitMergeError("not a butterfly partition: %s" % p)
-    if parity is not None and p[1] % 2 != parity:
-        raise SplitMergeError("second part must be %s: %s" % ("odd" if parity else "even", p))
-    shape = _FORMS[forms[p[1] % 2]]
+    if not is_butterfly_tuple(parts):
+        raise SplitMergeError("not a butterfly partition: %s" % shown(parts))
+    if parity is not None and parts[1] % 2 != parity:
+        raise SplitMergeError("second part must be %s: %s"
+                              % ("odd" if parity else "even", shown(parts)))
+    shape = _FORMS[forms[parts[1] % 2]]
     for odd, butterfly in shape.outright.items():
-        if butterfly == p.parts:
-            return Partition(odd)
-    c = p[1] if p[1] % 2 else p[1] - 1  # the largest odd value <= the second part
-    two_t, odd_tail = _split_tail(p.parts[3:])
-    parts = [c + shape.gap + two_t, c, c - shape.gap] + odd_tail + [3] * shape.sentinel
-    out = Partition(sorted(parts, reverse=True))
-    assert out.n == p.n
-    return out
+        if butterfly == parts:
+            return odd
+    c = parts[1] if parts[1] % 2 else parts[1] - 1  # the largest odd value <= the second part
+    two_t, odd_tail = _split_tail(parts[3:])
+    out = [c + shape.gap + two_t, c, c - shape.gap] + odd_tail + [3] * shape.sentinel
+    out.sort(reverse=True)
+    assert sum(out) == sum(parts)
+    return tuple(out)
 
 
 def split_even(p: Partition) -> Partition:
     """Standard split of a butterfly partition with even second part."""
-    return _split_route(p, STANDARD, 0)
+    return Partition._wrap(_split(p.parts, STANDARD, 0))
 
 
 def split_odd(p: Partition) -> Partition:
     """Standard split of a butterfly partition with odd second part."""
-    return _split_route(p, STANDARD, 1)
+    return Partition._wrap(_split(p.parts, STANDARD, 1))
 
 
 def split_switched(p: Partition) -> Partition:
     """Split under the switched variant (shapes of the two routes exchanged)."""
-    return _split_route(p, SWITCHED)
+    return Partition._wrap(_split(p.parts, SWITCHED))
 
 
 def split(p: Partition, variant=STANDARD) -> Partition:
-    return _split_route(p, variant)
+    return Partition._wrap(_split(p.parts, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +252,12 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
     Raises CapsError when a merging cap fails and ShapeError when the head
     matches neither routed form; a reconstruction that is not strictly
     decreasing signals an input outside the bijection's range and also raises.
+    The reconstruction is checked by splitting it again, as a part tuple.
     """
-    parts = q.parts
-    if any(x % 2 == 0 or x < 3 for x in parts):
-        raise ShapeError("parts must be odd and >= 3: %s" % q)
+    parts = _odd_parts(q)
     form = _route(parts, variant)
     if parts in _FORMS[form].outright:
-        return Partition(_FORMS[form].outright[parts])
+        return Partition._wrap(_FORMS[form].outright[parts])
     caps = caps_of(q, variant, form)
     if not caps.satisfied:
         raise CapsError("merging caps violated for %s: %s" % (q, caps.checks))
@@ -259,13 +267,9 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
     m = (parts[1] + 1) // 2
     top = 2 * m + 1 - _forms_of(variant).index(form)
     out = [top, top - 1, top - 2]
-    two_t = caps.two_t
-    bit = 1
-    while bit <= two_t:
-        if two_t & bit:
-            out.append(bit)
-        bit <<= 1
-    for val, count in list(caps.u_by_q.items()) + ([(3, caps.v)] if caps.v else []):
+    # the inverse of _split_tail: count copies of an odd value c merge into
+    # c 2^e for each binary digit 2^e of count, and 2t is 2t copies of 1
+    for val, count in [(1, caps.two_t), (3, caps.v), *caps.u_by_q.items()]:
         exp = 0
         while count:
             if count & 1:
@@ -275,10 +279,10 @@ def merge_odd(q: Partition, variant=STANDARD) -> Partition:
     out.sort(reverse=True)
     if any(a <= b for a, b in zip(out, out[1:])) or out[-1] < 2:
         raise CapsError("reconstruction is not strictly decreasing: %s" % out)
-    result = Partition(out)
-    if result.n != q.n or split(result, variant) != q:
+    out = tuple(out)
+    if _split(out, variant) != parts:
         raise SplitMergeError("merge did not invert the split for %s" % q)
-    return result
+    return Partition._wrap(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from butterflyseq.families import (
-    BAR_AE, BAR_AO, BAR_BE, BAR_BO, Family, enumerate_family,
+    BAR_AE, BAR_AO, BAR_BE, BAR_BO, BUTTERFLY, Family, enumerate_family, family_tuples,
 )
 from butterflyseq.partitions import Partition, iter_butterfly_tuples
 from butterflyseq.pentagonal import (
@@ -12,6 +12,8 @@ from butterflyseq.pentagonal import (
     classify, parity_refined_counts, enumerate_bars, make_pentagonal,
     parity_relation, parity_relation_holds,
 )
+from butterflyseq.sequences import (
+    EXCEPTION_FORMS, EXCEPTION_SIGNS, PENTAGONAL_SHAPES, exception_form_of)
 
 P = Partition
 PENT_KINDS = (PENTAGONAL, GEN_PENTAGONAL, PENTAGONAL_DOMINO, GEN_PENTAGONAL_DOMINO)
@@ -183,3 +185,69 @@ def test_parity_refined_counts_list_nothing(monkeypatch):
         monkeypatch.setattr(families, name, refuse)
     for n in (6, 9, 26, 40, 61, 500):
         assert parity_refined_counts(n).relations_hold, n
+
+
+@pytest.mark.parametrize("kind, h, message", [
+    ("nosuch", 2, "nosuch requires h >= 3"),
+    ("nosuch", 5, "unknown pentagonal kind 'nosuch'"),
+])
+def test_make_pentagonal_refusals_are_pinned(kind, h, message):
+    with pytest.raises(ValueError) as exc:
+        make_pentagonal(kind, h)
+    assert str(exc.value) == message
+
+
+def test_classify_refusal_is_pinned():
+    with pytest.raises(ValueError) as exc:
+        classify(P([5, 4, 2]))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "not a butterfly partition: 5+4+2"
+
+
+# the paper's closed forms, as printed, of the parity-exception inputs
+PRINTED_FORMS = {
+    "gen_pentagonal_plus_two": lambda t: (3 * t * t + t + 4) // 2,
+    "pentagonal": lambda t: (3 * (t + 1) ** 2 - t - 1) // 2,
+    "pentagonal_plus_two": lambda t: (3 * (t + 1) ** 2 - t + 3) // 2,
+    "gen_pentagonal": lambda t: (3 * (t + 1) ** 2 + t + 1) // 2,
+}
+
+
+def test_shape_table_gives_the_printed_closed_forms():
+    """Each shape's size at h = t + h_minus_t is its printed closed form,
+    for t = 2..60, and so is the size of make_pentagonal's shape at that h;
+    at t = 1 make_pentagonal refuses."""
+    assert list(EXCEPTION_FORMS) == list(PRINTED_FORMS) == list(PENTAGONAL_SHAPES)
+    for form, printed in PRINTED_FORMS.items():
+        shape = PENTAGONAL_SHAPES[form]
+        for t in range(2, 61):
+            h = t + shape.h_minus_t
+            assert EXCEPTION_FORMS[form](t) == printed(t), (form, t)
+            assert make_pentagonal(shape.kind, h).n == printed(t), (form, t)
+        with pytest.raises(ValueError):
+            make_pentagonal(shape.kind, 1 + shape.h_minus_t)
+
+
+def test_shape_sign_is_plus_one_exactly_on_an_even_second_part():
+    for form, shape in PENTAGONAL_SHAPES.items():
+        assert EXCEPTION_SIGNS[form] == shape.sign in (1, -1)
+        for h in range(2 + shape.h_minus_t, 40):
+            second = make_pentagonal(shape.kind, h)[1]
+            assert (shape.sign == 1) == (second % 2 == 0), (form, h)
+
+
+def test_pentagonal_butterflies_carry_the_signed_sum_delta():
+    """Franklin's pattern: over the butterflies of n that classify calls
+    pentagonal, +1 for an even second part and -1 for an odd one sum to
+    delta(n), the sign of the closed form n matches (0 if none), for every
+    6 <= n <= 90 (15,903 butterflies)."""
+    listed = 0
+    for n in range(6, 91):
+        signed = 0
+        for parts in family_tuples(n, Family(BUTTERFLY)):
+            listed += 1
+            if classify(P(parts)).kind in PENT_KINDS:
+                signed += 1 if parts[1] % 2 == 0 else -1
+        form = exception_form_of(n)
+        assert signed == (EXCEPTION_SIGNS[form[0]] if form else 0), n
+    assert listed == 15903

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from butterflyseq.partitions import Partition, count_butterfly, iter_butterfly_tuples
+from butterflyseq.partitions import (
+    Partition, count_butterfly, iter_butterfly_tuples, iter_partition_tuples)
+from butterflyseq.pentagonal import classify
 from butterflyseq.splitmerge import (
     STANDARD, STEP1, STEP1_SWITCHED, STEP2, STEP2_SWITCHED, SWITCHED,
-    CapsError, ShapeError, SplitMergeError, _route, caps_of, count_capped, matches_form,
-    merge_odd, split, split_even, split_odd, split_switched,
+    CapsError, ShapeError, SplitMergeError, _route, _split, caps_of, count_capped,
+    matches_form, merge_odd, split, split_even, split_odd, split_switched,
 )
 
 P = Partition
@@ -199,3 +201,76 @@ def test_merge_routing_and_caps_agree_on_every_odd_partition(variant, forms):
             else:
                 assert caps_of(q, variant).form == accepted[0], q
     assert merged == sum(count_butterfly(n) for n in range(45, -1, -1))
+
+
+# -- the split core on part tuples, and the public functions around it ---------
+
+@pytest.mark.parametrize("fn, text, error, message", [
+    (split, "5+4+2", SplitMergeError, "not a butterfly partition: 5+4+2"),
+    (split_even, "4+3+2", SplitMergeError, "second part must be even: 4+3+2"),
+    (split_odd, "5+4+3", SplitMergeError, "second part must be odd: 5+4+3"),
+    (merge_odd, "9+7+3", ShapeError, "head shape matches neither routed form: 9+7+3"),
+    (merge_odd, "13+5+3", CapsError, "merging caps violated for 13+5+3: {'2t': False}"),
+    (merge_odd, "6+4+2", ShapeError, "parts must be odd and >= 3: 6+4+2"),
+    (merge_odd, "3+3", ShapeError, "need at least three parts"),
+    (caps_of, "3+3+3", ShapeError, "head does not match the gap-two form: 3+3+3"),
+    (caps_of, "5+3", ShapeError, "need at least three parts"),
+])
+def test_error_classes_and_messages_are_pinned(fn, text, error, message):
+    """The exact class and text of each refusal, which the CLI prints."""
+    with pytest.raises(SplitMergeError) as exc:
+        fn(Partition.parse(text))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_split_merge_and_classify_build_no_partition(monkeypatch):
+    """Round trips of both variants and classify, over every butterfly of
+    n <= 40, call Partition.__init__ not once: the cores work on the part
+    tuples, and the one Partition each returns is wrapped, not checked."""
+    butterflies = [P(t) for n in range(6, 41) for t in iter_butterfly_tuples(n)]
+    init = Partition.__init__
+    calls = []
+
+    def counted_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counted_init)
+    trips = 0
+    for p in butterflies:
+        for variant in (STANDARD, SWITCHED):
+            assert merge_odd(split(p, variant), variant) == p
+            trips += 1
+    assert (trips, len(calls)) == (260, 0)
+    kinds = {classify(p).kind for p in butterflies}
+    assert (len(butterflies), len(calls)) == (130, 0) and len(kinds) == 6
+
+
+def _outcome(fn, *args):
+    """A split's image as a part tuple, or its error's class and text."""
+    try:
+        out = fn(*args)
+    except SplitMergeError as exc:
+        return type(exc).__name__, str(exc)
+    return out.parts if isinstance(out, Partition) else out
+
+
+def test_each_public_split_equals_its_core_and_merge_inverts_it():
+    """On every butterfly of n <= 60, each public split function gives
+    Partition._wrap of _split on its part tuple, and merge_odd gives the
+    butterfly back; on every partition of n <= 12, a refusal is the same
+    error with the same text from both."""
+    butterflies = [t for n in range(6, 61) for t in iter_butterfly_tuples(n)]
+    others = [t for n in range(13) for t in iter_partition_tuples(n)]
+    assert len(butterflies) == 1087
+    for parts in butterflies + others:
+        p = P(parts)
+        for public, args in ((split_even, (STANDARD, 0)), (split_odd, (STANDARD, 1)),
+                             (split_switched, (SWITCHED,)),
+                             (lambda p: split(p), (STANDARD,)),
+                             (lambda p: split(p, SWITCHED), (SWITCHED,))):
+            want = _outcome(_split, parts, *args)
+            assert _outcome(public, p) == want, (public, parts)
+            if isinstance(want[0], int):  # an image, not an error
+                assert merge_odd(Partition._wrap(want), args[0]) == p

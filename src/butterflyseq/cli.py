@@ -3,7 +3,10 @@
 Verbs: seq, enum, bij, split, merge, caps, classify, parity, verify,
 checksum, solve, diagram.  Output is deterministic text, or JSON objects of
 the shape {"command": ..., "result": ...} with --json.  Exit codes: 0 on
-success, 1 on verification or domain failure, 2 on usage errors.
+success, 1 on verification or domain failure, 2 on usage errors.  A request
+``[--json] VERB ...`` is parsed once, by that verb's own parser; any other
+argv, or one with arguments left over, goes through the whole parser, so
+help and usage errors are argparse's own.
 """
 
 import argparse
@@ -179,71 +182,82 @@ def build_parser():
                                  description="butterfly sequence toolkit")
     ap.add_argument("--json", action="store_true", help="JSON output")
     sub = ap.add_subparsers(dest="verb", required=True)
+    ap.verbs = {}  # verb -> its parser, which main hands a request to directly
 
-    p = sub.add_parser("seq", help="print a named sequence as b-file lines")
+    def verb(name, help_text, fn):
+        p = ap.verbs[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = verb("seq", "print a named sequence as b-file lines", _cmd_seq)
     p.add_argument("name", choices=sorted(sequences.ROUTES))
     p.add_argument("--to", type=int, required=True)
-    p.set_defaults(fn=_cmd_seq)
 
-    p = sub.add_parser("enum", help="list the partitions of n in a family")
+    p = verb("enum", "list the partitions of n in a family", _cmd_enum)
     p.add_argument("family")
     p.add_argument("n", type=int)
     p.add_argument("--h", type=_bar_size, default=3, help="bar size for bar families")
-    p.set_defaults(fn=_cmd_enum)
 
-    p = sub.add_parser("bij", help="verify a bijection over a range of n")
+    p = verb("bij", "verify a bijection over a range of n", _cmd_bij)
     p.add_argument("kind", choices=tuple(bijections.BIJECTIONS))
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--h", type=_bar_size, default=3)
-    p.set_defaults(fn=_cmd_bij)
 
-    for verb, help_text, fn in (
+    for name, help_text, fn in (
             ("split", "split a butterfly partition into odd parts", _cmd_split),
             ("merge", "merge an odd-part partition back", _cmd_merge),
             ("caps", "report the merging caps of an odd-part partition", _cmd_caps)):
-        p = sub.add_parser(verb, help=help_text)
+        p = verb(name, help_text, fn)
         p.add_argument("partition")
         p.add_argument("--variant", choices=(splitmerge.STANDARD, splitmerge.SWITCHED),
                        default=splitmerge.STANDARD)
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("classify", help="pentagonal classification of a butterfly partition")
+    p = verb("classify", "pentagonal classification of a butterfly partition", _cmd_classify)
     p.add_argument("partition")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("parity", help="even/odd butterfly count relation at n")
+    p = verb("parity", "even/odd butterfly count relation at n", _cmd_parity)
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--exceptions", action="store_true",
                    help="list the closed-form exceptional inputs instead")
     p.add_argument("--to", type=_order, default=51)
-    p.set_defaults(fn=_cmd_parity)
 
-    p = sub.add_parser("verify", help="verify a generating-function identity")
+    p = verb("verify", "verify a generating-function identity", _cmd_verify)
     p.add_argument("identity",
                    help="identity name or 'all' (%s)" % ", ".join(series.VERIFIED_IDENTITIES))
     p.add_argument("--order", type=_order, default=60)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("checksum", help="pentagonal checksum of a sequence at m")
+    p = verb("checksum", "pentagonal checksum of a sequence at m", _cmd_checksum)
     p.add_argument("name", choices=recurrences.CHECKSUM_NAMES)
     p.add_argument("m", type=int)
-    p.set_defaults(fn=_cmd_checksum)
 
-    p = sub.add_parser("solve", help="rebuild a sequence from its checksum relation")
+    p = verb("solve", "rebuild a sequence from its checksum relation", _cmd_solve)
     p.add_argument("name", choices=recurrences.CHECKSUM_NAMES)
     p.add_argument("--to", type=int, required=True)
-    p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("diagram", help="Young diagram of a partition")
+    p = verb("diagram", "Young diagram of a partition", _cmd_diagram)
     p.add_argument("partition")
-    p.set_defaults(fn=_cmd_diagram)
     return ap
 
 
-def main(argv=None):
+def _parse(argv):
+    """The namespace of argv.  `[--json] VERB ARGS` is parsed once, by VERB's
+    own parser; any other argv, or ARGS that parser leaves over, is parsed
+    again from the start by the whole parser, so that its help and its
+    errors are argparse's own."""
     ap = build_parser()
-    args = ap.parse_args(argv)
+    json_flag = argv[:1] == ["--json"]
+    name = argv[json_flag] if len(argv) > json_flag else None
+    if name in ap.verbs:
+        args, rest = ap.verbs[name].parse_known_args(
+            argv[json_flag + 1:], argparse.Namespace(json=json_flag, verb=name))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
+
+
+def main(argv=None):
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except ValueError as exc:

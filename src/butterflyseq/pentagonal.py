@@ -49,11 +49,11 @@ def make_pentagonal(kind, h) -> Partition:
     shape's closed form (sequences.PENTAGONAL_SHAPES), h = t + h_minus_t.
     """
     shape = _SHAPE_OF_KIND.get(kind)
-    min_h = 2 + (shape.h_minus_t if shape else 1)
-    if h < min_h:
-        raise ValueError("%s requires h >= %d" % (kind, min_h))
     if shape is None:
         raise ValueError("unknown pentagonal kind %r" % kind)
+    min_h = 2 + shape.h_minus_t
+    if h < min_h:
+        raise ValueError("%s requires h >= %d" % (kind, min_h))
     return Partition._wrap(shape.parts_at(h))
 
 

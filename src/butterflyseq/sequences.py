@@ -285,10 +285,21 @@ def _exception_values(N):
             t += 1
 
 
+def _last_t(f, N):
+    """The largest t >= 2 with f(t) <= N, or a t below 2 when there is none:
+    each form exceeds 3t^2/2 at t, so that t is at most isqrt(2N/3), and a
+    step or two down finds it."""
+    t = math.isqrt(2 * max(N, 0) // 3)
+    while t >= 2 and f(t) > N:
+        t -= 1
+    return t
+
+
 def exception_form_of(n):
     """(form name, t) when n matches one of the four closed forms with t >= 2,
     else None.  The forms are pairwise disjoint on t >= 2."""
-    hits = [(name, t) for v, name, t in _exception_values(n) if v == n]
+    hits = [(name, t) for name, f in EXCEPTION_FORMS.items()
+            if (t := _last_t(f, n)) >= 2 and f(t) == n]
     if not hits:
         return None
     if len(hits) > 1:
@@ -297,16 +308,8 @@ def exception_form_of(n):
 
 
 def _exception_count(N):
-    """len(parity_exception_inputs(N)), without listing: each form exceeds
-    3t^2/2 at t, so its largest t with a value <= N is at most isqrt(2N/3),
-    and a step or two down finds it."""
-    total = 0
-    for f in EXCEPTION_FORMS.values():
-        t = math.isqrt(2 * max(N, 0) // 3)
-        while t >= 2 and f(t) > N:
-            t -= 1
-        total += max(t - 1, 0)  # t = 2, ..., t
-    return total
+    """len(parity_exception_inputs(N)), without listing."""
+    return sum(max(_last_t(f, N) - 1, 0) for f in EXCEPTION_FORMS.values())  # t = 2, ..., t
 
 
 def parity_exception_inputs(N):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -561,3 +562,67 @@ def test_parser_is_built_once_and_serves_every_call_alike(capsys):
             code = exc.code
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+# argvs at the edge of main's single parse: no verb, a flag before or after
+# the verb, an abbreviation, "--", help, leftovers and refused values
+EDGE_ARGVS = [
+    "", "-h", "--json", "seq", "--json seq", "seq -h", "--json seq -h", "seq s --to x",
+    "seq q --to 5 --json", "--js seq q --to 5", "--json --json seq q --to 3",
+    "seq q --to 5 extra", "-- seq q --to 5", "seq -- q --to 5", "seq --t 5 q",
+    "se q --to 3", "frobnicate 3", "enum bar-ae 22 --h 2",
+    "bij raise --from 2 --to 6 --to 7", "--json parity 30"]
+
+
+def _answer(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _full_parse_answer(capsys, monkeypatch, argv):
+    """main's answer when the whole parser parses argv, as it did before
+    requests were handed to their verb's parser."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        return _answer(capsys, argv)
+
+
+@pytest.mark.parametrize("line", EDGE_ARGVS)
+def test_single_parse_answers_as_the_full_parse(capsys, monkeypatch, line):
+    argv = line.split()
+    assert _answer(capsys, argv) == _full_parse_answer(capsys, monkeypatch, argv)
+
+
+def test_single_parse_refuses_as_the_full_parse(capsys, monkeypatch):
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    for line, code in workloads.REFUSALS:
+        argv = line.split()
+        got = _answer(capsys, argv)
+        assert got[0] == code, line
+        assert got == _full_parse_answer(capsys, monkeypatch, argv), line
+
+
+@pytest.mark.parametrize("line", ["seq s --to 18", "--json seq r1 --to 5",
+                                  "bij butterfly --from 6 --to 24"])
+def test_a_request_is_parsed_once(capsys, monkeypatch, line):
+    parse = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(line.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1, calls

@@ -188,7 +188,7 @@ def test_parity_refined_counts_list_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, h, message", [
-    ("nosuch", 2, "nosuch requires h >= 3"),
+    ("nosuch", 2, "unknown pentagonal kind 'nosuch'"),
     ("nosuch", 5, "unknown pentagonal kind 'nosuch'"),
 ])
 def test_make_pentagonal_refusals_are_pinned(kind, h, message):

@@ -171,6 +171,14 @@ def test_exception_forms_are_disjoint():
         exception_form_of(n)  # raises if two forms collide
 
 
+def test_exception_form_of_inverts_each_listed_value():
+    from butterflyseq.sequences import _exception_values
+    N = 20000
+    listed = {v: (name, t) for v, name, t in _exception_values(N)}
+    for n in range(N + 1):
+        assert exception_form_of(n) == listed.get(n), n
+
+
 def test_parity_structure_of_s():
     # s(n) odd exactly at n = 5 and the closed-form inputs, for n >= 5, n != 7
     s = named_sequence("s", 120)
